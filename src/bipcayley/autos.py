@@ -17,6 +17,8 @@ from .errors import AutCapExceeded, BadParameter
 from .groups import (
     AbelianGroup,
     Subgroup,
+    _closure,
+    _prime_factorization,
     bits_of,
     build_group,
     check_index2,
@@ -119,18 +121,6 @@ def automorphism_from_generator_images(
     return Automorphism(group, tuple(arr))
 
 
-def _extend_closure(group: AbelianGroup, sub_bits: int, t: int) -> int:
-    """Closure of a subgroup bitset together with one further element."""
-    if (sub_bits >> t) & 1:
-        return sub_bits
-    bits = sub_bits
-    step = t
-    while not (sub_bits >> step) & 1:
-        bits |= group.translate_set(sub_bits, step)
-        step = group.add(step, t)
-    return bits
-
-
 def enumerate_automorphisms(group: AbelianGroup,
                             cap: int = AUT_CAP) -> Iterator[Automorphism]:
     """Stream every automorphism exactly once (identity first).
@@ -155,7 +145,7 @@ def enumerate_automorphisms(group: AbelianGroup,
             return
         target = span_order * group.orders[i]
         for t in by_order.get(group.orders[i], ()):
-            new_bits = _extend_closure(group, span_bits, t)
+            new_bits = _closure(group, [t], span_bits)
             if popcount(new_bits) == target:
                 chosen[i] = t
                 yield from rec(i + 1, new_bits, target)
@@ -210,7 +200,7 @@ def prime_order_subgroups(group: AbelianGroup) -> list[Subgroup]:
     subs: list[Subgroup] = []
     for a in group.elements():
         o = group.element_order(a)
-        if o < 2 or any(o % d == 0 for d in range(2, o) if d * d <= o):
+        if _prime_factorization(o) != {o: 1}:
             continue
         sub = generated_subgroup(group, [a])
         if sub.bits not in seen:
@@ -222,7 +212,7 @@ def prime_order_subgroups(group: AbelianGroup) -> list[Subgroup]:
 def prime_index_subgroups(group: AbelianGroup) -> list[Subgroup]:
     """All subgroups of prime index, via normalized characters A -> C_p."""
     subs: list[Subgroup] = []
-    primes = sorted(set().union(*[_prime_divisors(n) for n in group.orders]))
+    primes = sorted(set().union(*[_prime_factorization(n) for n in group.orders]))
     for p in primes:
         pos = [i for i, n in enumerate(group.orders) if n % p == 0]
         for eps in _normalized_vectors(p, len(pos)):
@@ -233,19 +223,6 @@ def prime_index_subgroups(group: AbelianGroup) -> list[Subgroup]:
                     bits |= 1 << a
             subs.append(subgroup_from_bits(group, bits))
     return subs
-
-
-def _prime_divisors(n: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def _normalized_vectors(p: int, r: int) -> Iterator[tuple[int, ...]]:

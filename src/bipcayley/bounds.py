@@ -27,9 +27,9 @@ from .errors import HypothesisViolated
 from .groups import (
     AbelianGroup,
     Subgroup,
+    all_subgroups,
     bits_of,
     check_index2,
-    generated_subgroup,
     involution_subgroup,
     popcount,
 )
@@ -223,43 +223,47 @@ def brute_count_inverse_closed(group: AbelianGroup, sub: Subgroup) -> int:
 # -- admissible-set enumeration helpers -------------------------------------------
 
 
-def iter_subsets_of(group: AbelianGroup, allowed: Iterable[int]):
-    """All subsets (as bitsets) of the given elements, in mask order."""
-    allowed = list(allowed)
-    for mask in range(1 << len(allowed)):
-        bits = 0
-        m = mask
-        while m:
-            low = m & -m
-            bits |= 1 << allowed[low.bit_length() - 1]
-            m ^= low
-        yield bits
+def unit_union(units: list[int], choice: int) -> int:
+    """Union of the units (bitsets) picked by the set bits of ``choice``."""
+    bits = 0
+    while choice:
+        low = choice & -choice
+        bits |= units[low.bit_length() - 1]
+        choice ^= low
+    return bits
 
 
-def iter_inverse_closed_subsets(group: AbelianGroup, allowed_bits: int):
-    """All inverse-closed subsets of an inverse-closed ground set, in the
-    order induced by free choices over involutions and {a,-a} pairs."""
-    singles = []
-    pairs = []
+def iter_unit_subsets(units: list[int]):
+    """Every union of the given disjoint units, in the order of the choice
+    mask (unit i is bit i)."""
+    for choice in range(1 << len(units)):
+        yield unit_union(units, choice)
+
+
+def inverse_closed_units(group: AbelianGroup, allowed_bits: int) -> list[int]:
+    """The free choices of an inverse-closed subset of the inverse-closed
+    set ``allowed_bits``: one unit per involution and per {a, -a} pair, in
+    order of their least element."""
+    units = []
     seen = 0
     for a in bits_of(allowed_bits):
         if (seen >> a) & 1:
             continue
-        na = group.neg(a)
-        if na == a:
-            singles.append(1 << a)
-        else:
-            pairs.append((1 << a) | (1 << na))
-            seen |= 1 << na
-    units = singles + pairs
-    for mask in range(1 << len(units)):
-        bits = 0
-        m = mask
-        while m:
-            low = m & -m
-            bits |= units[low.bit_length() - 1]
-            m ^= low
-        yield bits
+        unit = (1 << a) | (1 << group.neg(a))
+        units.append(unit)
+        seen |= unit
+    return units
+
+
+def iter_subsets_of(group: AbelianGroup, allowed: Iterable[int]):
+    """All subsets (as bitsets) of the given elements, in mask order."""
+    return iter_unit_subsets([1 << a for a in allowed])
+
+
+def iter_inverse_closed_subsets(group: AbelianGroup, allowed_bits: int):
+    """All inverse-closed subsets of an inverse-closed ground set, in the
+    order of free choices over involutions and {a,-a} pairs."""
+    return iter_unit_subsets(inverse_closed_units(group, allowed_bits))
 
 
 # -- lemma bounds -----------------------------------------------------------------
@@ -495,24 +499,6 @@ def threshold_scan(mode: str, scan_limit: int | None = None) -> ThresholdReport:
 
 
 # -- preliminary facts ---------------------------------------------------------------
-
-
-def all_subgroups(group: AbelianGroup) -> list[Subgroup]:
-    """Every subgroup, by breadth-first closure over added generators."""
-    found = {1: Subgroup(group, 1, 1, ())}
-    frontier = [found[1]]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for a in group.elements():
-                if sub.contains(a):
-                    continue
-                bigger = generated_subgroup(group, list(sub.generators) + [a])
-                if bigger.bits not in found:
-                    found[bigger.bits] = bigger
-                    nxt.append(bigger)
-        frontier = nxt
-    return sorted(found.values(), key=lambda s: (s.order, s.bits))
 
 
 def bounds_suite(group: AbelianGroup, sub: Subgroup,

@@ -45,6 +45,8 @@ from .errors import (
 from .groups import (
     AbelianGroup,
     Subgroup,
+    _prime_factorization,
+    all_subgroups,
     bits_of,
     check_index2,
     coset_decompose,
@@ -180,7 +182,7 @@ def _direct_decompositions(group: AbelianGroup) -> list[tuple[Subgroup, Subgroup
     """All pairs (C, Z): C cyclic of order >= 4, Z elementary abelian
     2-subgroup, A = C x Z (internally)."""
     inv = involution_subgroup(group)
-    elementary = _all_subgroups_of(group, inv)
+    elementary = all_subgroups(group, inv)
     out = []
     seen_cyclic: set[int] = set()
     for a in group.elements():
@@ -195,22 +197,6 @@ def _direct_decompositions(group: AbelianGroup) -> list[tuple[Subgroup, Subgroup
             if comp.order == needed and (cyc.bits & comp.bits) == 1:
                 out.append((cyc, comp))
     return out
-
-
-def _all_subgroups_of(group: AbelianGroup, inside: Subgroup) -> list[Subgroup]:
-    """Every subgroup contained in ``inside`` (meant for the involution part)."""
-    found = {1: Subgroup(group, 1, 1, ())}
-    frontier = [found[1]]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for a in bits_of(inside.bits & ~sub.bits):
-                bigger = generated_subgroup(group, list(sub.generators) + [a])
-                if bigger.bits not in found:
-                    found[bigger.bits] = bigger
-                    nxt.append(bigger)
-        frontier = nxt
-    return sorted(found.values(), key=lambda s: (s.order, s.bits))
 
 
 # -- classification -----------------------------------------------------------
@@ -329,7 +315,9 @@ def verify_witness(group: AbelianGroup, sub: Subgroup, s_bits: int,
         return alpha.stabilizes(sub) and alpha.fixes_set(s_bits)
     if result.verdict == VERDICT_A3:
         small, big = result.witness
-        prime_ok = _is_prime(small.order) and _is_prime(group.size // big.order)
+        index = group.size // big.order
+        prime_ok = (_prime_factorization(small.order) == {small.order: 1}
+                    and _prime_factorization(index) == {index: 1})
         return (1 < small.order and big.order < group.size
                 and (small.bits & ~big.bits) == 0
                 and (small.bits & ~sub.bits) == 0
@@ -353,17 +341,6 @@ def verify_witness(group: AbelianGroup, sub: Subgroup, s_bits: int,
             built |= group.translate_set(w.s_dprime, c)
         return built == s_bits
     return result.verdict == VERDICT_GOOD and result.witness is None
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def classification_report(group: AbelianGroup, sub: Subgroup, s_bits: int,

@@ -377,18 +377,16 @@ def _cmd_table(args, caps) -> tuple[object, int]:
 
 def _cmd_survey(args, caps) -> tuple[object, int]:
     group = build_group(parse_group_spec(args.group), caps["size_cap"])
-    progress = _progress_printer(args.progress)
+    if args.method == "random":
+        kwargs = {"samples": args.samples, "seed": args.seed}
+    else:
+        kwargs = {"budget": args.budget, "threads": args.threads,
+                  "progress": _progress_printer(args.progress)}
     if args.all_subgroups:
         return global_index(group, args.mode, method=args.method,
-                            budget=args.budget, threads=args.threads), EXIT_OK
+                            **kwargs), EXIT_OK
     sub = parse_subgroup_spec(group, args.subgroup)
-    if args.method == "random":
-        res = bipartite_index(group, sub, args.mode, method="random",
-                              samples=args.samples, seed=args.seed)
-    else:
-        res = bipartite_index(group, sub, args.mode, method="exhaustive",
-                              budget=args.budget, threads=args.threads,
-                              progress=progress)
+    res = bipartite_index(group, sub, args.mode, method=args.method, **kwargs)
     return res.to_json(), EXIT_OK
 
 

@@ -250,9 +250,9 @@ class Subgroup:
         return f"Subgroup(order={self.order}, gens=[{gens}])"
 
 
-def _closure(group: AbelianGroup, gens: Iterable[int]) -> int:
-    """Membership bitset of the subgroup generated by ``gens``."""
-    bits = 1  # identity
+def _closure(group: AbelianGroup, gens: Iterable[int], bits: int = 1) -> int:
+    """Membership bitset of the subgroup generated by ``gens`` together with
+    the subgroup ``bits`` (the trivial subgroup by default)."""
     for g in gens:
         if (bits >> g) & 1:
             continue
@@ -301,11 +301,6 @@ def trivial_subgroup(group: AbelianGroup) -> Subgroup:
     return Subgroup(group, 1, 1, ())
 
 
-def full_subgroup(group: AbelianGroup) -> Subgroup:
-    bits = (1 << group.size) - 1
-    return Subgroup(group, bits, group.size, _greedy_generators(group, bits))
-
-
 def involution_subgroup(group: AbelianGroup) -> Subgroup:
     """The subgroup of elements of order at most 2."""
     bits = 0
@@ -314,6 +309,25 @@ def involution_subgroup(group: AbelianGroup) -> Subgroup:
             bits |= 1 << a
     return Subgroup(group, bits, popcount(bits),
                     _greedy_generators(group, bits))
+
+
+def all_subgroups(group: AbelianGroup,
+                  inside: Subgroup | None = None) -> list[Subgroup]:
+    """Every subgroup (every subgroup of ``inside``, when given), by
+    breadth-first closure over added generators."""
+    pool = (1 << group.size) - 1 if inside is None else inside.bits
+    found = {1: trivial_subgroup(group)}
+    frontier = [found[1]]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for a in bits_of(pool & ~sub.bits):
+                bigger = generated_subgroup(group, list(sub.generators) + [a])
+                if bigger.bits not in found:
+                    found[bigger.bits] = bigger
+                    nxt.append(bigger)
+        frontier = nxt
+    return sorted(found.values(), key=lambda s: (s.order, s.bits))
 
 
 def coset_decompose(group: AbelianGroup, sub: Subgroup, mask: int) -> bool:

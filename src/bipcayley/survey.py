@@ -30,9 +30,15 @@ from .autos import (
     inversion_automorphism,
     stabilizing_automorphisms,
 )
-from .bounds import count_inverse_closed
+from .bounds import (
+    count_inverse_closed,
+    inverse_closed_units,
+    iter_unit_subsets,
+    unit_union,
+)
 from .cayley import CANON_CAP, build_cayley, canonical_form, connection_set
 from .errors import (
+    BadParameter,
     BudgetExceeded,
     CapExceeded,
     FalsificationError,
@@ -59,6 +65,7 @@ DEFAULT_EXHAUSTIVE_BUDGET = 1 << 24
 DEFAULT_TABLE_BUDGET = 1 << 13
 DEFAULT_SAMPLES = 10_000
 ORBIT_GEN_LIMIT = 12
+C26_BLOCK = 50_000
 _AUT_SCAN_LIMIT = 100_000
 
 
@@ -72,15 +79,17 @@ def _outside_elements(group: AbelianGroup, sub: Subgroup) -> list[int]:
 def _free_units(group: AbelianGroup, sub: Subgroup) -> list[int]:
     """Independent bits of an inverse-closed subset of A \\ B: one per
     involution outside B, one per {a, -a} pair outside B."""
-    units = []
-    seen = 0
-    for a in _outside_elements(group, sub):
-        if (seen >> a) & 1:
-            continue
-        na = group.neg(a)
-        units.append((1 << a) | (1 << na))
-        seen |= (1 << a) | (1 << na)
-    return units
+    return inverse_closed_units(group, sub.complement_bits())
+
+
+def _units(group: AbelianGroup, sub: Subgroup, mode: str) -> list[int]:
+    """The free choices of an admissible set: one unit per element outside B
+    (directed), or per involution and {a, -a} pair outside B (undirected)."""
+    if mode == "directed":
+        return [1 << a for a in _outside_elements(group, sub)]
+    if mode == "undirected":
+        return _free_units(group, sub)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def admissible_set_count(group: AbelianGroup, sub: Subgroup, mode: str) -> int:
@@ -93,35 +102,14 @@ def admissible_set_count(group: AbelianGroup, sub: Subgroup, mode: str) -> int:
 def iter_admissible_sets(group: AbelianGroup, sub: Subgroup, mode: str):
     """All admissible connection-set bitsets, in deterministic mask order."""
     check_index2(sub)
-    if mode == "directed":
-        outside = _outside_elements(group, sub)
-        for mask in range(1 << len(outside)):
-            bits = 0
-            m = mask
-            while m:
-                low = m & -m
-                bits |= 1 << outside[low.bit_length() - 1]
-                m ^= low
-            yield bits
-    elif mode == "undirected":
-        units = _free_units(group, sub)
-        for mask in range(1 << len(units)):
-            bits = 0
-            m = mask
-            while m:
-                low = m & -m
-                bits |= units[low.bit_length() - 1]
-                m ^= low
-            yield bits
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    return iter_unit_subsets(_units(group, sub, mode))
 
 
 # -- orbit reduction -----------------------------------------------------------
 
 
-def _orbit_generators(group: AbelianGroup, sub: Subgroup,
-                      gen_limit: int) -> list[tuple[int, ...]]:
+def _orbit_generators(group: AbelianGroup,
+                      sub: Subgroup) -> list[tuple[int, ...]]:
     """Element-index permutations from B-stabilizing automorphisms (a bounded
     harvest; any subgroup of the stabilizer gives a sound reduction)."""
     perms = []
@@ -134,7 +122,7 @@ def _orbit_generators(group: AbelianGroup, sub: Subgroup,
             scanned += 1
             if not alpha.is_identity:
                 perms.append(alpha.image)
-                if len(perms) >= gen_limit:
+                if len(perms) >= ORBIT_GEN_LIMIT:
                     break
             if scanned >= _AUT_SCAN_LIMIT:
                 break
@@ -180,6 +168,14 @@ def orbit_representatives(masks: Sequence[int],
 
 @dataclass
 class IndexSurveyResult:
+    """The minimum index over the connection sets a campaign sweeps.
+
+    ``argmin_set`` is the first set in sweep order whose exact index equals
+    ``min_index`` (see ``sweep``): for an exhaustive survey the order of the
+    orbit representatives, mid-sized sets first; for a random one the order
+    of the draws.
+    """
+
     group: str
     subgroup: list
     mode: str
@@ -210,43 +206,79 @@ def _generic_first(masks: Iterable[int], half: float) -> list[int]:
     return sorted(masks, key=lambda m: (abs(popcount(m) - half), m))
 
 
-def _search_min(group: AbelianGroup, reps: Sequence[int],
-                best: int | None = None,
-                timeout: float | None = None,
-                progress=None, total: int | None = None) -> int | None:
-    for done, mask in enumerate(reps, 1):
+def sweep(group: AbelianGroup, masks: Sequence[int],
+          best: int | None = None, timeout: float | None = None,
+          progress=None) -> tuple[int | None, int | None]:
+    """Minimum Cayley index of Cay(A, S) over the connection sets ``masks``,
+    and its argmin, as ``(best, argmin)``.
+
+    Only indices below the starting ``best`` count (``None``: no bound).  A
+    set's stabilizer search aborts once it reaches the running minimum, so
+    the argmin is the first mask in stream order whose exact index equals
+    the minimum: until that mask the running minimum is above it, so it is
+    searched exactly.  ``argmin`` is ``None`` when no mask goes below the
+    starting ``best``.  ``progress(done, total)`` is called every 64 masks.
+    """
+    argmin = None
+    for done, mask in enumerate(masks, 1):
         digraph = build_cayley(group, connection_set(group, mask))
         order, exact = stabilizer_order_bounded(digraph, 0, abort_order=best,
                                                 timeout=timeout)
         if exact and (best is None or order < best):
-            best = order
+            best, argmin = order, mask
         if progress is not None and done % 64 == 0:
-            progress(done, total if total is not None else len(reps))
-    return best
+            progress(done, len(masks))
+    return best, argmin
 
 
-def _shard_worker(args) -> int | None:
-    orders, masks, hint = args
-    group = build_group(list(orders))
-    return _search_min(group, masks, best=hint)
+def _shard_worker(args) -> tuple[int | None, int | None]:
+    orders, shard, best, timeout = args
+    best, argmin = sweep(build_group(list(orders)), shard, best=best,
+                         timeout=timeout)
+    return best, None if argmin is None else shard.index(argmin)
 
 
-def _argmin_for(group: AbelianGroup, reps: Sequence[int], best: int,
-                timeout: float | None = None) -> int:
-    for mask in sorted(reps):
-        digraph = build_cayley(group, connection_set(group, mask))
-        order, exact = stabilizer_order_bounded(digraph, 0,
-                                                abort_order=best + 1,
-                                                timeout=timeout)
-        if exact and order == best:
-            return mask
-    raise FalsificationError("minimum not achieved by any representative")
+def _sweep_sharded(group: AbelianGroup, masks: Sequence[int],
+                   best: int | None, threads: int,
+                   timeout: float | None = None,
+                   progress=None) -> tuple[int | None, int | None]:
+    """``sweep`` on ``threads`` worker processes, with the same result.
+
+    The masks are dealt round-robin into 4 * threads shards, each swept from
+    the same starting ``best``.  Each worker returns its minimum and the
+    position of its argmin; the merge keeps the lowest index, then the
+    earliest stream position.  ``progress(done, total)`` counts shards.
+    """
+    width = 4 * threads
+    shards = [masks[i::width] for i in range(min(width, len(masks)))]
+    args = [(group.orders, shard, best, timeout) for shard in shards]
+    found = None  # (index, stream position)
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        for i, (local, pos) in enumerate(pool.map(_shard_worker, args)):
+            if pos is not None:
+                here = (local, i + pos * width)
+                found = here if found is None else min(found, here)
+            if progress is not None:
+                progress(i + 1, len(args))
+    if found is None:
+        return best, None
+    return found[0], masks[found[1]]
+
+
+def _decode_set(group: AbelianGroup, mask: int) -> list:
+    return sorted(list(group.decode(a)) for a in bits_of(mask))
+
+
+def _recheck(group: AbelianGroup, mask: int, best: int) -> None:
+    recheck = vertex_stabilizer(
+        build_cayley(group, connection_set(group, mask))).cayley_index
+    if recheck != best:
+        raise FalsificationError("argmin re-check disagrees with the minimum")
 
 
 def exhaustive_bipartite_index(group: AbelianGroup, sub: Subgroup, mode: str,
                                budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
                                orbit_reduce: bool = True,
-                               gen_limit: int = ORBIT_GEN_LIMIT,
                                threads: int = 1,
                                timeout: float | None = None,
                                progress=None) -> IndexSurveyResult:
@@ -259,38 +291,26 @@ def exhaustive_bipartite_index(group: AbelianGroup, sub: Subgroup, mode: str,
     if mode == "undirected" and len(masks) != count_inverse_closed(group, sub):
         raise FalsificationError(
             "inverse-closed enumeration disagrees with the counting formula")
-    perms = _orbit_generators(group, sub, gen_limit) if orbit_reduce else []
+    perms = _orbit_generators(group, sub) if orbit_reduce else []
     reps = orbit_representatives(masks, perms)
     ordered = _generic_first(reps, len(_outside_elements(group, sub)) / 2)
 
     if threads > 1 and len(ordered) > 64:
-        warm = _search_min(group, ordered[:32], timeout=timeout)
-        shards: list[list[int]] = [[] for _ in range(4 * threads)]
-        for i, mask in enumerate(ordered[32:]):
-            shards[i % len(shards)].append(mask)
-        args = [(group.orders, shard, warm) for shard in shards if shard]
-        best = warm
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for done, local in enumerate(pool.map(_shard_worker, args), 1):
-                if local is not None and (best is None or local < best):
-                    best = local
-                if progress is not None:
-                    progress(done, len(args))
+        best, argmin = sweep(group, ordered[:32], timeout=timeout)
+        best, found = _sweep_sharded(group, ordered[32:], best, threads,
+                                     timeout=timeout, progress=progress)
+        if found is not None:
+            argmin = found
     else:
-        best = _search_min(group, ordered, timeout=timeout,
-                           progress=progress)
-
-    argmin = _argmin_for(group, reps, best, timeout=timeout)
-    recheck = vertex_stabilizer(
-        build_cayley(group, connection_set(group, argmin))).cayley_index
-    if recheck != best:
-        raise FalsificationError("argmin re-check disagrees with the minimum")
+        best, argmin = sweep(group, ordered, timeout=timeout,
+                             progress=progress)
+    _recheck(group, argmin, best)
     return IndexSurveyResult(
         group=format_group_spec(group.orders),
         subgroup=[list(group.decode(g)) for g in sub.generators],
         mode=mode,
         min_index=best,
-        argmin_set=sorted([list(group.decode(a)) for a in bits_of(argmin)]),
+        argmin_set=_decode_set(group, argmin),
         sets_examined=total,
         reps_searched=len(reps),
         method="exhaustive",
@@ -298,21 +318,8 @@ def exhaustive_bipartite_index(group: AbelianGroup, sub: Subgroup, mode: str,
     )
 
 
-def _sample_mask(group: AbelianGroup, sub: Subgroup, mode: str,
-                 rng: random.Random, outside: list[int],
-                 units: list[int]) -> int:
-    bits = 0
-    if mode == "directed":
-        draw = rng.getrandbits(len(outside))
-        for i, a in enumerate(outside):
-            if (draw >> i) & 1:
-                bits |= 1 << a
-    else:
-        draw = rng.getrandbits(len(units))
-        for i, unit in enumerate(units):
-            if (draw >> i) & 1:
-                bits |= unit
-    return bits
+def _sample_mask(rng: random.Random, units: list[int]) -> int:
+    return unit_union(units, rng.getrandbits(len(units)))
 
 
 def random_bipartite_index(group: AbelianGroup, sub: Subgroup, mode: str,
@@ -320,29 +327,19 @@ def random_bipartite_index(group: AbelianGroup, sub: Subgroup, mode: str,
                            timeout: float | None = None) -> IndexSurveyResult:
     """Minimum index over uniformly random admissible sets (an upper bound)."""
     check_index2(sub)
+    if samples < 1:
+        raise BadParameter("a random survey needs at least one sample")
     rng = random.Random(seed)
-    outside = _outside_elements(group, sub)
-    units = _free_units(group, sub) if mode == "undirected" else []
-    best: int | None = None
-    best_mask = 0
-    for _ in range(samples):
-        mask = _sample_mask(group, sub, mode, rng, outside, units)
-        digraph = build_cayley(group, connection_set(group, mask))
-        order, exact = stabilizer_order_bounded(digraph, 0, abort_order=best,
-                                                timeout=timeout)
-        if exact and (best is None or order < best):
-            best = order
-            best_mask = mask
-    recheck = vertex_stabilizer(
-        build_cayley(group, connection_set(group, best_mask))).cayley_index
-    if recheck != best:
-        raise FalsificationError("argmin re-check disagrees with the minimum")
+    units = _units(group, sub, mode)
+    masks = [_sample_mask(rng, units) for _ in range(samples)]
+    best, argmin = sweep(group, masks, timeout=timeout)
+    _recheck(group, argmin, best)
     return IndexSurveyResult(
         group=format_group_spec(group.orders),
         subgroup=[list(group.decode(g)) for g in sub.generators],
         mode=mode,
         min_index=best,
-        argmin_set=sorted([list(group.decode(a)) for a in bits_of(best_mask)]),
+        argmin_set=_decode_set(group, argmin),
         sets_examined=samples,
         reps_searched=samples,
         method="random",
@@ -554,15 +551,11 @@ def monte_carlo_proportion(group: AbelianGroup, sub: Subgroup, mode: str,
     check_index2(sub)
     target = 1 if mode == "directed" else minimal_graph_index_target(group)
     rng = random.Random(seed)
-    outside = _outside_elements(group, sub)
-    units = _free_units(group, sub) if mode == "undirected" else []
+    units = _units(group, sub, mode)
     hits = 0
     for _ in range(samples):
-        mask = _sample_mask(group, sub, mode, rng, outside, units)
-        digraph = build_cayley(group, connection_set(group, mask))
-        order, exact = stabilizer_order_bounded(digraph, 0,
-                                                abort_order=target + 1)
-        if exact and order == target:
+        _, hit = sweep(group, [_sample_mask(rng, units)], best=target + 1)
+        if hit is not None:
             hits += 1
     low, high = wilson_interval(hits, samples)
     return ProportionEstimate(samples, hits, Fraction(hits, samples),
@@ -619,6 +612,13 @@ def unlabeled_count(group: AbelianGroup, sub: Subgroup, mode: str,
 
 @dataclass
 class C26Report:
+    """Sub-claims of the C2^6 reduction and the outcome of its search.
+
+    ``best_set`` is the first candidate in stream order whose exact index
+    equals ``best_index`` (see ``sweep``), for serial and threaded runs and
+    across resumes alike.
+    """
+
     candidate_count: int
     orbit_sizes: list[int]
     orbit_representatives: list[list[int]]
@@ -745,15 +745,15 @@ def _c26_candidates(group, basis, b_bits, rep):
 
 def c26_reduced_search(budget: int | None = None,
                        checkpoint: str | None = None,
-                       checkpoint_every: int = 50_000,
                        threads: int = 1,
                        progress=None) -> C26Report:
     """Run (a budgeted prefix of) the 7,701,512-candidate minimization.
 
     The result equals the directed bipartite Cayley index of (C2^6, C2^5)
-    when run to completion; the ordering of candidates is deterministic, and
-    a checkpoint file (JSON lines {cursor, best_index, best_set}) makes long
-    runs resumable.
+    when run to completion; the ordering of candidates is deterministic.
+    The stream is swept in blocks of ``C26_BLOCK`` candidates, and after
+    each block a checkpoint file gets one JSON line {cursor, best_index,
+    best_set, best_mask}, which makes long runs resumable.
     """
     report = c26_subclaims()
     group, basis, b_bits, rep3, rep5 = _c26_group_and_parts()
@@ -780,11 +780,18 @@ def c26_reduced_search(budget: int | None = None,
     searched = start
     limit = report.candidate_count if budget is None else min(
         report.candidate_count, start + budget)
-
-    def _flush():
+    while searched < limit:
+        block = list(itertools.islice(stream, min(C26_BLOCK,
+                                                  limit - searched)))
+        if threads > 1:
+            best, found = _sweep_sharded(group, block, best, threads)
+        else:
+            best, found = sweep(group, block, best)
+        if found is not None:
+            best_mask = found
+        searched += len(block)
         if checkpoint:
-            best_set = (sorted(list(group.decode(a))
-                               for a in bits_of(best_mask))
+            best_set = (_decode_set(group, best_mask)
                         if best_mask is not None else None)
             with open(checkpoint, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps({"shard_id": 0, "best_index": best,
@@ -793,55 +800,9 @@ def c26_reduced_search(budget: int | None = None,
                                      "best_mask": best_mask}) + "\n")
         if progress is not None:
             progress(searched, limit)
-
-    if threads > 1:
-        chunk = 20_000
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            while searched < limit:
-                take = min(chunk * threads, limit - searched)
-                block = list(itertools.islice(stream, take))
-                if not block:
-                    break
-                shards = [block[i::threads] for i in range(threads)]
-                args = [(group.orders, shard, best) for shard in shards
-                        if shard]
-                for local in pool.map(_shard_worker, args):
-                    if local is not None and (best is None or local < best):
-                        best = local
-                searched += len(block)
-                _flush()
-        if best is not None:
-            best_mask = _argmin_c26(group, basis, b_bits, rep3, rep5, best,
-                                    searched)
-    else:
-        for mask in stream:
-            if searched >= limit:
-                break
-            digraph = build_cayley(group, connection_set(group, mask))
-            order, exact = stabilizer_order_bounded(digraph, 0,
-                                                    abort_order=best)
-            if exact and (best is None or order < best):
-                best = order
-                best_mask = mask
-            searched += 1
-            if checkpoint and searched % checkpoint_every == 0:
-                _flush()
-    _flush()
     report.searched = searched
     report.best_index = best
-    report.best_set = (sorted(list(group.decode(a)) for a in bits_of(best_mask))
+    report.best_set = (_decode_set(group, best_mask)
                        if best_mask is not None else None)
     report.completed = searched >= report.candidate_count
     return report
-
-
-def _argmin_c26(group, basis, b_bits, rep3, rep5, best, searched):
-    stream = itertools.chain(_c26_candidates(group, basis, b_bits, rep3),
-                             _c26_candidates(group, basis, b_bits, rep5))
-    for mask in itertools.islice(stream, 0, searched):
-        digraph = build_cayley(group, connection_set(group, mask))
-        order, exact = stabilizer_order_bounded(digraph, 0,
-                                                abort_order=best + 1)
-        if exact and order == best:
-            return mask
-    return None

@@ -1,6 +1,7 @@
 import io
 import json
 
+from bipcayley.autos import index2_subgroups
 from bipcayley.cli import main, parse_set_spec, parse_subgroup_spec
 from bipcayley.groups import build_group
 
@@ -105,6 +106,16 @@ def test_survey_all_subgroups():
     assert payload["result"]["global_index"] == 1
 
 
+def test_survey_all_subgroups_random():
+    argv = ["survey", "--group", "C4xC2", "--all-subgroups", "--method",
+            "random", "--samples", "10", "--seed", "3", "--no-timing"]
+    code, text = run_cli(argv)
+    assert code == 0
+    rows = json.loads(text)["result"]["per_subgroup"]
+    assert len(rows) == len(index2_subgroups(build_group([4, 2])))
+    assert run_cli(argv) == (0, text)
+
+
 def test_sample_command():
     code, payload = run_json(["sample", "--group", "C6", "--subgroup",
                               "index:0", "--mode", "directed",
@@ -152,6 +163,9 @@ def test_usage_errors():
     code, _ = run_cli(["classify", "--group", "C6", "--subgroup", "index:0",
                        "--set", "2", "--mode", "directed"])
     assert code == 2  # set meets B
+    code, _ = run_cli(["survey", "--group", "C6", "--subgroup", "index:0",
+                       "--method", "random", "--samples", "0"])
+    assert code == 2
 
 
 def test_cap_exit_code(monkeypatch):

@@ -1,4 +1,5 @@
 import collections
+import json
 import math
 import random
 
@@ -21,6 +22,7 @@ from bipcayley.survey import (
     monte_carlo_proportion,
     random_bipartite_index,
     subgroup_of_type,
+    sweep,
     unlabeled_count,
     verify_table,
     wilson_interval,
@@ -116,7 +118,7 @@ def test_undirected_sampler_valid():
     outside = _outside_elements(g, b)
     units = _free_units(g, b)
     for _ in range(200):
-        mask = _sample_mask(g, b, "undirected", rng, outside, units)
+        mask = _sample_mask(rng, units)
         assert g.negate_set(mask) == mask
         assert mask & b.bits == 0
 
@@ -128,7 +130,7 @@ def test_directed_sampler_uniform_support():
     rng = random.Random(7)
     outside = _outside_elements(g, b)
     counts = collections.Counter(
-        _sample_mask(g, b, "directed", rng, outside, []) for _ in range(2000))
+        _sample_mask(rng, [1 << a for a in outside]) for _ in range(2000))
     assert len(counts) == 4                    # full support over 2^2 subsets
     assert all(count > 380 for count in counts.values())  # ~500 each
 
@@ -297,6 +299,58 @@ def test_parallel_sweep_matches_serial():
                                           threads=2)
     assert serial.min_index == parallel.min_index == 4
     assert serial.argmin_set == parallel.argmin_set
+
+
+def test_sweep_argmin_is_first_achiever_in_stream_order():
+    from bipcayley.cayley import build_cayley, connection_set
+    from bipcayley.stabilizer import vertex_stabilizer
+    g = build_group([2, 2, 2])
+    b = subgroup_of_type(g, "C2^2")
+    masks = list(iter_admissible_sets(g, b, "directed"))
+    index = {m: vertex_stabilizer(
+        build_cayley(g, connection_set(g, m))).cayley_index for m in masks}
+    low = min(index.values())
+    for stream in (masks, masks[::-1]):
+        assert sweep(g, stream) == (
+            low, next(m for m in stream if index[m] == low))
+    assert sweep(g, masks, best=low) == (low, None)
+
+
+@pytest.fixture(scope="module")
+def c26_serial_400():
+    return c26_reduced_search(budget=400)
+
+
+def test_c26_threaded_matches_serial(tmp_path, c26_serial_400):
+    ck = tmp_path / "c26.ckpt"
+    threaded = c26_reduced_search(budget=400, threads=2, checkpoint=str(ck))
+    assert threaded.best_index == c26_serial_400.best_index == 16
+    assert threaded.best_set == c26_serial_400.best_set
+    lines = [json.loads(line) for line in ck.read_text().splitlines()]
+    assert lines and lines[-1]["cursor"] == 400
+    for line in lines:
+        if line["best_index"] is not None:
+            assert line["best_set"] is not None
+            assert line["best_mask"] is not None
+
+
+def test_c26_threaded_resume_matches_straight(tmp_path, c26_serial_400):
+    ck = tmp_path / "c26.ckpt"
+    c26_reduced_search(budget=200, threads=2, checkpoint=str(ck))
+    resumed = c26_reduced_search(budget=200, threads=2, checkpoint=str(ck))
+    assert resumed.searched == 400
+    assert resumed.best_index == c26_serial_400.best_index
+    assert resumed.best_set == c26_serial_400.best_set
+
+
+def test_worker_timeout_reaches_caller():
+    from bipcayley.errors import Timeout
+    from bipcayley.survey import _sweep_sharded
+    g = build_group([2, 2, 2, 2])
+    b = subgroup_of_type(g, "C2^3")
+    masks = list(iter_admissible_sets(g, b, "directed"))
+    with pytest.raises(Timeout):
+        _sweep_sharded(g, masks, None, 2, timeout=0.0)
 
 
 def test_exhaustive_timeout_propagates():
