@@ -8,8 +8,12 @@ refine an ordered partition to equitability using (out, in)-degree
 signatures, branch on the first smallest non-singleton cell (smallest
 vertex first), detect automorphisms by comparing discrete leaves against
 the first leaf reached, and prune sibling branches lying in the same
-orbit under the automorphisms found so far.  Group orders come from an
-incremental Schreier-Sims stabilizer chain over the found generators.
+orbit under the automorphisms found so far.  A completed search's group
+order is the product of the first-path orbit lengths: the orbit of the
+vertex individualized at depth i, under the found automorphisms that fix
+the vertices individualized above it (McKay & Piperno, "Practical graph
+isomorphism, II").  A lazy Schreier-Sims chain gives the lower bound that
+decides early aborts.
 """
 
 from __future__ import annotations
@@ -72,25 +76,19 @@ def format_cycles(g: Perm) -> str:
 
 
 class StabChain:
-    """Deterministic Schreier-Sims stabilizer chain on points 0..n-1.
+    """Deterministic lazy Schreier-Sims stabilizer chain on points 0..n-1.
 
     Recursive: each node stabilizes all shallower base points; a node's
     effective generating set is its own generators plus every deeper node's
     (those fix this node's base point too).  After each real addition the
-    node rebuilds its orbit transversal and re-certifies all of its Schreier
-    generators against the deeper chain, which keeps the product of orbit
-    sizes equal to the group order.
-
-    With ``lazy=True`` the Schreier certification is skipped: ``order()`` is
-    then only a lower bound on the group order (products of transversal
-    representatives are still pairwise distinct), which is all an abort
-    threshold needs.  Searches that must report exact orders rebuild a
-    strict chain from their generators once, at the end.
+    node rebuilds its orbit transversal.  Schreier generators are never
+    certified, so ``order()`` is a lower bound on the order of the generated
+    group (products of transversal representatives are still pairwise
+    distinct), which is all an abort threshold needs.
     """
 
-    def __init__(self, n: int, lazy: bool = False):
+    def __init__(self, n: int):
         self.n = n
-        self.lazy = lazy
         self.identity = tuple(range(n))
         self.base: int | None = None
         self.gens: list[Perm] = []
@@ -115,11 +113,9 @@ class StabChain:
             return g
         return self.stab.sift(perm_compose(perm_invert(u), g))
 
-    def contains(self, g: Perm) -> bool:
-        return self.sift(g) == self.identity
-
     def add_generator(self, g: Perm) -> bool:
-        """Extend the chain; returns True if the group grew."""
+        """Extend the chain; returns False when ``g`` sifts to the identity
+        and so is already in the group."""
         residue = self.sift(g)
         if residue == self.identity:
             return False
@@ -129,15 +125,13 @@ class StabChain:
     def _add_nonmember(self, g: Perm) -> None:
         if self.base is None:
             self.base = min(i for i, v in enumerate(g) if v != i)
-            self.stab = StabChain(self.n, self.lazy)
+            self.stab = StabChain(self.n)
             self.transversal = {self.base: self.identity}
         if g[self.base] == self.base:
             self.stab._add_nonmember(g)
         else:
             self.gens.append(g)
         self._rebuild_transversal()
-        if not self.lazy:
-            self._certify_schreier()
 
     def _rebuild_transversal(self) -> None:
         gens = self.generators()
@@ -155,14 +149,26 @@ class StabChain:
             frontier = nxt
         self.transversal = trans
 
-    def _certify_schreier(self) -> None:
-        gens = self.generators()
-        for a in sorted(self.transversal):
-            u = self.transversal[a]
-            for s in gens:
-                rep = self.transversal[s[a]]
-                schreier = perm_compose(perm_invert(rep), perm_compose(s, u))
-                self.stab.add_generator(schreier)
+
+def _orbit(gens, point: int) -> int:
+    """Orbit of ``point`` under the group generated by ``gens``, as a bitset."""
+    orbit = 1 << point
+    frontier = [point]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = g[p]
+                if not (orbit >> q) & 1:
+                    orbit |= 1 << q
+                    nxt.append(q)
+        frontier = nxt
+    return orbit
+
+
+def _fixers(gens, points) -> list[Perm]:
+    """The permutations in ``gens`` that fix every one of ``points``."""
+    return [g for g in gens if all(g[p] == p for p in points)]
 
 
 # -- equitable refinement ------------------------------------------------------
@@ -244,9 +250,10 @@ class AutomorphismSearch:
         self.abort_order = abort_order
         self.deadline = None if timeout is None else time.monotonic() + timeout
         # lazy chain: order() is a certified lower bound, enough for aborts
-        self.chain = StabChain(self.n, lazy=True)
-        self._exact_order: int | None = None
-        self.gens: list[Perm] = []
+        self.chain = StabChain(self.n)
+        self.gens: list[Perm] = []        # kept by the chain
+        self.found: list[Perm] = []       # every automorphism found
+        self.first_path: list[int] = []   # prefix of the reference leaf
         self.aborted = False
         try:
             for g in seed_gens:
@@ -258,6 +265,7 @@ class AutomorphismSearch:
         self.prefix: list[int] = []
 
     def _register(self, g: Perm) -> None:
+        self.found.append(g)
         if self.chain.add_generator(g):
             self.gens.append(g)
             if self.abort_order is not None \
@@ -282,36 +290,31 @@ class AutomorphismSearch:
         return self
 
     def order(self) -> int:
-        """Exact |<found generators>| when the search completed, otherwise
-        the lazy chain's certified lower bound."""
+        """The exact group order when the search completed, otherwise the
+        lazy chain's certified lower bound.
+
+        The exact order is the product over i of the orbit length of
+        ``first_path[i]`` under the found automorphisms that fix
+        ``first_path[:i]``.  A completed search visits every child v of the
+        first-path node at depth i, bar orbit-mates of visited ones, and
+        in v's subtree finds an automorphism fixing ``first_path[:i]`` and
+        mapping ``first_path[i]`` to v whenever one exists; so each orbit is
+        the full orbit in the pointwise stabilizer of ``first_path[:i]``,
+        and orbit-stabilizer makes the product the group order.  The orbits
+        need every found automorphism: those the chain keeps generate the
+        group but, in general, not these stabilizers.
+        """
         if self.aborted:
             return self.chain.order()
-        if self._exact_order is None:
-            strict = StabChain(self.n)
-            for g in self.gens:
-                strict.add_generator(g)
-            self._exact_order = strict.order()
-        return self._exact_order
+        order = 1
+        for i, p in enumerate(self.first_path):
+            fixers = _fixers(self.found, self.first_path[:i])
+            order *= _orbit(fixers, p).bit_count()
+        return order
 
     def _check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise Timeout("stabilizer search exceeded its time budget")
-
-    def _orbit_under_prefix_fixers(self, u: int) -> int:
-        allowed = [g for g in self.gens
-                   if all(g[p] == p for p in self.prefix)]
-        orbit = 1 << u
-        frontier = [u]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in allowed:
-                    q = g[p]
-                    if not (orbit >> q) & 1:
-                        orbit |= 1 << q
-                        nxt.append(q)
-            frontier = nxt
-        return orbit
 
     def _descend(self, cells, depth: int) -> None:
         self._check_deadline()
@@ -337,12 +340,13 @@ class AutomorphismSearch:
                 self._descend(child, depth + 1)
             finally:
                 self.prefix.pop()
-            covered |= self._orbit_under_prefix_fixers(u)
+            covered |= _orbit(_fixers(self.gens, self.prefix), u)
 
     def _leaf(self, cells) -> None:
         sigma = [cell.bit_length() - 1 for cell in cells]
         if self.ref_leaf is None:
             self.ref_leaf = sigma
+            self.first_path = list(self.prefix)
             return
         g = [0] * self.n
         for a, b in zip(self.ref_leaf, sigma):
@@ -408,23 +412,7 @@ class CanonicalSearch:
                 self._descend(child)
             finally:
                 self.prefix.pop()
-            covered |= self._orbit(u)
-
-    def _orbit(self, u: int) -> int:
-        allowed = [g for g in self.gens
-                   if all(g[p] == p for p in self.prefix)]
-        orbit = 1 << u
-        frontier = [u]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in allowed:
-                    q = g[p]
-                    if not (orbit >> q) & 1:
-                        orbit |= 1 << q
-                        nxt.append(q)
-            frontier = nxt
-        return orbit
+            covered |= _orbit(_fixers(self.gens, self.prefix), u)
 
     def _leaf(self, cells) -> None:
         sigma = [cell.bit_length() - 1 for cell in cells]

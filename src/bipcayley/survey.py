@@ -549,6 +549,8 @@ def monte_carlo_proportion(group: AbelianGroup, sub: Subgroup, mode: str,
     """Fraction of random admissible sets whose index hits the target
     (1 directed, c undirected); deterministic under the seed."""
     check_index2(sub)
+    if samples < 1:
+        raise BadParameter("a proportion estimate needs at least one sample")
     target = 1 if mode == "directed" else minimal_graph_index_target(group)
     rng = random.Random(seed)
     units = _units(group, sub, mode)

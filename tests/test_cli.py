@@ -166,6 +166,10 @@ def test_usage_errors():
     code, _ = run_cli(["survey", "--group", "C6", "--subgroup", "index:0",
                        "--method", "random", "--samples", "0"])
     assert code == 2
+    for samples in ("0", "-2"):
+        code, _ = run_cli(["sample", "--group", "C6", "--subgroup", "index:0",
+                           "--samples", samples])
+        assert code == 2
 
 
 def test_cap_exit_code(monkeypatch):
