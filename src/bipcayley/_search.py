@@ -5,15 +5,16 @@ Vertex sets are int bitsets; permutations are tuples of ints.
 
 The searches follow the usual individualization-refinement discipline:
 refine an ordered partition to equitability using (out, in)-degree
-signatures, branch on the first smallest non-singleton cell (smallest
-vertex first), detect automorphisms by comparing discrete leaves against
-the first leaf reached, and prune sibling branches lying in the same
-orbit under the automorphisms found so far.  A completed search's group
-order is the product of the first-path orbit lengths: the orbit of the
-vertex individualized at depth i, under the found automorphisms that fix
-the vertices individualized above it (McKay & Piperno, "Practical graph
-isomorphism, II").  A lazy Schreier-Sims chain gives the lower bound that
-decides early aborts.
+signatures, counted as bit planes by ripple-carry addition of adjacency
+rows (a few big-int operations per splitter member), branch on the first
+smallest non-singleton cell (smallest vertex first), detect automorphisms
+by comparing discrete leaves against the first leaf reached, and prune
+sibling branches lying in the same orbit under the automorphisms found so
+far.  A completed search's group order is the product of the first-path
+orbit lengths: the orbit of the vertex individualized at depth i, under
+the found automorphisms that fix the vertices individualized above it
+(McKay & Piperno, "Practical graph isomorphism, II").  A lazy
+Schreier-Sims chain gives the lower bound that decides early aborts.
 """
 
 from __future__ import annotations
@@ -174,33 +175,48 @@ def _fixers(gens, points) -> list[Perm]:
 # -- equitable refinement ------------------------------------------------------
 
 
+def _planes(rows, w: int) -> list[int]:
+    """Ripple-carry sum of ``rows[u]`` over u in ``w``: bit v of ``planes[j]``
+    is bit j of the number of those rows that contain v."""
+    planes = [0] * w.bit_count().bit_length()
+    for u in bits_of(w):
+        carry = rows[u]
+        j = 0
+        while carry:
+            planes[j], carry = planes[j] ^ carry, planes[j] & carry
+            j += 1
+    return planes
+
+
 def refine_partition(out_adj, in_adj, cells, splitters=None):
     """Refine an ordered partition until equitable wrt (out, in) counts.
 
     ``cells`` is a list of int bitsets.  New cells produced by a split are
     ordered by their (out, in) signature, which makes the procedure
-    deterministic and equivariant under vertex relabeling.
+    deterministic and equivariant under vertex relabeling.  The counts into
+    a splitter are bit planes (``_planes``), and each cell splits by
+    intersection with them, most significant first, into ordered parts.
     """
     cells = list(cells)
     queue = deque(cells if splitters is None else splitters)
-    while queue:
+    while queue and len(cells) < len(out_adj):  # else discrete: no split
         w = queue.popleft()
-        i = 0
-        while i < len(cells):
-            cell = cells[i]
+        planes = _planes(in_adj, w)  # out-counts, least significant first
+        if out_adj is not in_adj:  # else the in-counts are the same
+            planes = _planes(out_adj, w) + planes  # in-counts rank below
+        refined = []
+        for cell in cells:
             if cell & (cell - 1):  # at least two vertices
-                groups: dict[tuple[int, int], int] = {}
-                for v in bits_of(cell):
-                    key = ((out_adj[v] & w).bit_count(),
-                           (in_adj[v] & w).bit_count())
-                    groups[key] = groups.get(key, 0) | (1 << v)
-                if len(groups) > 1:
-                    parts = [groups[k] for k in sorted(groups)]
-                    cells[i:i + 1] = parts
+                parts = [cell]
+                for p in reversed(planes):
+                    if 0 != cell & p != cell:  # count bit 0 before bit 1
+                        parts = [q for r in parts for q in (r & ~p, r & p) if q]
+                if len(parts) > 1:
                     queue.extend(parts)
-                    i += len(parts)
+                    refined += parts
                     continue
-            i += 1
+            refined.append(cell)
+        cells = refined
     return cells
 
 

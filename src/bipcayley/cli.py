@@ -54,6 +54,7 @@ from .survey import (
     DEFAULT_SAMPLES,
     DEFAULT_TABLE_BUDGET,
     TABLE2_FAMILIES,
+    _decode_set,
     bipartite_index,
     c26_reduced_search,
     c26_subclaims,
@@ -86,7 +87,10 @@ def _resolve_caps() -> dict:
 
 def _budget(text: str) -> int:
     """Budgets accept plain or scientific notation (e.g. 131072 or 1e6)."""
-    return int(float(text))
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number >= 0")
+    return int(value)
 
 
 # -- argument parsing helpers ----------------------------------------------------
@@ -116,10 +120,14 @@ def _parse_element(group: AbelianGroup, part: str, whole: str) -> int:
             f"element {part!r} needs {len(group.orders)} coordinates",
             whole.find(part))
     try:
-        return group.encode([int(c) for c in coords])
+        values = [int(c) for c in coords]
     except ValueError as exc:
         raise errors.GroupSpecError(f"bad element {part!r}: {exc}",
                                     whole.find(part)) from None
+    if not all(0 <= c < n for c, n in zip(values, group.orders)):
+        raise errors.SetOutOfRange(f"element {part!r} has a coordinate "
+                                   f"outside 0..n-1 of its factor C_n")
+    return group.encode(values)
 
 
 def parse_set_spec(group: AbelianGroup, sub: Subgroup | None, spec: str) -> int:
@@ -135,20 +143,11 @@ def parse_set_spec(group: AbelianGroup, sub: Subgroup | None, spec: str) -> int:
         return sub.complement_bits()
     bits = 0
     if len(group.orders) == 1:
-        parts = spec.replace(";", ",").split(",")
-        for part in parts:
-            if part.strip():
-                bits |= 1 << group.encode([int(part.strip())])
-        return bits
+        spec = spec.replace(",", ";")
     for part in spec.split(";"):
         if part.strip():
             bits |= 1 << _parse_element(group, part.strip(), spec)
     return bits
-
-
-def _decode_set(group: AbelianGroup, bits: int) -> list:
-    from .groups import bits_of
-    return sorted(list(group.decode(a)) for a in bits_of(bits))
 
 
 # -- output ----------------------------------------------------------------------

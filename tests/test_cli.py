@@ -170,6 +170,16 @@ def test_usage_errors():
         code, _ = run_cli(["sample", "--group", "C6", "--subgroup", "index:0",
                            "--samples", samples])
         assert code == 2
+    for element in ("7", "6", "1;6", "-1", "x"):  # none is reduced mod 6
+        code, _ = run_cli(["index", "--group", "C6", "--subgroup", "index:0",
+                           "--set", element])
+        assert code == 2
+    code, _ = run_cli(["index", "--group", "C2xC4", "--subgroup", "index:0",
+                       "--set", "1,4"])
+    assert code == 2
+    for budget in ("-5", "inf"):
+        code, _ = run_cli(["c26", "--budget", budget])
+        assert code == 2
 
 
 def test_cap_exit_code(monkeypatch):

@@ -1,12 +1,19 @@
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, strategies as st
 
-from bipcayley._search import AutomorphismSearch, StabChain, perm_on_set
+from bipcayley._search import (
+    AutomorphismSearch,
+    StabChain,
+    perm_on_set,
+    refine_partition,
+)
 from bipcayley.autos import enumerate_automorphisms, index2_subgroups
 from bipcayley.cayley import build_cayley, connection_set
 from bipcayley.errors import CapExceeded, NotInverseClosed
-from bipcayley.groups import build_group
+from bipcayley.groups import bits_of, build_group
 from bipcayley.stabilizer import (
     brute_force_stabilizer_order,
     cayley_index,
@@ -236,3 +243,116 @@ def test_first_path_order_needs_every_found_automorphism():
     g = build_group([2, 12])
     d = build_cayley(g, connection_set(g, 15007582))
     assert vertex_stabilizer(d, 0).stabilizer_order == 16
+
+
+def _refine_reference(out_adj, in_adj, cells, splitters=None):
+    """Reference refinement: one dict key per vertex of every non-singleton
+    cell, for every splitter."""
+    cells = list(cells)
+    queue = deque(cells if splitters is None else splitters)
+    while queue:
+        w = queue.popleft()
+        i = 0
+        while i < len(cells):
+            cell = cells[i]
+            if cell & (cell - 1):  # at least two vertices
+                groups: dict[tuple[int, int], int] = {}
+                for v in bits_of(cell):
+                    key = ((out_adj[v] & w).bit_count(),
+                           (in_adj[v] & w).bit_count())
+                    groups[key] = groups.get(key, 0) | (1 << v)
+                if len(groups) > 1:
+                    parts = [groups[k] for k in sorted(groups)]
+                    cells[i:i + 1] = parts
+                    queue.extend(parts)
+                    i += len(parts)
+                    continue
+            i += 1
+    return cells
+
+
+def _in_rows(out):
+    n = len(out)
+    return [sum(1 << a for a in range(n) if (out[a] >> b) & 1)
+            for b in range(n)]
+
+
+def _random_partition(rng, n):
+    verts = list(range(n))
+    rng.shuffle(verts)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    return [sum(1 << v for v in verts[a:b])
+            for a, b in zip([0] + cuts, cuts + [n])]
+
+
+def _random_splitters(rng, cells, n):
+    choice = rng.randrange(3)
+    if choice == 0:
+        return None
+    picked = [rng.choice(cells) for _ in range(rng.randint(0, 3))]
+    if choice == 2:
+        picked += [rng.getrandbits(n) for _ in range(rng.randint(1, 2))]
+    return picked
+
+
+def _check_against_reference(rng, out, inn):
+    n = len(out)
+    root = [[1, ((1 << n) - 1) ^ 1]] if n > 1 else []
+    for cells in [[(1 << n) - 1], *root,
+                  _random_partition(rng, n), _random_partition(rng, n)]:
+        splitters = _random_splitters(rng, cells, n)
+        assert refine_partition(out, inn, cells, splitters) \
+            == _refine_reference(out, inn, cells, splitters)
+
+
+def test_refinement_matches_reference_on_random_digraphs():
+    """Same cells in the same order as the dict-keyed reference: directed,
+    symmetric with one shared row list, symmetric with two equal lists."""
+    rng = random.Random(23)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        p = rng.random()
+        out = [sum(1 << b for b in range(n) if rng.random() < p)
+               for _ in range(n)]
+        kind = rng.randrange(3)
+        if kind:
+            out = [out[a] | sum(1 << b for b in range(n) if (out[b] >> a) & 1)
+                   for a in range(n)]
+        inn = _in_rows(out) if kind != 1 else out
+        _check_against_reference(rng, out, inn)
+
+
+def test_refinement_matches_reference_on_cayley_digraphs(small_groups):
+    rng = random.Random(29)
+    for g in small_groups:
+        for _ in range(12):
+            d = build_cayley(g, connection_set(g, rng.getrandbits(g.size)))
+            _check_against_reference(rng, d.out_neighbors, d.in_neighbors)
+
+
+@given(st.data())
+def test_refinement_equivariant_under_relabeling(data):
+    n = data.draw(st.integers(1, 10))
+    out = data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                             min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        out = [out[a] | sum(1 << b for b in range(n) if (out[b] >> a) & 1)
+               for a in range(n)]
+        inn = out
+    else:
+        inn = _in_rows(out)
+    labels = data.draw(st.permutations(range(n)))
+    ids = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    cells = [c for c in (sum(1 << v for v in range(n) if ids[v] == k)
+                         for k in range(4)) if c]
+
+    def relabel(mask):
+        return perm_on_set(labels, mask)
+
+    out2 = [0] * n
+    for a in range(n):
+        out2[labels[a]] = relabel(out[a])
+    inn2 = out2 if inn is out else _in_rows(out2)
+    refined = refine_partition(out, inn, cells)
+    assert refine_partition(out2, inn2, [relabel(c) for c in cells]) \
+        == [relabel(c) for c in refined]

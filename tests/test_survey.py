@@ -316,6 +316,16 @@ def test_sweep_argmin_is_first_achiever_in_stream_order():
     assert sweep(g, masks, best=low) == (low, None)
 
 
+# The argmin of the first 400 C2^6 candidates (the minimum drops from 48 to
+# 16 at stream position 329, the 330th candidate): a search that gets some
+# candidate's index wrong moves it.
+C26_BEST_SET_400 = [
+    [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0], [0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 0, 0], [0, 0, 1, 0, 1, 1],
+    [0, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 1], [1, 0, 0, 0, 0, 0],
+    [1, 1, 1, 0, 0, 0]]
+
+
 @pytest.fixture(scope="module")
 def c26_serial_400():
     return c26_reduced_search(budget=400)
@@ -325,7 +335,7 @@ def test_c26_threaded_matches_serial(tmp_path, c26_serial_400):
     ck = tmp_path / "c26.ckpt"
     threaded = c26_reduced_search(budget=400, threads=2, checkpoint=str(ck))
     assert threaded.best_index == c26_serial_400.best_index == 16
-    assert threaded.best_set == c26_serial_400.best_set
+    assert threaded.best_set == c26_serial_400.best_set == C26_BEST_SET_400
     lines = [json.loads(line) for line in ck.read_text().splitlines()]
     assert lines and lines[-1]["cursor"] == 400
     for line in lines:
