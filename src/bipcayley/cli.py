@@ -81,7 +81,13 @@ def _resolve_caps() -> dict:
     caps = {}
     for key, (env, default) in _ENV_CAPS.items():
         raw = os.environ.get(env)
-        caps[key] = int(raw) if raw else default
+        if not raw:
+            caps[key] = default
+        elif raw.isdecimal() and int(raw) > 0:
+            caps[key] = int(raw)
+        else:
+            raise errors.BadParameter(
+                f"{env} must be a positive integer, not {raw!r}")
     return caps
 
 
@@ -101,7 +107,12 @@ def parse_subgroup_spec(group: AbelianGroup, spec: str) -> Subgroup:
     semicolon-separated generator tuples like ``2,0;0,1``."""
     spec = spec.strip()
     if spec.startswith("index:"):
-        k = int(spec[len("index:"):])
+        try:
+            k = int(spec[len("index:"):])
+        except ValueError:
+            raise errors.GroupSpecError(
+                f"{spec!r}: k in index:k must be an integer",
+                len("index:")) from None
         subs = index2_subgroups(group)
         if not 0 <= k < len(subs):
             raise errors.GroupSpecError(
@@ -361,7 +372,7 @@ def _cmd_bounds(args, caps) -> tuple[object, int]:
 def _cmd_table(args, caps) -> tuple[object, int]:
     results = verify_table(args.which, budget=args.budget,
                            include_extended=args.include_extended,
-                           threads=args.threads)
+                           threads=args.threads, aut_cap=caps["aut_cap"])
     rows = [r.to_json() for r in results]
     if args.which == 2:
         for fam in TABLE2_FAMILIES:
@@ -380,7 +391,8 @@ def _cmd_survey(args, caps) -> tuple[object, int]:
         kwargs = {"samples": args.samples, "seed": args.seed}
     else:
         kwargs = {"budget": args.budget, "threads": args.threads,
-                  "progress": _progress_printer(args.progress)}
+                  "progress": _progress_printer(args.progress),
+                  "aut_cap": caps["aut_cap"]}
     if args.all_subgroups:
         return global_index(group, args.mode, method=args.method,
                             **kwargs), EXIT_OK
@@ -538,14 +550,14 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    caps = _resolve_caps()
-    config = {"command": args.command, **caps}
-    for key in ("group", "subgroup", "set", "mode", "method", "seed",
-                "samples", "budget", "threads", "which", "format",
-                "kind", "timeout"):
-        if hasattr(args, key) and getattr(args, key) not in (None, ""):
-            config[key] = getattr(args, key)
     try:
+        caps = _resolve_caps()
+        config = {"command": args.command, **caps}
+        for key in ("group", "subgroup", "set", "mode", "method", "seed",
+                    "samples", "budget", "threads", "which", "format",
+                    "kind", "timeout"):
+            if hasattr(args, key) and getattr(args, key) not in (None, ""):
+                config[key] = getattr(args, key)
         result, code = _HANDLERS[args.command](args, caps)
     except (errors.GroupSpecError, errors.EmptyOrders, errors.OrderBelowTwo,
             errors.BadParameter, errors.BadSubgroup, errors.SetOutOfRange,

@@ -25,7 +25,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._search import perm_on_set
 from .autos import (
+    AUT_CAP,
     index2_subgroups,
     inversion_automorphism,
     stabilizing_automorphisms,
@@ -108,58 +110,89 @@ def iter_admissible_sets(group: AbelianGroup, sub: Subgroup, mode: str):
 # -- orbit reduction -----------------------------------------------------------
 
 
-def _orbit_generators(group: AbelianGroup,
-                      sub: Subgroup) -> list[tuple[int, ...]]:
-    """Element-index permutations from B-stabilizing automorphisms (a bounded
-    harvest; any subgroup of the stabilizer gives a sound reduction)."""
-    perms = []
+def _orbit_generators(group: AbelianGroup, sub: Subgroup, units: list[int],
+                      aut_cap: int = AUT_CAP) -> list[tuple[int, ...]]:
+    """Permutations of the unit indices induced by B-stabilizing
+    automorphisms (a bounded harvest; any subgroup of the stabilizer gives a
+    sound reduction).
+
+    An automorphism fixing B commutes with inversion, so it maps every unit
+    onto a unit; one that does not is a ``FalsificationError``.  Identity
+    and repeated unit permutations (inversion, when undirected) are dropped.
+    """
+    images = []
     iota = inversion_automorphism(group)
     if not iota.is_identity:
-        perms.append(iota.image)
+        images.append(iota.image)
     scanned = 0
     try:
-        for alpha in stabilizing_automorphisms(group, sub):
+        for alpha in stabilizing_automorphisms(group, sub, aut_cap):
             scanned += 1
             if not alpha.is_identity:
-                perms.append(alpha.image)
-                if len(perms) >= ORBIT_GEN_LIMIT:
+                images.append(alpha.image)
+                if len(images) >= ORBIT_GEN_LIMIT:
                     break
             if scanned >= _AUT_SCAN_LIMIT:
                 break
     except CapExceeded:
-        pass  # no reduction for oversized groups; still sound
+        pass  # reduce by inversion alone; still sound
+    position = {unit: i for i, unit in enumerate(units)}
+    identity = tuple(range(len(units)))
+    perms = []
+    for image in images:
+        moved = [perm_on_set(image, unit) for unit in units]
+        if not all(unit in position for unit in moved):
+            raise FalsificationError(
+                "automorphism left the admissible set space")
+        perm = tuple(position[unit] for unit in moved)
+        if perm != identity and perm not in perms:
+            perms.append(perm)
     return perms
 
 
-def orbit_representatives(masks: Sequence[int],
+def _byte_tables(perm: tuple[int, ...]) -> list[list[int]]:
+    """One table per byte of a choice, lowest byte first: ``table[v]`` is
+    the image under ``perm`` of the units picked by the byte value ``v``."""
+    tables = []
+    for shift in range(0, len(perm), 8):
+        block = perm[shift:shift + 8]
+        table = [0] * (1 << len(block))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = table[v ^ low] | (1 << block[low.bit_length() - 1])
+        tables.append(table)
+    return tables
+
+
+def orbit_representatives(choices: range,
                           perms: Sequence[tuple[int, ...]]) -> list[int]:
-    """Minimal representatives of the orbits of the subgroup generated by
-    ``perms`` acting on the given bitsets."""
+    """The first choice of each orbit of the group generated by the unit
+    permutations ``perms``, in increasing order.
+
+    ``choices`` is ``range(1 << k)`` for k units; choice c picks unit i when
+    bit i of c is set.  Orbits are marked in a bytearray of 2^k entries.
+    """
     if not perms:
-        return list(masks)
-    universe = set(masks)
-    seen: set[int] = set()
+        return list(choices)
+    tables = [_byte_tables(perm) for perm in perms]
+    seen = bytearray(len(choices))
     reps = []
-    for mask in masks:
-        if mask in seen:
+    for choice in choices:
+        if seen[choice]:
             continue
-        reps.append(mask)
-        seen.add(mask)
-        frontier = [mask]
+        reps.append(choice)
+        seen[choice] = 1
+        frontier = [choice]
         while frontier:
-            nxt = []
-            for m in frontier:
-                for g in perms:
-                    im = 0
-                    for b in bits_of(m):
-                        im |= 1 << g[b]
-                    if im not in seen:
-                        if im not in universe:
-                            raise FalsificationError(
-                                "automorphism left the admissible set space")
-                        seen.add(im)
-                        nxt.append(im)
-            frontier = nxt
+            member = frontier.pop()
+            for perm_tables in tables:
+                im, rest = 0, member
+                for table in perm_tables:
+                    im |= table[rest & 0xFF]
+                    rest >>= 8
+                if not seen[im]:
+                    seen[im] = 1
+                    frontier.append(im)
     return reps
 
 
@@ -281,18 +314,21 @@ def exhaustive_bipartite_index(group: AbelianGroup, sub: Subgroup, mode: str,
                                orbit_reduce: bool = True,
                                threads: int = 1,
                                timeout: float | None = None,
-                               progress=None) -> IndexSurveyResult:
+                               progress=None,
+                               aut_cap: int = AUT_CAP) -> IndexSurveyResult:
     """Exact minimum Cayley index over every admissible connection set."""
     total = admissible_set_count(group, sub, mode)
     if total > budget:
         raise BudgetExceeded(
             f"{total} admissible sets exceed the budget of {budget} searches")
-    masks = list(iter_admissible_sets(group, sub, mode))
-    if mode == "undirected" and len(masks) != count_inverse_closed(group, sub):
+    units = _units(group, sub, mode)
+    if mode == "undirected" and (1 << len(units)
+                                 != count_inverse_closed(group, sub)):
         raise FalsificationError(
             "inverse-closed enumeration disagrees with the counting formula")
-    perms = _orbit_generators(group, sub) if orbit_reduce else []
-    reps = orbit_representatives(masks, perms)
+    perms = _orbit_generators(group, sub, units, aut_cap) if orbit_reduce else []
+    reps = [unit_union(units, choice) for choice
+            in orbit_representatives(range(1 << len(units)), perms)]
     ordered = _generic_first(reps, len(_outside_elements(group, sub)) / 2)
 
     if threads > 1 and len(ordered) > 64:
@@ -462,7 +498,8 @@ def subgroup_of_type(group: AbelianGroup, iso_spec: str) -> Subgroup:
 
 def verify_table(which: int, budget: int = DEFAULT_TABLE_BUDGET,
                  include_extended: bool = False,
-                 threads: int = 1) -> list[TableRowResult]:
+                 threads: int = 1,
+                 aut_cap: int = AUT_CAP) -> list[TableRowResult]:
     """Recompute every table row whose admissible-set count fits the budget;
     rows over budget (or extended rows not opted into) come back SKIPPED."""
     rows = TABLE1_ROWS if which == 1 else TABLE2_ROWS
@@ -484,7 +521,7 @@ def verify_table(which: int, budget: int = DEFAULT_TABLE_BUDGET,
                                       total))
             continue
         res = exhaustive_bipartite_index(group, sub, mode, budget=budget,
-                                         threads=threads)
+                                         threads=threads, aut_cap=aut_cap)
         out.append(TableRowResult(which, row.group_spec, row.subgroup_spec,
                                   row.expected, res.min_index,
                                   res.min_index == row.expected, "ok", "",

@@ -180,12 +180,43 @@ def test_usage_errors():
     for budget in ("-5", "inf"):
         code, _ = run_cli(["c26", "--budget", budget])
         assert code == 2
+    code, _ = run_cli(["index", "--group", "C6", "--subgroup", "index:x",
+                       "--set", "1"])
+    assert code == 2
+    code, _ = run_cli(["survey", "--group", "C6", "--subgroup", "index:x"])
+    assert code == 2
 
 
 def test_cap_exit_code(monkeypatch):
     monkeypatch.setenv("BIPCAYLEY_SIZE_CAP", "16")
     code, _ = run_cli(["group-info", "--group", "C2^5"])
     assert code == 3
+
+
+def test_cap_variables_must_be_positive_integers(monkeypatch, capsys):
+    for raw in ("x", "0", "-3", "1.5"):
+        monkeypatch.setenv("BIPCAYLEY_AUT_CAP", raw)
+        code, _ = run_cli(["group-info", "--group", "C6"])
+        assert code == 2
+        assert "BIPCAYLEY_AUT_CAP" in capsys.readouterr().err
+    monkeypatch.setenv("BIPCAYLEY_AUT_CAP", "16")
+    code, payload = run_json(["group-info", "--group", "C6"])
+    assert code == 0 and payload["config"]["aut_cap"] == 16
+
+
+def test_survey_aut_cap_reaches_orbit_reduction(monkeypatch):
+    """A cap below |A| leaves inversion as the only orbit generator: the
+    same minimum from more representatives."""
+    argv = ["survey", "--group", "C4xC2^2", "--subgroup", "index:0",
+            "--threads", "1"]
+    _, default = run_json(argv)
+    monkeypatch.setenv("BIPCAYLEY_AUT_CAP", "4")
+    code, capped = run_json(argv)
+    assert code == 0
+    default, capped = default["result"], capped["result"]
+    assert capped["min_index"] == default["min_index"] == 4
+    assert capped["orbit_generators"] < default["orbit_generators"]
+    assert capped["reps_searched"] > default["reps_searched"]
 
 
 def test_text_format():

@@ -5,13 +5,25 @@ import random
 
 import pytest
 
-from bipcayley.autos import index2_subgroups
-from bipcayley.bounds import count_inverse_closed
-from bipcayley.errors import BudgetExceeded, OddOrder
-from bipcayley.groups import build_group, generated_subgroup
+from bipcayley.autos import (
+    index2_subgroups,
+    inversion_automorphism,
+    stabilizing_automorphisms,
+)
+from bipcayley.bounds import count_inverse_closed, unit_union
+from bipcayley.errors import BudgetExceeded, FalsificationError, OddOrder
+from bipcayley.groups import (
+    bits_of,
+    build_group,
+    generated_subgroup,
+    parse_group_spec,
+)
 from bipcayley.survey import (
+    ORBIT_GEN_LIMIT,
     TABLE1_ROWS,
     TABLE2_ROWS,
+    _orbit_generators,
+    _units,
     admissible_set_count,
     bipartite_index,
     c26_reduced_search,
@@ -20,6 +32,7 @@ from bipcayley.survey import (
     global_index,
     iter_admissible_sets,
     monte_carlo_proportion,
+    orbit_representatives,
     random_bipartite_index,
     subgroup_of_type,
     sweep,
@@ -369,3 +382,80 @@ def test_exhaustive_timeout_propagates():
     b = subgroup_of_type(g, "C2^3")
     with pytest.raises(Timeout):
         exhaustive_bipartite_index(g, b, "directed", timeout=0.0)
+
+
+def _orbit_reps_reference(masks, perms):
+    """Reference orbit reduction on element masks: the first mask of each
+    orbit of <perms> (element permutations) in stream order."""
+    universe = set(masks)
+    seen = set()
+    reps = []
+    for mask in masks:
+        if mask in seen:
+            continue
+        reps.append(mask)
+        seen.add(mask)
+        frontier = [mask]
+        while frontier:
+            nxt = []
+            for m in frontier:
+                for g in perms:
+                    im = 0
+                    for b in bits_of(m):
+                        im |= 1 << g[b]
+                    if im not in seen:
+                        assert im in universe
+                        seen.add(im)
+                        nxt.append(im)
+            frontier = nxt
+    return reps
+
+
+def _harvested_images(g, b):
+    """The element permutations ``_orbit_generators`` harvests."""
+    iota = inversion_automorphism(g)
+    images = [] if iota.is_identity else [iota.image]
+    for alpha in stabilizing_automorphisms(g, b):
+        if len(images) >= ORBIT_GEN_LIMIT:
+            break
+        if not alpha.is_identity:
+            images.append(alpha.image)
+    return images
+
+
+def _check_reps_against_reference(g, b, mode):
+    units = _units(g, b, mode)
+    perms = _orbit_generators(g, b, units)
+    reps = [unit_union(units, c) for c in
+            orbit_representatives(range(1 << len(units)), perms)]
+    masks = list(iter_admissible_sets(g, b, mode))
+    assert reps == _orbit_reps_reference(masks, _harvested_images(g, b))
+
+
+def test_orbit_representatives_match_reference(small_groups):
+    """Same representatives in the same order as the mask-domain loop, for
+    every index-2 subgroup of every small group, in both modes."""
+    for g in small_groups:
+        for b in index2_subgroups(g):
+            for mode in ("directed", "undirected"):
+                _check_reps_against_reference(g, b, mode)
+
+
+def test_orbit_representatives_match_reference_on_table1_rows():
+    """The non-extended Table 1 rows, up to 2^16 admissible sets."""
+    for row in TABLE1_ROWS:
+        g = build_group(parse_group_spec(row.group_spec))
+        b = subgroup_of_type(g, row.subgroup_spec)
+        if not row.extended and admissible_set_count(g, b, "directed") <= 1 << 16:
+            _check_reps_against_reference(g, b, "directed")
+
+
+def test_unit_translation_rejects_generator_not_fixing_b():
+    """Automorphisms fixing one index-2 subgroup, translated on the units
+    of another that they move."""
+    g = build_group([2, 2])
+    b, other = index2_subgroups(g)[:2]
+    assert any(alpha.stabilizes(other) and not alpha.stabilizes(b)
+               for alpha in stabilizing_automorphisms(g, other))
+    with pytest.raises(FalsificationError):
+        _orbit_generators(g, other, _units(g, b, "directed"))
