@@ -6,6 +6,7 @@ bounds, and exhaustive/randomized index surveys.
 
 from .autos import (
     Automorphism,
+    automorphism_generators,
     enumerate_automorphisms,
     example1_automorphism,
     example2_automorphism,

@@ -1,30 +1,30 @@
 """Automorphisms of finite abelian groups and related subgroup machinery.
 
-Enumeration is by backtracking over images of the standard generating tuple
-(one unit per cyclic factor), pruning by element order and by injectivity of
-the partial map.  This is brute force on purpose: at the scales this package
-targets it is fast enough, and it needs no structure theory beyond the
-mixed-radix codec.
+One backtrack over the images of the standard generators (one unit per
+cyclic factor) streams Aut(A), or the automorphisms fixing given bitsets (B;
+B and S), and finds a generating set of that group with its exact order.  A
+partial map is cut off once it breaks injectivity or a bitset's membership
+on the span placed so far (Leon's partition backtrack in miniature).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from ._search import _orbit
 from .errors import AutCapExceeded, BadParameter
 from .groups import (
     AbelianGroup,
     Subgroup,
-    _closure,
     _prime_factorization,
     bits_of,
     build_group,
     check_index2,
     generated_subgroup,
     invariant_factors_of_orders,
-    popcount,
     subgroup_from_bits,
 )
 
@@ -49,12 +49,6 @@ class Automorphism:
         """Map x -> self(other(x))."""
         return Automorphism(self.group,
                             tuple(self.image[v] for v in other.image))
-
-    def inverse(self) -> "Automorphism":
-        inv = [0] * len(self.image)
-        for i, v in enumerate(self.image):
-            inv[v] = i
-        return Automorphism(self.group, tuple(inv))
 
     def order(self) -> int:
         o = 1
@@ -94,18 +88,6 @@ def inversion_automorphism(group: AbelianGroup) -> Automorphism:
     return Automorphism(group, tuple(group.neg(a) for a in group.elements()))
 
 
-def _hom_image_array(group: AbelianGroup, gen_images: Sequence[int]) -> list[int]:
-    """Image array of the endomorphism sending the standard generators to
-    ``gen_images`` (requires order(t_i) | n_i for well-definedness)."""
-    arr = [0]
-    for t, n in zip(gen_images, group.orders):
-        mult = [0] * n
-        for c in range(1, n):
-            mult[c] = group.add(mult[c - 1], t)
-        arr = [group.add(base, m) for base in arr for m in mult]
-    return arr
-
-
 def automorphism_from_generator_images(
         group: AbelianGroup, gen_images: Sequence[int]) -> Automorphism:
     """Build and validate the automorphism with the given generator images."""
@@ -115,59 +97,123 @@ def automorphism_from_generator_images(
         if n % group.element_order(t) != 0:
             raise BadParameter(
                 f"image order {group.element_order(t)} does not divide {n}")
-    arr = _hom_image_array(group, gen_images)
-    if len(set(arr)) != group.size:
+    alpha = next(_automorphisms(group, group.size, (), gen_images), None)
+    if alpha is None:
         raise BadParameter("generator images do not define a bijection")
-    return Automorphism(group, tuple(arr))
+    return alpha
 
 
-def enumerate_automorphisms(group: AbelianGroup,
-                            cap: int = AUT_CAP) -> Iterator[Automorphism]:
-    """Stream every automorphism exactly once (identity first).
-
-    Backtracks over images of the standard generating tuple, pruning
-    candidates that cannot preserve element orders or injectivity.
-    """
+def _check_cap(group: AbelianGroup, cap: int) -> None:
     if group.size > cap:
         raise AutCapExceeded(
             f"automorphism enumeration cap {cap} exceeded by |A|={group.size}")
-    k = len(group.orders)
+
+
+@functools.lru_cache(maxsize=64)
+def _elements_by_order(group: AbelianGroup) -> dict[int, list[int]]:
     by_order: dict[int, list[int]] = {}
     for a in group.elements():
         by_order.setdefault(group.element_order(a), []).append(a)
-    chosen = [0] * k
+    return by_order
 
-    def rec(i: int, span_bits: int, span_order: int) -> Iterator[Automorphism]:
-        if i == k:
-            if span_order == group.size:
-                yield Automorphism(group,
-                                   tuple(_hom_image_array(group, chosen)))
+
+def _automorphisms(group: AbelianGroup, cap: int, fixing: Sequence[int],
+                   prefix: Sequence[int] = ()) -> Iterator[Automorphism]:
+    """The backtrack behind every automorphism search of this module.
+
+    Level i tries each element t of order n_i, by index (only ``prefix[i]``
+    while i < len(prefix)), as the image of g_i.  Position p of the image
+    array of <g_0..g_i> holds the image of ``p * weights[i]``, so t
+    interleaves the columns arr + c*t (0 < c < n_i).  t is dropped at the
+    first image that repeats or changes membership of a ``fixing`` bitset.
+    """
+    _check_cap(group, cap)
+    table = group._add
+    # sig[a] has bit j set iff a lies in fixing[j]; want[i][c-1][q] is the
+    # sig of the preimage at position q*n_i + c of level i
+    sig = [0] * group.size
+    for j, mask in enumerate(fixing):
+        for a in bits_of(mask):
+            sig[a] |= 1 << j
+    want = []
+    span = 1
+    for n, w in zip(group.orders, group._weights):
+        want.append([[sig[(q * n + c) * w] for q in range(span)]
+                     for c in range(1, n)])
+        span *= n
+    by_order = _elements_by_order(group)
+
+    def extend(arr, used, t, wanted_cols):
+        cols = [arr]
+        for wanted in wanted_cols:
+            col = ([table[y][t] for y in cols[-1]] if table is not None
+                   else [group.add(y, t) for y in cols[-1]])
+            for y, s in zip(col, wanted):
+                if (used >> y) & 1 or sig[y] != s:
+                    return None
+                used |= 1 << y
+            cols.append(col)
+        return [y for row in zip(*cols) for y in row], used
+
+    def rec(i: int, arr: list[int], used: int) -> Iterator[Automorphism]:
+        if i == len(want):
+            yield Automorphism(group, tuple(arr))
             return
-        target = span_order * group.orders[i]
-        for t in by_order.get(group.orders[i], ()):
-            new_bits = _closure(group, [t], span_bits)
-            if popcount(new_bits) == target:
-                chosen[i] = t
-                yield from rec(i + 1, new_bits, target)
+        for t in (prefix[i:i + 1] if i < len(prefix)
+                  else by_order.get(group.orders[i], ())):
+            grown = extend(arr, used, t, want[i])
+            if grown is not None:
+                yield from rec(i + 1, *grown)
 
-    yield from rec(0, 1, 1)
+    yield from rec(0, [0], 1)
+
+
+def enumerate_automorphisms(group: AbelianGroup, cap: int = AUT_CAP,
+                            fixing: Sequence[int] = ()
+                            ) -> Iterator[Automorphism]:
+    """Stream, exactly once each, the automorphisms mapping every bitset of
+    ``fixing`` onto itself (all of Aut(A) when it is empty), lexicographic
+    in the generator images as element indices: the identity need not come
+    first (it does not for ``C2xC6``).  The stream equals the full one
+    filtered, but pruning means it never walks all of Aut(A)."""
+    yield from _automorphisms(group, cap, fixing)
+
+
+def automorphism_generators(group: AbelianGroup, fixing: Sequence[int] = (),
+                            cap: int = AUT_CAP
+                            ) -> tuple[list[Automorphism], int]:
+    """A generating set of the automorphisms fixing every bitset of
+    ``fixing``, and the exact order of the group they generate.
+
+    The base g_0..g_{k-1} is walked deepest first.  At level i, for each
+    image t of g_i outside the orbit of g_i under the kept automorphisms,
+    the first automorphism fixing g_0..g_{i-1} with g_i -> t is kept, if
+    any.  The order is the product of the final orbit lengths."""
+    _check_cap(group, cap)
+    base = group.generators()
+    gens: list[Automorphism] = []
+    order = 1
+    for i in reversed(range(len(base))):
+        orbit = _orbit([alpha.image for alpha in gens], base[i])
+        for t in _elements_by_order(group).get(group.orders[i], ()):
+            if not (orbit >> t) & 1:
+                alpha = next(_automorphisms(group, cap, fixing,
+                                            base[:i] + [t]), None)
+                if alpha is not None:
+                    gens.append(alpha)
+                    orbit = _orbit([a.image for a in gens], base[i])
+        order *= orbit.bit_count()
+    return gens, order
 
 
 def count_automorphisms(group: AbelianGroup, cap: int = AUT_CAP) -> int:
-    return sum(1 for _ in enumerate_automorphisms(group, cap))
+    return automorphism_generators(group, (), cap)[1]
 
 
 def stabilizing_automorphisms(group: AbelianGroup, sub: Subgroup,
-                              cap: int = AUT_CAP,
-                              limit: int | None = None) -> Iterator[Automorphism]:
+                              cap: int = AUT_CAP) -> Iterator[Automorphism]:
     """Stream the automorphisms mapping ``sub`` onto itself setwise."""
-    found = 0
-    for alpha in enumerate_automorphisms(group, cap):
-        if alpha.stabilizes(sub):
-            yield alpha
-            found += 1
-            if limit is not None and found >= limit:
-                return
+    return enumerate_automorphisms(group, cap, (sub.bits,))
 
 
 # -- distinguished subgroups --------------------------------------------------

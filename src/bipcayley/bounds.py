@@ -20,8 +20,10 @@ from .autos import (
     Automorphism,
     count_automorphisms,
     inversion_automorphism,
+    is_exceptional_pair,
     prime_index_subgroups,
     prime_order_subgroups,
+    stabilizing_automorphisms,
 )
 from .errors import HypothesisViolated
 from .groups import (
@@ -508,7 +510,6 @@ def bounds_suite(group: AbelianGroup, sub: Subgroup,
     worst case over B-stabilizing automorphisms, the worst case over (H, K)
     pairs, the triple count, and the closed-form inverse-closed count
     checked against brute enumeration."""
-    from .autos import is_exceptional_pair
     from .classify import classify_context
 
     check_index2(sub)
@@ -519,29 +520,28 @@ def bounds_suite(group: AbelianGroup, sub: Subgroup,
 
     ctx = classify_context(group, sub, aut_cap)
     iota = inversion_automorphism(group)
-    worst = None
-    for alpha in ctx.stabilizing_nontrivial():
+    undirected = group.exponent > 2 and not is_exceptional_pair(group, sub)
+    worst = worst_und = None
+    for alpha in stabilizing_automorphisms(group, sub, aut_cap):
+        if alpha.is_identity:
+            continue
         rep = lemma_bound("alpha-invariant", group, sub, alpha=alpha,
                           exact_cap=exact_cap)
         if worst is None or rep.exact > worst.exact:
             worst = rep
+        if undirected and alpha.image != iota.image:
+            rep = lemma_bound("alpha-undirected", group, sub, alpha=alpha,
+                              exact_cap=exact_cap)
+            if worst_und is None or rep.exact > worst_und.exact:
+                worst_und = rep
     if worst is not None:
         reports.append(BoundReport("alpha-invariant", worst.exact,
                                    worst.bound, worst.holds,
                                    {"aggregated": "max over alpha"}))
-    if group.exponent > 2 and not is_exceptional_pair(group, sub):
-        worst = None
-        for alpha in ctx.stabilizing_nontrivial():
-            if alpha.image == iota.image:
-                continue
-            rep = lemma_bound("alpha-undirected", group, sub, alpha=alpha,
-                              exact_cap=exact_cap)
-            if worst is None or rep.exact > worst.exact:
-                worst = rep
-        if worst is not None:
-            reports.append(BoundReport("alpha-undirected", worst.exact,
-                                       worst.bound, worst.holds,
-                                       {"aggregated": "max over alpha"}))
+    if worst_und is not None:
+        reports.append(BoundReport("alpha-undirected", worst_und.exact,
+                                   worst_und.bound, worst_und.holds,
+                                   {"aggregated": "max over alpha"}))
 
     worst = None
     worst_und = None

@@ -17,15 +17,16 @@ matching class:
         case, index 2 -- or 1 at exponent 2 -- in the undirected case).
 
 Every verdict carries a machine-checkable witness that re-verifies
-independently of the search that produced it.  Classifying many sets over
-one (A, B) pair reuses a cached context holding the B-stabilizing
-automorphisms and the candidate subgroup pairs.
+independently of the search that produced it.  The A2 witness is the first
+automorphism, in ``enumerate_automorphisms`` order, of the backtrack
+constrained to fix both B and S.  Classifying many sets over one (A, B) pair
+reuses a cached context holding the candidate (H, K) and (C, Z) subgroup
+pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .autos import (
     AUT_CAP,
@@ -59,27 +60,6 @@ VERDICT_A2 = "A2"
 VERDICT_A3 = "A3"
 VERDICT_A4 = "A4"
 VERDICT_GOOD = "GOOD"
-
-_MATERIALIZE_LIMIT = 200_000
-
-_AUT_LISTS: dict[tuple, tuple[Automorphism, ...] | None] = {}
-
-
-def _materialized_auts(group: AbelianGroup,
-                       aut_cap: int) -> tuple[Automorphism, ...] | None:
-    """Full Aut(A) as a cached tuple, or None when it is too large to hold."""
-    key = group.orders
-    if key in _AUT_LISTS:
-        return _AUT_LISTS[key]
-    autos: list[Automorphism] = []
-    for alpha in enumerate_automorphisms(group, aut_cap):
-        autos.append(alpha)
-        if len(autos) > _MATERIALIZE_LIMIT:
-            _AUT_LISTS[key] = None
-            return None
-    _AUT_LISTS[key] = tuple(autos)
-    return _AUT_LISTS[key]
-
 
 @dataclass(frozen=True)
 class A4Witness:
@@ -135,15 +115,6 @@ class ClassifyContext:
         self.iota_image = tuple(group.neg(a) for a in group.elements())
         self.exceptional = is_exceptional_pair(group, sub)
         self.is_two_group = group.size & (group.size - 1) == 0
-        # B-stabilizing non-identity automorphisms, materialized when small
-        full = _materialized_auts(group, aut_cap)
-        self.stab_autos: tuple[Automorphism, ...] | None
-        if full is not None:
-            self.stab_autos = tuple(a for a in full
-                                    if not a.is_identity and a.stabilizes(sub))
-        else:
-            self.stab_autos = None
-        self._aut_cap = aut_cap
         # candidate (H, K) pairs, H of prime order inside B, K of prime index
         pairs = []
         for small in prime_order_subgroups(group):
@@ -156,13 +127,6 @@ class ClassifyContext:
         self.hk_pairs = tuple(pairs)
         # candidate (C, Z) direct decompositions for the A4 class
         self.cz_pairs = tuple(_direct_decompositions(group))
-
-    def stabilizing_nontrivial(self) -> Iterator[Automorphism]:
-        if self.stab_autos is not None:
-            return iter(self.stab_autos)
-        return (alpha for alpha in enumerate_automorphisms(self.group,
-                                                           self._aut_cap)
-                if not alpha.is_identity and alpha.stabilizes(self.sub))
 
 
 _CONTEXTS: dict[tuple, ClassifyContext] = {}
@@ -256,8 +220,8 @@ def classify_directed(group: AbelianGroup, sub: Subgroup, s_bits: int,
     span = generated_subgroup(group, list(bits_of(s_bits)))
     if span.order < group.size:
         return Classification(VERDICT_A1, span)
-    for alpha in ctx.stabilizing_nontrivial():
-        if alpha.fixes_set(s_bits):
+    for alpha in enumerate_automorphisms(group, aut_cap, (sub.bits, s_bits)):
+        if not alpha.is_identity:
             return Classification(VERDICT_A2, alpha)
     hk = _a3_witness(ctx, s_bits)
     if hk is not None:
@@ -279,10 +243,8 @@ def classify_undirected(group: AbelianGroup, sub: Subgroup, s_bits: int,
     span = generated_subgroup(group, list(bits_of(s_bits)))
     if span.order < group.size:
         return Classification(VERDICT_A1, span)
-    for alpha in ctx.stabilizing_nontrivial():
-        if alpha.image == ctx.iota_image:
-            continue
-        if alpha.fixes_set(s_bits):
+    for alpha in enumerate_automorphisms(group, aut_cap, (sub.bits, s_bits)):
+        if not alpha.is_identity and alpha.image != ctx.iota_image:
             return Classification(VERDICT_A2, alpha)
     if not ctx.is_two_group:
         hk = _a3_witness(ctx, s_bits)

@@ -27,7 +27,6 @@ from .autos import (
     inversion_automorphism,
     prime_index_subgroups,
     prime_order_subgroups,
-    stabilizing_automorphisms,
 )
 from .bounds import (
     bounds_suite,
@@ -260,9 +259,8 @@ def _cmd_auts(args, caps) -> tuple[object, int]:
     group = build_group(parse_group_spec(args.group), caps["size_cap"])
     sub = (parse_subgroup_spec(group, args.stabilizing)
            if args.stabilizing else None)
-    stream = (stabilizing_automorphisms(group, sub, caps["aut_cap"])
-              if sub is not None
-              else enumerate_automorphisms(group, caps["aut_cap"]))
+    stream = enumerate_automorphisms(group, caps["aut_cap"],
+                                     (sub.bits,) if sub is not None else ())
     listed = []
     count = 0
     for alpha in stream:

@@ -28,9 +28,9 @@ from typing import Iterable, Sequence
 from ._search import perm_on_set
 from .autos import (
     AUT_CAP,
+    automorphism_generators,
     index2_subgroups,
     inversion_automorphism,
-    stabilizing_automorphisms,
 )
 from .bounds import (
     count_inverse_closed,
@@ -66,9 +66,7 @@ from .stabilizer import (
 DEFAULT_EXHAUSTIVE_BUDGET = 1 << 24
 DEFAULT_TABLE_BUDGET = 1 << 13
 DEFAULT_SAMPLES = 10_000
-ORBIT_GEN_LIMIT = 12
 C26_BLOCK = 50_000
-_AUT_SCAN_LIMIT = 100_000
 
 
 # -- admissible sets -----------------------------------------------------------
@@ -112,9 +110,9 @@ def iter_admissible_sets(group: AbelianGroup, sub: Subgroup, mode: str):
 
 def _orbit_generators(group: AbelianGroup, sub: Subgroup, units: list[int],
                       aut_cap: int = AUT_CAP) -> list[tuple[int, ...]]:
-    """Permutations of the unit indices induced by B-stabilizing
-    automorphisms (a bounded harvest; any subgroup of the stabilizer gives a
-    sound reduction).
+    """Permutations of the unit indices induced by inversion and by a
+    generating set of Stab_Aut(A)(B); past ``aut_cap``, by inversion alone
+    (any subgroup of the stabilizer gives a sound reduction).
 
     An automorphism fixing B commutes with inversion, so it maps every unit
     onto a unit; one that does not is a ``FalsificationError``.  Identity
@@ -124,16 +122,9 @@ def _orbit_generators(group: AbelianGroup, sub: Subgroup, units: list[int],
     iota = inversion_automorphism(group)
     if not iota.is_identity:
         images.append(iota.image)
-    scanned = 0
     try:
-        for alpha in stabilizing_automorphisms(group, sub, aut_cap):
-            scanned += 1
-            if not alpha.is_identity:
-                images.append(alpha.image)
-                if len(images) >= ORBIT_GEN_LIMIT:
-                    break
-            if scanned >= _AUT_SCAN_LIMIT:
-                break
+        gens = automorphism_generators(group, (sub.bits,), aut_cap)[0]
+        images += [alpha.image for alpha in gens]
     except CapExceeded:
         pass  # reduce by inversion alone; still sound
     position = {unit: i for i, unit in enumerate(units)}

@@ -6,6 +6,7 @@ import pytest
 from bipcayley.autos import (
     Automorphism,
     automorphism_from_generator_images,
+    automorphism_generators,
     count_automorphisms,
     enumerate_automorphisms,
     example1_automorphism,
@@ -95,6 +96,8 @@ def test_enumeration_cap():
     g = build_group([2] * 7)
     with pytest.raises(AutCapExceeded):
         list(enumerate_automorphisms(g, cap=64))
+    with pytest.raises(AutCapExceeded):
+        automorphism_generators(g, cap=64)
 
 
 def test_aut_order_bound(small_groups):
@@ -116,6 +119,80 @@ def test_stabilizing_automorphisms_examples():
     b = generated_subgroup(g22, [g22.encode((1, 0))])
     assert len(list(stabilizing_automorphisms(g22, b))) == 2
     assert count_automorphisms(g22) == 6
+
+
+def _closure_images(group, gens):
+    """Every product of ``gens``, as image tuples."""
+    ident = tuple(range(group.size))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        img = frontier.pop()
+        for alpha in gens:
+            prod = tuple(alpha.image[x] for x in img)
+            if prod not in seen:
+                seen.add(prod)
+                frontier.append(prod)
+    return seen
+
+
+def test_generators_match_constrained_stream(small_groups):
+    """The generated group is exactly the constrained stream, its order is
+    the stream's length, and every generator fixes each bitset."""
+    for g in small_groups:
+        for fixing in [()] + [(b.bits,) for b in index2_subgroups(g)]:
+            stream = [alpha.image
+                      for alpha in enumerate_automorphisms(g, fixing=fixing)]
+            gens, order = automorphism_generators(g, fixing)
+            assert order == len(stream) == len(set(stream))
+            assert _closure_images(g, gens) == set(stream)
+            for alpha in gens:
+                assert all(alpha.fixes_set(mask) for mask in fixing)
+
+
+def test_constrained_stream_is_filtered_full_stream(small_groups):
+    """Pruning keeps the full stream's order: the constrained stream is the
+    full one filtered, element for element (here fixing B and a set S)."""
+    for g in small_groups:
+        full = list(enumerate_automorphisms(g))
+        for b in index2_subgroups(g):
+            a = (b.complement_bits() & -b.complement_bits()).bit_length() - 1
+            for s_bits in (1 << a, (1 << a) | (1 << g.neg(a))):
+                fixing = (b.bits, s_bits)
+                want = [alpha.image for alpha in full
+                        if all(alpha.fixes_set(m) for m in fixing)]
+                got = [alpha.image
+                       for alpha in enumerate_automorphisms(g, fixing=fixing)]
+                assert got == want
+
+
+def test_stream_order_is_lexicographic_in_generator_images():
+    """Not identity first: for C2 x C6 the first image of the C2 generator
+    is the first involution, (0, 3)."""
+    g = build_group([2, 6])
+    first = next(enumerate_automorphisms(g))
+    assert g.decode(first(g.generators()[0])) == (0, 3)
+    keys = [[alpha(x) for x in g.generators()]
+            for alpha in enumerate_automorphisms(g)]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("index", [0, 30])
+def test_c2_5_index2_stabilizer_order(index):
+    g = build_group([2] * 5)
+    b = index2_subgroups(g)[index]
+    gens, order = automorphism_generators(g, (b.bits,))
+    assert order == 322_560  # |AGL4(2)| = 2^4 |GL4(2)|
+    assert len(gens) <= 7
+    assert all(alpha.stabilizes(b) for alpha in gens)
+
+
+def test_c2_6_stabilizer_order_matches_c26_subclaim_constant():
+    from bipcayley.survey import _gl2_order, subgroup_of_type
+
+    g = build_group([2] * 6)
+    b = subgroup_of_type(g, "C2^5")
+    assert automorphism_generators(g, (b.bits,))[1] == _gl2_order(6) // 63
 
 
 def test_index2_subgroups():

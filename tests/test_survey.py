@@ -6,6 +6,7 @@ import random
 import pytest
 
 from bipcayley.autos import (
+    automorphism_generators,
     index2_subgroups,
     inversion_automorphism,
     stabilizing_automorphisms,
@@ -19,7 +20,6 @@ from bipcayley.groups import (
     parse_group_spec,
 )
 from bipcayley.survey import (
-    ORBIT_GEN_LIMIT,
     TABLE1_ROWS,
     TABLE2_ROWS,
     _orbit_generators,
@@ -206,6 +206,37 @@ def test_unlabeled_orbit_bound():
                 assert rep.total_classes * aut >= rep.total_sets
 
 
+def test_babai_drr_classes_are_stabilizer_orbits():
+    """Babai's lemma: two DRRs Cay(A, S) and Cay(A, T) are isomorphic iff
+    T = alpha(S) for some alpha in Aut(A).  Such an alpha fixes B, the only
+    index-2 subgroup that S and T (generating sets) both miss, so the
+    directed target classes are the Stab_Aut(A)(B)-orbits on DRR sets."""
+    from bipcayley.stabilizer import is_drr
+
+    nonzero = 0
+    for orders in ([2], [4], [2, 2], [6], [2, 3], [8], [4, 2], [2, 2, 2]):
+        g = build_group(orders)
+        for b in index2_subgroups(g):
+            gens = automorphism_generators(g, (b.bits,))[0]
+            drrs = {mask for mask in iter_admissible_sets(g, b, "directed")
+                    if is_drr(g, mask)}
+            orbits = 0
+            while drrs:
+                orbits += 1
+                frontier = [drrs.pop()]
+                while frontier:
+                    mask = frontier.pop()
+                    for alpha in gens:
+                        im = alpha.apply_to_set(mask)
+                        if im in drrs:
+                            drrs.remove(im)
+                            frontier.append(im)
+            rep = unlabeled_count(g, b, "directed")
+            assert rep.target_classes == orbits, (orders, b.bits)
+            nonzero += orbits > 0
+    assert nonzero >= 6
+
+
 def test_verify_table_small_budget():
     rows = verify_table(1, budget=600)
     by_group = {(r.group, r.subgroup): r for r in rows}
@@ -226,10 +257,9 @@ def test_table_data_sane():
 def test_same_type_index2_subgroups_are_conjugate_in_table_groups():
     """The table rows name B only by isomorphism type; picking the first
     subgroup of that type is canonical because all of them lie in one
-    Aut(A)-orbit (checked wherever Aut(A) is small enough to materialize)."""
+    Aut(A)-orbit (orbits closed under a generating set of Aut(A))."""
     from collections import defaultdict
 
-    from bipcayley.classify import _materialized_auts
     from bipcayley.groups import parse_group_spec
 
     specs = sorted({row.group_spec for row in TABLE1_ROWS + TABLE2_ROWS})
@@ -238,9 +268,7 @@ def test_same_type_index2_subgroups_are_conjugate_in_table_groups():
         group = build_group(parse_group_spec(spec))
         if group.size > 64:
             continue
-        auts = _materialized_auts(group, aut_cap=1 << 12)
-        if auts is None:
-            continue  # Aut too large to materialize; covered indirectly
+        auts = automorphism_generators(group)[0]
         by_type = defaultdict(list)
         for sub in index2_subgroups(group):
             by_type[sub.invariant_factors()].append(sub.bits)
@@ -412,15 +440,12 @@ def _orbit_reps_reference(masks, perms):
 
 
 def _harvested_images(g, b):
-    """The element permutations ``_orbit_generators`` harvests."""
+    """The element permutations ``_orbit_generators`` translates: inversion
+    and a generating set of the B-stabilizer."""
     iota = inversion_automorphism(g)
     images = [] if iota.is_identity else [iota.image]
-    for alpha in stabilizing_automorphisms(g, b):
-        if len(images) >= ORBIT_GEN_LIMIT:
-            break
-        if not alpha.is_identity:
-            images.append(alpha.image)
-    return images
+    return images + [alpha.image
+                     for alpha in automorphism_generators(g, (b.bits,))[0]]
 
 
 def _check_reps_against_reference(g, b, mode):
@@ -442,12 +467,22 @@ def test_orbit_representatives_match_reference(small_groups):
 
 
 def test_orbit_representatives_match_reference_on_table1_rows():
-    """The non-extended Table 1 rows, up to 2^16 admissible sets."""
+    """The Table 1 rows up to 2^16 admissible sets, the extended C2^5 row
+    included."""
     for row in TABLE1_ROWS:
         g = build_group(parse_group_spec(row.group_spec))
         b = subgroup_of_type(g, row.subgroup_spec)
-        if not row.extended and admissible_set_count(g, b, "directed") <= 1 << 16:
+        if admissible_set_count(g, b, "directed") <= 1 << 16:
             _check_reps_against_reference(g, b, "directed")
+
+
+def test_orbit_generating_sets_stay_small_on_table_rows():
+    """Orbit marking pays one image per generator per choice, so the
+    generating set of Stab_Aut(A)(B) must stay small on every table row."""
+    for row in TABLE1_ROWS + TABLE2_ROWS:
+        g = build_group(parse_group_spec(row.group_spec))
+        b = subgroup_of_type(g, row.subgroup_spec)
+        assert len(automorphism_generators(g, (b.bits,))[0]) <= 11, row
 
 
 def test_unit_translation_rejects_generator_not_fixing_b():
