@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ import sys
 from . import errors
 from .autos import (
     AUT_CAP,
-    count_automorphisms,
+    automorphism_generators,
     enumerate_automorphisms,
     fix_invert_decomposition,
     index2_subgroups,
@@ -48,11 +49,13 @@ from .groups import (
     involution_subgroup,
     parse_group_spec,
 )
-from .stabilizer import SEARCH_CAP, minimal_graph_index_target, report_json
+from .stabilizer import (SEARCH_CAP, check_search_cap,
+                         minimal_graph_index_target, report_json)
 from .survey import (
     DEFAULT_SAMPLES,
     DEFAULT_TABLE_BUDGET,
     TABLE2_FAMILIES,
+    _c26_group_and_parts,
     _decode_set,
     bipartite_index,
     c26_reduced_search,
@@ -259,24 +262,19 @@ def _cmd_auts(args, caps) -> tuple[object, int]:
     group = build_group(parse_group_spec(args.group), caps["size_cap"])
     sub = (parse_subgroup_spec(group, args.stabilizing)
            if args.stabilizing else None)
-    stream = enumerate_automorphisms(group, caps["aut_cap"],
-                                     (sub.bits,) if sub is not None else ())
-    listed = []
-    count = 0
-    for alpha in stream:
-        count += 1
-        if args.list and len(listed) < (args.limit or 50):
-            listed.append([list(group.decode(alpha(g)))
-                           for g in group.generators()])
-        if args.limit and count >= args.limit:
-            break
+    fixing = (sub.bits,) if sub is not None else ()
+    order = automorphism_generators(group, fixing, caps["aut_cap"])[1]
+    count = min(order, args.limit) if args.limit else order
+    listed = [[list(group.decode(alpha(g))) for g in group.generators()]
+              for alpha in itertools.islice(
+                  enumerate_automorphisms(group, caps["aut_cap"], fixing),
+                  args.limit or 50)] if args.list else []
     iota = inversion_automorphism(group)
     fid = fix_invert_decomposition(group, iota)
     out = {
         "count": count,
         "count_is_limit": bool(args.limit and count >= args.limit),
-        "total_aut_order": (count_automorphisms(group, caps["aut_cap"])
-                            if not args.stabilizing and not args.limit
+        "total_aut_order": (count if not args.stabilizing and not args.limit
                             else None),
         "inversion_is_identity": iota.is_identity,
         "inversion_fixed_order": fid.fixed.order,
@@ -370,7 +368,8 @@ def _cmd_bounds(args, caps) -> tuple[object, int]:
 def _cmd_table(args, caps) -> tuple[object, int]:
     results = verify_table(args.which, budget=args.budget,
                            include_extended=args.include_extended,
-                           threads=args.threads, aut_cap=caps["aut_cap"])
+                           threads=args.threads, aut_cap=caps["aut_cap"],
+                           search_cap=caps["search_cap"])
     rows = [r.to_json() for r in results]
     if args.which == 2:
         for fam in TABLE2_FAMILIES:
@@ -385,6 +384,7 @@ def _cmd_table(args, caps) -> tuple[object, int]:
 
 def _cmd_survey(args, caps) -> tuple[object, int]:
     group = build_group(parse_group_spec(args.group), caps["size_cap"])
+    check_search_cap(group.size, caps["search_cap"])
     if args.method == "random":
         kwargs = {"samples": args.samples, "seed": args.seed}
     else:
@@ -401,6 +401,7 @@ def _cmd_survey(args, caps) -> tuple[object, int]:
 
 def _cmd_sample(args, caps) -> tuple[object, int]:
     group = build_group(parse_group_spec(args.group), caps["size_cap"])
+    check_search_cap(group.size, caps["search_cap"])
     sub = parse_subgroup_spec(group, args.subgroup)
     est = monte_carlo_proportion(group, sub, args.mode,
                                  samples=args.samples, seed=args.seed)
@@ -416,6 +417,7 @@ def _cmd_unlabeled(args, caps) -> tuple[object, int]:
 
 def _cmd_c26(args, caps) -> tuple[object, int]:
     if args.full or args.budget:
+        check_search_cap(_c26_group_and_parts()[0].size, caps["search_cap"])
         rep = c26_reduced_search(budget=args.budget,
                                  checkpoint=args.checkpoint,
                                  threads=args.threads,

@@ -271,7 +271,7 @@ def _greedy_generators(group: AbelianGroup, bits: int) -> tuple[int, ...]:
     for a in bits_of(bits):
         if not (span >> a) & 1:
             gens.append(a)
-            span = _closure(group, gens)
+            span = _closure(group, (a,), span)
             if span == bits:
                 break
     return tuple(gens)

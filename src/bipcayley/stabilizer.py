@@ -45,12 +45,17 @@ def _iota_seed(digraph: CayleyDigraph, v: int) -> list[Perm]:
     return [tuple(group.neg(a) for a in range(group.size))]
 
 
+def check_search_cap(n: int, cap: int) -> None:
+    """Refuse a stabilizer search on more than ``cap`` vertices."""
+    if n > cap:
+        raise CapExceeded(f"stabilizer search cap {cap} exceeded by n={n}")
+
+
 def vertex_stabilizer(digraph: CayleyDigraph, v: int = 0,
                       cap: int = SEARCH_CAP,
                       timeout: float | None = None) -> AutReport:
     """Exact order and generators of the stabilizer of ``v`` in Aut(digraph)."""
-    if digraph.n > cap:
-        raise CapExceeded(f"stabilizer search cap {cap} exceeded by n={digraph.n}")
+    check_search_cap(digraph.n, cap)
     search = AutomorphismSearch(digraph.out_neighbors, digraph.in_neighbors,
                                 root=v, seed_gens=_iota_seed(digraph, v),
                                 timeout=timeout).run()

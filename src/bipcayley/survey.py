@@ -58,6 +58,8 @@ from .groups import (
     popcount,
 )
 from .stabilizer import (
+    SEARCH_CAP,
+    check_search_cap,
     minimal_graph_index_target,
     stabilizer_order_bounded,
     vertex_stabilizer,
@@ -490,26 +492,32 @@ def subgroup_of_type(group: AbelianGroup, iso_spec: str) -> Subgroup:
 def verify_table(which: int, budget: int = DEFAULT_TABLE_BUDGET,
                  include_extended: bool = False,
                  threads: int = 1,
-                 aut_cap: int = AUT_CAP) -> list[TableRowResult]:
+                 aut_cap: int = AUT_CAP,
+                 search_cap: int = SEARCH_CAP) -> list[TableRowResult]:
     """Recompute every table row whose admissible-set count fits the budget;
-    rows over budget (or extended rows not opted into) come back SKIPPED."""
+    rows over budget (or extended rows not opted into) come back SKIPPED.
+    A row to recompute on a group over ``search_cap`` is refused before any
+    row is searched."""
     rows = TABLE1_ROWS if which == 1 else TABLE2_ROWS
     mode = "directed" if which == 1 else "undirected"
-    out = []
+    plan = []
     for row in rows:
         group = build_group(parse_group_spec(row.group_spec))
         sub = subgroup_of_type(group, row.subgroup_spec)
         total = admissible_set_count(group, sub, mode)
-        if row.extended and not include_extended:
+        skip = ("extended row (opt-in)"
+                if row.extended and not include_extended
+                else f"{total} sets exceed budget {budget}"
+                if total > budget else "")
+        if not skip:
+            check_search_cap(group.size, search_cap)
+        plan.append((row, group, sub, total, skip))
+    out = []
+    for row, group, sub, total, skip in plan:
+        if skip:
             out.append(TableRowResult(which, row.group_spec, row.subgroup_spec,
                                       row.expected, None, None, "skipped",
-                                      "extended row (opt-in)", total))
-            continue
-        if total > budget:
-            out.append(TableRowResult(which, row.group_spec, row.subgroup_spec,
-                                      row.expected, None, None, "skipped",
-                                      f"{total} sets exceed budget {budget}",
-                                      total))
+                                      skip, total))
             continue
         res = exhaustive_bipartite_index(group, sub, mode, budget=budget,
                                          threads=threads, aut_cap=aut_cap)
@@ -646,7 +654,8 @@ class C26Report:
 
     ``best_set`` is the first candidate in stream order whose exact index
     equals ``best_index`` (see ``sweep``), for serial and threaded runs and
-    across resumes alike.
+    across resumes alike.  ``reps_searched`` of the ``searched`` positions
+    were orbit representatives, the only candidates searched.
     """
 
     candidate_count: int
@@ -655,6 +664,7 @@ class C26Report:
     disconnected_min_bound: int
     basis_transitivity_count_match: bool
     searched: int = 0
+    reps_searched: int = 0
     best_index: int | None = None
     best_set: list | None = None
     completed: bool = False
@@ -675,20 +685,21 @@ def _c26_group_and_parts():
     return group, basis, b_bits, rep3, rep5
 
 
+def _permute_coordinates(group: AbelianGroup, p: Sequence[int],
+                         elements: list[int]) -> list[int]:
+    """The images of ``elements`` when coordinate j takes coordinate p[j]."""
+    return [group.encode(tuple(group.decode(a)[j] for j in p))
+            for a in elements]
+
+
 def _coordinate_permutation_orbits(group: AbelianGroup, basis: list[int],
                                    vectors: list[int]) -> dict[int, list[int]]:
     """Orbits of Sym(coordinates) on the given vectors, keyed by minimum."""
     k = len(basis)
-    perms = []
-    swap = list(range(k))
-    swap[0], swap[1] = 1, 0
-    cyc = [(i + 1) % k for i in range(k)]
-    for p in (swap, cyc):
-        img = [0] * group.size
-        for a in group.elements():
-            coords = group.decode(a)
-            img[a] = group.encode(tuple(coords[p[i]] for i in range(k)))
-        perms.append(img)
+    swap = (1, 0) + tuple(range(2, k))
+    cyc = tuple((i + 1) % k for i in range(k))
+    perms = [dict(zip(vectors, _permute_coordinates(group, p, vectors)))
+             for p in (swap, cyc)]
     orbits: dict[int, list[int]] = {}
     remaining = set(vectors)
     while remaining:
@@ -759,17 +770,27 @@ def c26_subclaims() -> C26Report:
 
 
 def _c26_candidates(group, basis, b_bits, rep):
-    base = 0
-    for e in basis:
-        base |= 1 << e
-    base |= 1 << rep
+    """The candidates e1..e6 + ``rep`` + ``comb`` in stream order (``comb``
+    a k-subset of the 25-element pool, k < 10), with ``None`` for each one
+    that some coordinate permutation fixing ``rep`` maps to a smaller sorted
+    pool-index tuple: only the first of each orbit is kept."""
+    base = sum(1 << e for e in basis) | 1 << rep
     pool = [a for a in group.elements()
             if not (b_bits >> a) & 1 and not (base >> a) & 1]
+    support = {i for i in range(6) if group.decode(rep)[i]}
+    position = {a: i for i, a in enumerate(pool)}
+    perms = [[position[a] for a in _permute_coordinates(group, p, pool)]
+             for p in itertools.permutations(range(6))
+             if {p[i] for i in support} == support]
     for k in range(10):
-        for comb in itertools.combinations(pool, k):
+        for comb in itertools.combinations(range(len(pool)), k):
+            if any(tuple(sorted([img[i] for i in comb])) < comb
+                   for img in perms):
+                yield None
+                continue
             bits = base
-            for a in comb:
-                bits |= 1 << a
+            for i in comb:
+                bits |= 1 << pool[i]
             yield bits
 
 
@@ -781,9 +802,14 @@ def c26_reduced_search(budget: int | None = None,
 
     The result equals the directed bipartite Cayley index of (C2^6, C2^5)
     when run to completion; the ordering of candidates is deterministic.
-    The stream is swept in blocks of ``C26_BLOCK`` candidates, and after
-    each block a checkpoint file gets one JSON line {cursor, best_index,
-    best_set, best_mask}, which makes long runs resumable.
+    Only orbit representatives are searched (see ``_c26_candidates``), and
+    as each comes first in its orbit, every prefix keeps its minimum and
+    argmin.  The stream is swept in blocks of ``C26_BLOCK`` positions, and
+    after each block a checkpoint file gets one JSON line {cursor,
+    reps_searched, best_index, best_set, best_mask}, which makes long runs
+    resumable; ``budget`` and ``cursor`` count stream positions.  The
+    ``reps_searched`` field is informational: a resume recounts it over
+    the skipped prefix.
     """
     report = c26_subclaims()
     group, basis, b_bits, rep3, rep5 = _c26_group_and_parts()
@@ -805,7 +831,8 @@ def c26_reduced_search(budget: int | None = None,
                     best_mask = last.get("best_mask")
         except FileNotFoundError:
             pass
-    stream = itertools.islice(stream, start, None)
+    reps_searched = sum(mask is not None
+                        for mask in itertools.islice(stream, start))
 
     searched = start
     limit = report.candidate_count if budget is None else min(
@@ -813,13 +840,15 @@ def c26_reduced_search(budget: int | None = None,
     while searched < limit:
         block = list(itertools.islice(stream, min(C26_BLOCK,
                                                   limit - searched)))
+        reps = [mask for mask in block if mask is not None]
         if threads > 1:
-            best, found = _sweep_sharded(group, block, best, threads)
+            best, found = _sweep_sharded(group, reps, best, threads)
         else:
-            best, found = sweep(group, block, best)
+            best, found = sweep(group, reps, best)
         if found is not None:
             best_mask = found
         searched += len(block)
+        reps_searched += len(reps)
         if checkpoint:
             best_set = (_decode_set(group, best_mask)
                         if best_mask is not None else None)
@@ -827,10 +856,12 @@ def c26_reduced_search(budget: int | None = None,
                 fh.write(json.dumps({"shard_id": 0, "best_index": best,
                                      "best_set": best_set,
                                      "cursor": searched,
+                                     "reps_searched": reps_searched,
                                      "best_mask": best_mask}) + "\n")
         if progress is not None:
             progress(searched, limit)
     report.searched = searched
+    report.reps_searched = reps_searched
     report.best_index = best
     report.best_set = (_decode_set(group, best_mask)
                        if best_mask is not None else None)

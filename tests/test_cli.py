@@ -269,3 +269,71 @@ def test_parse_specs():
     assert parse_set_spec(g, sub2, "all-minus-B") == sub2.complement_bits()
     g6 = build_group([6])
     assert parse_set_spec(g6, None, "1,3,5") == 0b101010
+
+
+def test_auts_count_from_generators():
+    code, payload = run_json(["auts", "--group", "C2^5"])
+    assert code == 0
+    assert payload["result"]["count"] == 9_999_360
+    assert payload["result"]["total_aut_order"] == 9_999_360
+
+
+def test_auts_count_equals_stream_length(small_groups):
+    from bipcayley.autos import enumerate_automorphisms
+    from bipcayley.groups import format_group_spec
+    for g in small_groups:
+        spec = format_group_spec(g.orders)
+        for extra, fixing in (([], ()), (["--stabilizing", "index:0"], None)):
+            if fixing is None:
+                if g.size % 2:
+                    continue
+                fixing = (index2_subgroups(g)[0].bits,)
+            code, payload = run_json(["auts", "--group", spec] + extra)
+            assert code == 0
+            stream = sum(1 for _ in enumerate_automorphisms(g, fixing=fixing))
+            assert payload["result"]["count"] == stream, (spec, extra)
+
+
+def test_auts_list_and_limit():
+    from bipcayley.autos import enumerate_automorphisms
+    g = build_group([4, 2, 2])
+    sub = index2_subgroups(g)[0]
+    want = [[list(g.decode(alpha(x))) for x in g.generators()]
+            for alpha in enumerate_automorphisms(g, fixing=(sub.bits,))]
+    assert len(want) > 5
+    code, payload = run_json(["auts", "--group", "C4xC2^2", "--stabilizing",
+                              "index:0", "--list", "--limit", "5"])
+    assert code == 0
+    res = payload["result"]
+    assert (res["count"], res["count_is_limit"]) == (5, True)
+    assert res["generator_images"] == want[:5]
+    code, payload = run_json(["auts", "--group", "C4xC2^2", "--stabilizing",
+                              "index:0", "--list"])
+    res = payload["result"]
+    assert (res["count"], res["count_is_limit"]) == (len(want), False)
+    assert res["generator_images"] == want[:50]
+    code, payload = run_json(["auts", "--group", "C2^3", "--limit", "500"])
+    res = payload["result"]
+    assert (res["count"], res["count_is_limit"]) == (168, False)
+    assert "generator_images" not in res
+
+
+def test_search_cap_refuses_surveys(monkeypatch):
+    argv = ["survey", "--group", "C4xC2^3", "--subgroup", "index:0",
+            "--threads", "1"]
+    code, _ = run_cli(argv)
+    assert code == 0
+    monkeypatch.setenv("BIPCAYLEY_SEARCH_CAP", "8")
+    code, _ = run_cli(argv)
+    assert code == 3
+    for argv in (["sample", "--group", "C4xC2^2", "--subgroup", "index:0",
+                  "--samples", "5"],
+                 ["survey", "--group", "C4xC2^2", "--subgroup", "index:0",
+                  "--method", "random", "--samples", "5"],
+                 ["table", "--which", "1", "--budget", "600",
+                  "--threads", "1"],
+                 ["c26", "--budget", "5"]):
+        code, _ = run_cli(argv)
+        assert code == 3, argv
+    code, _ = run_cli(["c26"])  # the sub-claims search nothing
+    assert code == 0

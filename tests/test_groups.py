@@ -209,3 +209,27 @@ def test_translate_and_negate_set():
 def test_bits_of():
     assert list(bits_of(0b101001)) == [0, 3, 5]
     assert list(bits_of(0)) == []
+
+
+def _greedy_generators_reference(group, bits):
+    """The greedy loop that recomputes the span from the trivial subgroup
+    after every new generator."""
+    from bipcayley.groups import _closure
+    gens = []
+    span = 1
+    for a in bits_of(bits):
+        if not (span >> a) & 1:
+            gens.append(a)
+            span = _closure(group, gens)
+            if span == bits:
+                break
+    return tuple(gens)
+
+
+def test_incremental_greedy_generators_match_reference(small_groups):
+    from bipcayley.groups import all_subgroups
+    for g in small_groups:
+        for sub in all_subgroups(g):
+            want = _greedy_generators_reference(g, sub.bits)
+            assert subgroup_from_bits(g, sub.bits).generators == want
+            assert generated_subgroup(g, bits_of(sub.bits)).generators == want

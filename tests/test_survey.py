@@ -494,3 +494,92 @@ def test_unit_translation_rejects_generator_not_fixing_b():
                for alpha in stabilizing_automorphisms(g, other))
     with pytest.raises(FalsificationError):
         _orbit_generators(g, other, _units(g, b, "directed"))
+
+
+def _c26_block_reference(rep_coords, count):
+    """The first ``count`` candidates of the C2^6 block of ``rep_coords``,
+    unreduced, and whether each is the first in stream order of its orbit
+    under the coordinate permutations fixing the rep (36 or 120 maps acting
+    on group elements)."""
+    import itertools
+    from bipcayley._search import perm_on_set
+    g = build_group([2] * 6)
+    rep = g.encode(rep_coords)
+    base = 1 << rep
+    for e in g.generators():
+        base |= 1 << e
+    pool = [a for a in g.elements()
+            if sum(g.decode(a)) % 2 and not (base >> a) & 1]
+    masks = []
+    for k in range(10):
+        for comb in itertools.combinations(pool, k):
+            masks.append(base | sum(1 << a for a in comb))
+            if len(masks) == count:
+                break
+        if len(masks) == count:
+            break
+    support = {i for i in range(6) if rep_coords[i]}
+    images = [[g.encode(tuple(g.decode(a)[p[j]] for j in range(6)))
+               for a in g.elements()]
+              for p in itertools.permutations(range(6))
+              if {p[i] for i in support} == support]
+    assert len(images) == (36 if len(support) == 3 else 120)
+    position = {m: i for i, m in enumerate(masks)}
+    first = [min(position.get(perm_on_set(img, m), count) for img in images)
+             == i for i, m in enumerate(masks)]
+    return g, masks, first
+
+
+C26_REP3 = (1, 1, 1, 0, 0, 0)
+C26_REP5 = (1, 1, 1, 1, 1, 0)
+
+
+def test_c26_representatives_match_brute_force_orbits():
+    import itertools
+    from bipcayley.survey import _c26_candidates, _c26_group_and_parts
+    group, basis, b_bits, rep3, rep5 = _c26_group_and_parts()
+    for rep, coords in ((rep3, C26_REP3), (rep5, C26_REP5)):
+        _, masks, first = _c26_block_reference(coords, 2000)
+        stream = list(itertools.islice(
+            _c26_candidates(group, basis, b_bits, rep), 2000))
+        assert stream == [m if keep else None
+                          for m, keep in zip(masks, first)]
+        assert 0 < sum(first) < 2000
+
+
+def test_c26_reduction_keeps_the_prefix_answer(tmp_path):
+    from bipcayley.survey import _decode_set
+    g, masks, _ = _c26_block_reference(C26_REP3, 500)
+    best, argmin = sweep(g, masks)
+    straight = c26_reduced_search(budget=500)
+    assert (straight.searched, straight.reps_searched) == (500, 49)
+    assert straight.best_index == best == 16
+    assert straight.best_set == _decode_set(g, argmin)
+    ck = tmp_path / "c26.ckpt"
+    c26_reduced_search(budget=250, checkpoint=str(ck))
+    resumed = c26_reduced_search(budget=250, checkpoint=str(ck))
+    last = json.loads(ck.read_text().splitlines()[-1])
+    assert last["cursor"] == 500
+    assert last["reps_searched"] == resumed.reps_searched == 49
+    assert resumed.best_set == straight.best_set
+
+
+# The argmin of the whole C2^6 stream, the first candidate reaching the
+# paper's directed index 4 (found by ``bipcayley c26 --full``).
+C26_BEST_SET_FULL = [
+    [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0], [0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 0, 0], [0, 0, 1, 0, 1, 1],
+    [0, 0, 1, 1, 0, 1], [0, 1, 0, 0, 0, 0], [0, 1, 0, 0, 1, 1],
+    [0, 1, 0, 1, 1, 0], [1, 0, 0, 0, 0, 0], [1, 0, 1, 0, 0, 1],
+    [1, 1, 1, 0, 0, 0]]
+
+
+def test_c26_full_argmin_reverifies_to_index_4():
+    from bipcayley.cayley import build_cayley, connection_set
+    from bipcayley.stabilizer import vertex_stabilizer
+    g = build_group([2] * 6)
+    elements = {tuple(e) for e in C26_BEST_SET_FULL}
+    assert {g.decode(e) for e in g.generators()} | {C26_REP3} <= elements
+    assert all(sum(e) % 2 for e in elements)  # avoids B, the even vectors
+    conn = connection_set(g, [tuple(e) for e in C26_BEST_SET_FULL])
+    assert vertex_stabilizer(build_cayley(g, conn)).cayley_index == 4
