@@ -7,6 +7,10 @@ rational exponent by raising both sides to its denominator (big-int exact),
 and handle the (log2 n)^2 term with certified dyadic intervals refined until
 the comparison is decided -- these thresholds are razor thin, and floating
 point would silently lie.
+
+The exact counts use the constructions where they live: alpha-invariant sets
+are unions of ``_search._orbit`` orbits on A \\ B, and product sets S' + S''
+are built by ``classify._product_set``.
 """
 
 from __future__ import annotations
@@ -14,17 +18,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
+from ._search import _orbit
 from .autos import (
+    AUT_CAP,
     Automorphism,
     count_automorphisms,
+    index2_subgroups,
     inversion_automorphism,
     is_exceptional_pair,
     prime_index_subgroups,
     prime_order_subgroups,
     stabilizing_automorphisms,
 )
+from .classify import _direct_decompositions, _product_set, classify_context
 from .errors import HypothesisViolated
 from .groups import (
     AbelianGroup,
@@ -32,6 +39,7 @@ from .groups import (
     all_subgroups,
     bits_of,
     check_index2,
+    coset_decompose,
     involution_subgroup,
     popcount,
 )
@@ -257,11 +265,6 @@ def inverse_closed_units(group: AbelianGroup, allowed_bits: int) -> list[int]:
     return units
 
 
-def iter_subsets_of(group: AbelianGroup, allowed: Iterable[int]):
-    """All subsets (as bitsets) of the given elements, in mask order."""
-    return iter_unit_subsets([1 << a for a in allowed])
-
-
 def iter_inverse_closed_subsets(group: AbelianGroup, allowed_bits: int):
     """All inverse-closed subsets of an inverse-closed ground set, in the
     order of free choices over involutions and {a,-a} pairs."""
@@ -272,22 +275,14 @@ def iter_inverse_closed_subsets(group: AbelianGroup, allowed_bits: int):
 
 
 def _orbit_count(images: list[tuple[int, ...]], domain_bits: int) -> int:
-    """Orbits of the group generated by the given permutations on a subset."""
-    parent: dict[int, int] = {a: a for a in bits_of(domain_bits)}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for img in images:
-        for a in parent:
-            b = img[a]
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(a) for a in parent})
+    """Orbits of the group generated by the given permutations on a subset
+    they leave invariant, peeled off it one ``_orbit`` at a time."""
+    count = 0
+    while domain_bits:
+        low = (domain_bits & -domain_bits).bit_length() - 1
+        domain_bits &= ~_orbit(images, low)
+        count += 1
+    return count
 
 
 def _proper_span_count(group: AbelianGroup, sub: Subgroup,
@@ -300,7 +295,7 @@ def _proper_span_count(group: AbelianGroup, sub: Subgroup,
         if inverse_closed:
             gen = iter_inverse_closed_subsets(group, allowed)
         else:
-            gen = iter_subsets_of(group, list(bits_of(allowed)))
+            gen = iter_unit_subsets([1 << a for a in bits_of(allowed)])
         for bits in gen:
             seen.add(bits)
     return len(seen)
@@ -345,7 +340,6 @@ def lemma_bound(name: str, group: AbelianGroup, sub: Subgroup,
                 "alpha must stabilize B and differ from 1 and inversion")
         if group.exponent <= 2:
             raise HypothesisViolated("requires exponent greater than 2")
-        from .autos import is_exceptional_pair
         if is_exceptional_pair(group, sub):
             raise HypothesisViolated("pair (A, B) is exceptional")
         bound = Bound(1, n, 0, Fraction(11 * n, 48) + Fraction(a2_outside, 2))
@@ -369,7 +363,6 @@ def lemma_bound(name: str, group: AbelianGroup, sub: Subgroup,
         if within_cap:
             exact = 0
             for bits in iter_inverse_closed_subsets(group, outside_bits):
-                from .groups import coset_decompose
                 if coset_decompose(group, small, bits & ~big.bits):
                     exact += 1
 
@@ -397,33 +390,13 @@ def _check_hk(group: AbelianGroup, sub: Subgroup,
 def count_product_triples(group: AbelianGroup, sub: Subgroup) -> int:
     """Exact number of (C, Z, S) with A = C x Z, C cyclic of order >= 4,
     Z elementary abelian of exponent 2, and S = S' x S'' inside A \\ B."""
-    from .classify import _direct_decompositions
-
     total = 0
     for cyc, comp in _direct_decompositions(group):
-        seen: set[int] = set()
-        for s_prime in (0, 1, cyc.bits, cyc.bits ^ 1):
-            members = list(bits_of(s_prime))
-            z_list = list(bits_of(comp.bits))
-            for mask in range(1 << len(z_list)):
-                bits = 0
-                ok = True
-                m = mask
-                while m:
-                    low = m & -m
-                    z = z_list[low.bit_length() - 1]
-                    m ^= low
-                    for c in members:
-                        e = group.add(c, z)
-                        if sub.contains(e):
-                            ok = False
-                            break
-                        bits |= 1 << e
-                    if not ok:
-                        break
-                if ok:
-                    seen.add(bits)
-        total += len(seen)
+        z_units = [1 << z for z in bits_of(comp.bits)]
+        products = {_product_set(group, s_prime, s_dprime)
+                    for s_prime in (0, 1, cyc.bits, cyc.bits ^ 1)
+                    for s_dprime in iter_unit_subsets(z_units)}
+        total += sum(1 for s in products if not s & sub.bits)
     return total
 
 
@@ -505,13 +478,11 @@ def threshold_scan(mode: str, scan_limit: int | None = None) -> ThresholdReport:
 
 def bounds_suite(group: AbelianGroup, sub: Subgroup,
                  exact_cap: int = EXACT_SUBSET_CAP,
-                 aut_cap: int = 1 << 12) -> list[BoundReport]:
+                 aut_cap: int = AUT_CAP) -> list[BoundReport]:
     """Every applicable lemma bound for one (A, B): the A1 counts, the
     worst case over B-stabilizing automorphisms, the worst case over (H, K)
     pairs, the triple count, and the closed-form inverse-closed count
     checked against brute enumeration."""
-    from .classify import classify_context
-
     check_index2(sub)
     reports = [
         lemma_bound("A1-directed", group, sub, exact_cap=exact_cap),
@@ -521,50 +492,36 @@ def bounds_suite(group: AbelianGroup, sub: Subgroup,
     ctx = classify_context(group, sub, aut_cap)
     iota = inversion_automorphism(group)
     undirected = group.exponent > 2 and not is_exceptional_pair(group, sub)
-    worst = worst_und = None
+    alpha_reps, alpha_und_reps = [], []
     for alpha in stabilizing_automorphisms(group, sub, aut_cap):
         if alpha.is_identity:
             continue
-        rep = lemma_bound("alpha-invariant", group, sub, alpha=alpha,
-                          exact_cap=exact_cap)
-        if worst is None or rep.exact > worst.exact:
-            worst = rep
+        alpha_reps.append(lemma_bound("alpha-invariant", group, sub,
+                                      alpha=alpha, exact_cap=exact_cap))
         if undirected and alpha.image != iota.image:
-            rep = lemma_bound("alpha-undirected", group, sub, alpha=alpha,
-                              exact_cap=exact_cap)
-            if worst_und is None or rep.exact > worst_und.exact:
-                worst_und = rep
-    if worst is not None:
-        reports.append(BoundReport("alpha-invariant", worst.exact,
-                                   worst.bound, worst.holds,
-                                   {"aggregated": "max over alpha"}))
-    if worst_und is not None:
-        reports.append(BoundReport("alpha-undirected", worst_und.exact,
-                                   worst_und.bound, worst_und.holds,
-                                   {"aggregated": "max over alpha"}))
-
-    worst = None
-    worst_und = None
+            alpha_und_reps.append(lemma_bound(
+                "alpha-undirected", group, sub, alpha=alpha,
+                exact_cap=exact_cap))
+    hk_reps, hk_und_reps = [], []
     for small, big in ctx.hk_pairs:
         if big.order == group.size:
             continue
-        rep = lemma_bound("HK-cosets", group, sub, small=small, big=big,
-                          exact_cap=exact_cap)
-        if worst is None or rep.exact > worst.exact:
-            worst = rep
+        hk_reps.append(lemma_bound("HK-cosets", group, sub, small=small,
+                                   big=big, exact_cap=exact_cap))
         if group.size & (group.size - 1):
-            rep = lemma_bound("HK-undirected", group, sub, small=small,
-                              big=big, exact_cap=exact_cap)
-            if rep.exact is not None and (worst_und is None
-                                          or rep.exact > worst_und.exact):
-                worst_und = rep
-    if worst is not None:
-        reports.append(BoundReport("HK-cosets", worst.exact, worst.bound,
-                                   worst.holds, {"aggregated": "max over HK"}))
-    if worst_und is not None:
-        reports.append(BoundReport("HK-undirected", worst_und.exact,
-                                   worst_und.bound, worst_und.holds,
-                                   {"aggregated": "max over HK"}))
+            hk_und_reps.append(lemma_bound("HK-undirected", group, sub,
+                                           small=small, big=big,
+                                           exact_cap=exact_cap))
+    # the worst case of each family is its first report of largest count
+    for reps, note in ((alpha_reps, "max over alpha"),
+                       (alpha_und_reps, "max over alpha"),
+                       (hk_reps, "max over HK"),
+                       (hk_und_reps, "max over HK")):
+        counted = [rep for rep in reps if rep.exact is not None]
+        if counted:
+            worst = max(counted, key=lambda rep: rep.exact)
+            reports.append(BoundReport(worst.name, worst.exact, worst.bound,
+                                       worst.holds, {"aggregated": note}))
 
     reports.append(lemma_bound("triples", group, sub, exact_cap=exact_cap))
 
@@ -579,7 +536,7 @@ def bounds_suite(group: AbelianGroup, sub: Subgroup,
     return reports
 
 
-def prelim_facts_check(group: AbelianGroup, aut_cap: int = 1 << 12
+def prelim_facts_check(group: AbelianGroup, aut_cap: int = AUT_CAP
                        ) -> list[BoundReport]:
     """Exact verification of the preliminary facts on one group:
     the automorphism-order bound, the prime-order/prime-index subgroup
@@ -602,15 +559,14 @@ def prelim_facts_check(group: AbelianGroup, aut_cap: int = 1 << 12
     reports.append(BoundReport("prime-index-count", pi, bound_n,
                                bound_n.admits(pi)))
 
-    from .autos import index2_subgroups
     worst = 0
     for z in all_subgroups(group):
         if z.order == n:
             continue
         for y in index2_subgroups(group):
             worst = max(worst, popcount(z.bits & ~y.bits))
-    quarter = Bound(1, n, 0, Fraction(0))  # placeholder, compare directly
+    quarter = Bound(1, n, 1, Fraction(-2))
     reports.append(BoundReport(
-        "z-minus-y", worst, quarter, 4 * worst <= n,
+        "z-minus-y", worst, quarter, quarter.admits(worst),
         {"bound_is": "|A|/4"}))
     return reports

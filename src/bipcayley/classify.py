@@ -21,7 +21,8 @@ independently of the search that produced it.  The A2 witness is the first
 automorphism, in ``enumerate_automorphisms`` order, of the backtrack
 constrained to fix both B and S.  Classifying many sets over one (A, B) pair
 reuses a cached context holding the candidate (H, K) and (C, Z) subgroup
-pairs.
+pairs.  ``_product_set`` is the one place the A4 product S' x S'' is built:
+the A4 search, its witness check and ``bounds.count_product_triples`` use it.
 """
 
 from __future__ import annotations
@@ -204,12 +205,17 @@ def _match_product(group: AbelianGroup, cyc: Subgroup, comp: Subgroup,
         for z in bits_of(comp.bits):
             if all((s_bits >> group.add(c, z)) & 1 for c in members):
                 s_dprime |= 1 << z
-        built = 0
-        for c in members:
-            built |= group.translate_set(s_dprime, c)
-        if built == s_bits:
+        if _product_set(group, s_prime, s_dprime) == s_bits:
             return A4Witness(cyc, comp, s_prime, s_dprime)
     return None
+
+
+def _product_set(group: AbelianGroup, s_prime: int, s_dprime: int) -> int:
+    """S' + S'' = {c + z : c in S', z in S''} as a bitset."""
+    built = 0
+    for c in bits_of(s_prime):
+        built |= group.translate_set(s_dprime, c)
+    return built
 
 
 def classify_directed(group: AbelianGroup, sub: Subgroup, s_bits: int,
@@ -298,10 +304,7 @@ def verify_witness(group: AbelianGroup, sub: Subgroup, s_bits: int,
             return False
         if w.s_prime not in (0, 1, w.cyclic.bits, w.cyclic.bits ^ 1):
             return False
-        built = 0
-        for c in bits_of(w.s_prime):
-            built |= group.translate_set(w.s_dprime, c)
-        return built == s_bits
+        return _product_set(group, w.s_prime, w.s_dprime) == s_bits
     return result.verdict == VERDICT_GOOD and result.witness is None
 
 

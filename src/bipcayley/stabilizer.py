@@ -19,7 +19,7 @@ from ._search import (
 )
 from .cayley import CayleyDigraph, build_cayley
 from .errors import CapExceeded, NotInverseClosed
-from .groups import AbelianGroup, Subgroup
+from .groups import AbelianGroup, Subgroup, format_group_spec
 
 SEARCH_CAP = 1 << 12
 
@@ -139,7 +139,6 @@ def report_json(group: AbelianGroup, conn, sub: Subgroup | None = None,
     start = time.monotonic()
     rep = vertex_stabilizer(digraph, 0, cap=cap, timeout=timeout)
     elapsed_ms = (time.monotonic() - start) * 1000.0
-    from .groups import format_group_spec  # local import to avoid cycle noise
     return {
         "group": format_group_spec(group.orders),
         "subgroup": (sorted(group.decode(g) for g in sub.generators)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._search import perm_on_set
+from ._search import _orbit, perm_on_set
 from .autos import (
     AUT_CAP,
     automorphism_generators,
@@ -686,38 +686,10 @@ def _c26_group_and_parts():
 
 
 def _permute_coordinates(group: AbelianGroup, p: Sequence[int],
-                         elements: list[int]) -> list[int]:
+                         elements: Sequence[int]) -> list[int]:
     """The images of ``elements`` when coordinate j takes coordinate p[j]."""
     return [group.encode(tuple(group.decode(a)[j] for j in p))
             for a in elements]
-
-
-def _coordinate_permutation_orbits(group: AbelianGroup, basis: list[int],
-                                   vectors: list[int]) -> dict[int, list[int]]:
-    """Orbits of Sym(coordinates) on the given vectors, keyed by minimum."""
-    k = len(basis)
-    swap = (1, 0) + tuple(range(2, k))
-    cyc = tuple((i + 1) % k for i in range(k))
-    perms = [dict(zip(vectors, _permute_coordinates(group, p, vectors)))
-             for p in (swap, cyc)]
-    orbits: dict[int, list[int]] = {}
-    remaining = set(vectors)
-    while remaining:
-        start = min(remaining)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g in perms:
-                    w = g[v]
-                    if w not in orbit:
-                        orbit.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        orbits[start] = sorted(orbit)
-        remaining -= orbit
-    return orbits
 
 
 def _gl2_order(dim: int) -> int:
@@ -731,15 +703,14 @@ def c26_subclaims() -> C26Report:
     """The exactly-checkable sub-claims of the C2^6 reduction."""
     group, basis, b_bits, rep3, rep5 = _c26_group_and_parts()
     candidate_count = 2 * sum(math.comb(25, k) for k in range(10))
-    residual = [a for a in group.elements()
-                if not (b_bits >> a) & 1 and a not in basis]
-    orbits = _coordinate_permutation_orbits(group, basis, residual)
-    sizes = sorted((len(v) for v in orbits.values()), reverse=True)
-    containing = {key: orb for key, orb in orbits.items()}
-    orbit_of_rep3 = next((o for o in containing.values() if rep3 in o), None)
-    orbit_of_rep5 = next((o for o in containing.values() if rep5 in o), None)
-    if (len(orbits) != 2 or orbit_of_rep3 is None or orbit_of_rep5 is None
-            or len(orbit_of_rep3) != 20 or len(orbit_of_rep5) != 6):
+    residual = sum(1 << a for a in group.elements()
+                   if not (b_bits >> a) & 1 and a not in basis)
+    # Sym(coordinates) is generated by a transposition and a 6-cycle
+    perms = [_permute_coordinates(group, p, group.elements())
+             for p in ((1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0))]
+    orbit3, orbit5 = _orbit(perms, rep3), _orbit(perms, rep5)
+    sizes = [orbit3.bit_count(), orbit5.bit_count()]
+    if orbit3 | orbit5 != residual or sizes != [20, 6]:
         raise FalsificationError("unexpected coordinate-permutation orbits")
 
     # disconnected case: <S> = C2^l gives 2^(6-l) isomorphic components, so

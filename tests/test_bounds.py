@@ -8,6 +8,7 @@ from bipcayley.autos import (
     inversion_automorphism,
     prime_index_subgroups,
     prime_order_subgroups,
+    stabilizing_automorphisms,
 )
 from bipcayley.bounds import (
     Bound,
@@ -26,8 +27,10 @@ from bipcayley.bounds import (
     threshold_scan,
     _threshold_inequality_holds,
 )
+from bipcayley.classify import _direct_decompositions, _match_product
 from bipcayley.errors import HypothesisViolated
 from bipcayley.groups import (
+    abelian_isomorphism_classes,
     bits_of,
     build_group,
     coset_decompose,
@@ -154,6 +157,45 @@ def test_triples_lemma():
     assert rep.exact >= 1 and rep.holds
 
 
+def _index2_pairs(max_order):
+    for n in range(2, max_order + 1, 2):
+        for invfac in abelian_isomorphism_classes(n):
+            g = build_group(list(invfac))
+            for b in index2_subgroups(g):
+                yield g, b
+
+
+def _subsets_outside(g, b):
+    outside = [1 << a for a in bits_of(b.complement_bits())]
+    for mask in range(1 << len(outside)):
+        yield sum(u for i, u in enumerate(outside) if (mask >> i) & 1)
+
+
+def test_triples_count_matches_a4_witness_oracle():
+    pairs = 0
+    for g, b in _index2_pairs(16):
+        pairs += 1
+        oracle = sum(_match_product(g, cyc, comp, s) is not None
+                     for cyc, comp in _direct_decompositions(g)
+                     for s in _subsets_outside(g, b))
+        assert count_product_triples(g, b) == oracle, (g.orders, b.bits)
+    assert pairs == 52
+
+
+def test_alpha_invariant_count_matches_fixed_subset_oracle():
+    autos_checked = 0
+    for g, b in _index2_pairs(12):
+        for alpha in stabilizing_automorphisms(g, b):
+            if alpha.is_identity:
+                continue
+            autos_checked += 1
+            fixed = sum(alpha.apply_to_set(s) == s
+                        for s in _subsets_outside(g, b))
+            rep = lemma_bound("alpha-invariant", g, b, alpha=alpha)
+            assert rep.exact == fixed, (g.orders, b.bits, alpha.image)
+    assert autos_checked == 197
+
+
 def test_theorem_lower_bounds():
     g8 = build_group([8])
     b8 = index2_subgroups(g8)[0]
@@ -204,6 +246,14 @@ def test_prelim_facts():
     reports = {r.name: r for r in prelim_facts_check(g42)}
     assert reports["z-minus-y"].exact == 2     # |Z \ Y| in {0, 2} <= |A|/4
     assert reports["z-minus-y"].holds
+
+
+def test_z_minus_y_row_reports_the_quarter_bound():
+    for orders, worst in (([4, 2], 2), ([2, 2, 2, 2], 4)):
+        g = build_group(orders)
+        row = {r.name: r for r in prelim_facts_check(g)}["z-minus-y"].row()
+        assert row["log2_bound"] == math.log2(g.size) - 2
+        assert row["exact"] == worst and row["holds"] is True
 
 
 def test_bound_exact_comparisons():
