@@ -219,25 +219,36 @@ def stabilizing_automorphisms(group: AbelianGroup, sub: Subgroup,
 # -- distinguished subgroups --------------------------------------------------
 
 
-def index2_subgroups(group: AbelianGroup) -> list[Subgroup]:
-    """Kernels of the surjective characters A -> C_2, in character order.
+def _character_kernel(group: AbelianGroup, positions: list[int],
+                      coeffs: list[int], p: int) -> Subgroup:
+    """Kernel of the character a -> sum(c * a[q]) mod p over the pairs
+    (c, q) of ``coeffs`` and ``positions``."""
+    bits = 0
+    for a in group.elements():
+        coords = group.decode(a)
+        if sum(c * coords[q] for c, q in zip(coeffs, positions)) % p == 0:
+            bits |= 1 << a
+    return subgroup_from_bits(group, bits)
 
-    Character k (k = 1 .. 2^r - 1) pairs bit j of k with the j-th even-order
-    cyclic factor; the subgroup ``index:k-1`` on the CLI is the (k-1)-th entry
-    of this list.
-    """
+
+def index2_subgroup_count(group: AbelianGroup) -> int:
+    """2^r - 1 surjective characters A -> C_2 for r even-order factors."""
+    return (1 << sum(n % 2 == 0 for n in group.orders)) - 1
+
+
+def index2_subgroup(group: AbelianGroup, k: int) -> Subgroup:
+    """The kernel of character k + 1, which pairs bit j of k + 1 with the
+    j-th even-order cyclic factor: ``index:k`` on the CLI."""
     even_pos = [i for i, n in enumerate(group.orders) if n % 2 == 0]
-    r = len(even_pos)
-    subs: list[Subgroup] = []
-    for eps in range(1, 1 << r):
-        positions = [even_pos[j] for j in range(r) if (eps >> j) & 1]
-        bits = 0
-        for a in group.elements():
-            coords = group.decode(a)
-            if sum(coords[p] for p in positions) % 2 == 0:
-                bits |= 1 << a
-        subs.append(subgroup_from_bits(group, bits))
-    return subs
+    return _character_kernel(group, even_pos,
+                             [(k + 1) >> j & 1 for j in range(len(even_pos))],
+                             2)
+
+
+def index2_subgroups(group: AbelianGroup) -> list[Subgroup]:
+    """Every index-2 subgroup, in character order (see ``index2_subgroup``)."""
+    return [index2_subgroup(group, k)
+            for k in range(index2_subgroup_count(group))]
 
 
 def prime_order_subgroups(group: AbelianGroup) -> list[Subgroup]:
@@ -262,12 +273,7 @@ def prime_index_subgroups(group: AbelianGroup) -> list[Subgroup]:
     for p in primes:
         pos = [i for i, n in enumerate(group.orders) if n % p == 0]
         for eps in _normalized_vectors(p, len(pos)):
-            bits = 0
-            for a in group.elements():
-                coords = group.decode(a)
-                if sum(c * coords[q] for c, q in zip(eps, pos)) % p == 0:
-                    bits |= 1 << a
-            subs.append(subgroup_from_bits(group, bits))
+            subs.append(_character_kernel(group, pos, eps, p))
     return subs
 
 

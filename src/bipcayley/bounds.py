@@ -66,44 +66,33 @@ def log2_dyadic_interval(n: int, frac_bits: int) -> tuple[Fraction, Fraction]:
     return (Fraction(e, 1 << frac_bits), Fraction(e + 1, 1 << frac_bits))
 
 
+def _settle(n: int, decide):
+    """The answer of ``decide(x, outward)`` for x = log2 n, found exactly.
+
+    A dyadic interval around log2 n narrows until ``decide`` agrees at both
+    ends; ``outward`` rounds a rational down at the lower end and up at the
+    upper end, to a grain of 2^-min(prec, 16), so the big-int comparisons
+    ``decide`` makes stay small.  ``decide`` must be monotone in x.
+    """
+    for prec in _PRECISIONS:
+        grain = 1 << min(prec, 16)
+        lo, hi = log2_dyadic_interval(n, prec)
+        low = decide(lo, lambda q: Fraction(math.floor(q * grain), grain))
+        high = decide(hi, lambda q: Fraction(math.ceil(q * grain), grain))
+        if low == high:
+            return low
+    raise ArithmeticError(f"a comparison with log2 {n} is undecided at "
+                          f"max precision")
+
+
 def logsq_below(n: int, t: Fraction) -> bool:
     """Decide (log2 n)^2 < t exactly."""
-    if n & (n - 1) == 0:
-        k = n.bit_length() - 1
-        return Fraction(k * k) < t
-    for prec in _PRECISIONS:
-        lo, hi = log2_dyadic_interval(n, prec)
-        if hi * hi < t:
-            return True
-        if lo * lo >= t:
-            return False
-    raise ArithmeticError(f"(log2 {n})^2 vs {t} undecided at max precision")
+    return _settle(n, lambda x, _: x * x < t)
 
 
 def ceil_exponent(rational: Fraction, n: int, logsq_coeff: int) -> int:
     """Exact ceil(rational + logsq_coeff * (log2 n)^2)."""
-    if logsq_coeff == 0:
-        return math.ceil(rational)
-    if n & (n - 1) == 0:
-        k = n.bit_length() - 1
-        return math.ceil(rational + logsq_coeff * k * k)
-    for prec in _PRECISIONS:
-        lo, hi = log2_dyadic_interval(n, prec)
-        clo = math.ceil(rational + logsq_coeff * lo * lo)
-        chi = math.ceil(rational + logsq_coeff * hi * hi)
-        if clo == chi:
-            return clo
-    raise ArithmeticError("ceil of log-squared exponent undecided")
-
-
-def _quantize_down(q: Fraction, grain_bits: int) -> Fraction:
-    scale = 1 << grain_bits
-    return Fraction(math.floor(q * scale), scale)
-
-
-def _quantize_up(q: Fraction, grain_bits: int) -> Fraction:
-    scale = 1 << grain_bits
-    return Fraction(math.ceil(q * scale), scale)
+    return _settle(n, lambda x, _: math.ceil(rational + logsq_coeff * x * x))
 
 
 def _int_leq_rational_pow(count: int, multiplier: int, n: int, n_exp: int,
@@ -142,31 +131,17 @@ class Bound:
                 + float(self.dyadic) + self.logsq_coeff * ell * ell)
 
     def admits(self, count: int) -> bool:
-        """count <= bound value, decided exactly."""
-        if count <= 0:
-            return True
-        if self.logsq_coeff == 0:
-            return _int_leq_rational_pow(count, self.multiplier, self.n,
-                                         self.n_exp, self.dyadic)
-        if self.n & (self.n - 1) == 0:
+        """count <= bound value, decided exactly: outright when log2 n is
+        not needed or is an integer (the exponent may then have a factor 3 in
+        its denominator, as 11n/48 does, which no dyadic grain represents)."""
+        if self.logsq_coeff == 0 or self.n & (self.n - 1) == 0:
             k = self.n.bit_length() - 1
-            q = self.dyadic + self.logsq_coeff * k * k
-            return _int_leq_rational_pow(count, self.multiplier, self.n,
-                                         self.n_exp, q)
-        for prec in _PRECISIONS:
-            grain = min(prec, 16)
-            lo, hi = log2_dyadic_interval(self.n, prec)
-            qlo = _quantize_down(self.dyadic + self.logsq_coeff * lo * lo,
-                                 grain)
-            qhi = _quantize_up(self.dyadic + self.logsq_coeff * hi * hi,
-                               grain)
-            if _int_leq_rational_pow(count, self.multiplier, self.n,
-                                     self.n_exp, qlo):
-                return True
-            if not _int_leq_rational_pow(count, self.multiplier, self.n,
-                                         self.n_exp, qhi):
-                return False
-        raise ArithmeticError("bound comparison undecided at max precision")
+            return _int_leq_rational_pow(
+                count, self.multiplier, self.n, self.n_exp,
+                self.dyadic + self.logsq_coeff * k * k)
+        return _settle(self.n, lambda x, outward: _int_leq_rational_pow(
+            count, self.multiplier, self.n, self.n_exp,
+            outward(self.dyadic + self.logsq_coeff * x * x)))
 
 
 @dataclass(frozen=True)
@@ -250,25 +225,18 @@ def iter_unit_subsets(units: list[int]):
         yield unit_union(units, choice)
 
 
-def inverse_closed_units(group: AbelianGroup, allowed_bits: int) -> list[int]:
-    """The free choices of an inverse-closed subset of the inverse-closed
-    set ``allowed_bits``: one unit per involution and per {a, -a} pair, in
-    order of their least element."""
-    units = []
-    seen = 0
-    for a in bits_of(allowed_bits):
-        if (seen >> a) & 1:
-            continue
-        unit = (1 << a) | (1 << group.neg(a))
-        units.append(unit)
-        seen |= unit
-    return units
-
-
-def iter_inverse_closed_subsets(group: AbelianGroup, allowed_bits: int):
-    """All inverse-closed subsets of an inverse-closed ground set, in the
-    order of free choices over involutions and {a,-a} pairs."""
-    return iter_unit_subsets(inverse_closed_units(group, allowed_bits))
+def admissible_units(group: AbelianGroup, allowed_bits: int,
+                     mode: str) -> list[int]:
+    """The free choices of a connection set inside ``allowed_bits``, in
+    order of their least element: one unit per element (directed), or per
+    involution and {a, -a} pair of the inverse-closed ``allowed_bits``
+    (undirected).  Every admissible set is a union of units."""
+    if mode not in ("directed", "undirected"):
+        raise ValueError(f"unknown mode {mode!r}")
+    undirected = mode == "undirected"
+    units = {(1 << a) | (1 << (group.neg(a) if undirected else a))
+             for a in bits_of(allowed_bits)}
+    return sorted(units, key=lambda unit: unit & -unit)
 
 
 # -- lemma bounds -----------------------------------------------------------------
@@ -285,20 +253,12 @@ def _orbit_count(images: list[tuple[int, ...]], domain_bits: int) -> int:
     return count
 
 
-def _proper_span_count(group: AbelianGroup, sub: Subgroup,
-                       inverse_closed: bool) -> int:
-    """Exact |{S subset of A\\B : <S> < A (and S = -S if requested)}| by
-    enumerating subsets of maximal subgroups and deduplicating."""
-    seen: set[int] = set()
-    for big in prime_index_subgroups(group):
-        allowed = big.bits & ~sub.bits
-        if inverse_closed:
-            gen = iter_inverse_closed_subsets(group, allowed)
-        else:
-            gen = iter_unit_subsets([1 << a for a in bits_of(allowed)])
-        for bits in gen:
-            seen.add(bits)
-    return len(seen)
+def _proper_span_count(group: AbelianGroup, sub: Subgroup, mode: str) -> int:
+    """Exact |{S admissible in ``mode`` : <S> < A}|, as the union of the
+    admissible sets inside each maximal subgroup."""
+    return len({bits for big in prime_index_subgroups(group)
+                for bits in iter_unit_subsets(admissible_units(
+                    group, big.bits & ~sub.bits, mode))})
 
 
 def lemma_bound(name: str, group: AbelianGroup, sub: Subgroup,
@@ -319,11 +279,13 @@ def lemma_bound(name: str, group: AbelianGroup, sub: Subgroup,
 
     if name == "A1-directed":
         bound = Bound(1, n, 1, Fraction(n, 4))
-        exact = _proper_span_count(group, sub, False) if within_cap else None
+        exact = (_proper_span_count(group, sub, "directed")
+                 if within_cap else None)
 
     elif name == "A1-undirected":
         bound = Bound(1, n, 1, Fraction(n, 8) + Fraction(a2_outside, 2))
-        exact = _proper_span_count(group, sub, True) if within_cap else None
+        exact = (_proper_span_count(group, sub, "undirected")
+                 if within_cap else None)
 
     elif name == "alpha-invariant":
         if alpha is None or alpha.is_identity or not alpha.stabilizes(sub):
@@ -362,7 +324,8 @@ def lemma_bound(name: str, group: AbelianGroup, sub: Subgroup,
         exact = None
         if within_cap:
             exact = 0
-            for bits in iter_inverse_closed_subsets(group, outside_bits):
+            for bits in iter_unit_subsets(admissible_units(
+                    group, outside_bits, "undirected")):
                 if coset_decompose(group, small, bits & ~big.bits):
                     exact += 1
 
@@ -392,7 +355,7 @@ def count_product_triples(group: AbelianGroup, sub: Subgroup) -> int:
     Z elementary abelian of exponent 2, and S = S' x S'' inside A \\ B."""
     total = 0
     for cyc, comp in _direct_decompositions(group):
-        z_units = [1 << z for z in bits_of(comp.bits)]
+        z_units = admissible_units(group, comp.bits, "directed")
         products = {_product_set(group, s_prime, s_dprime)
                     for s_prime in (0, 1, cyc.bits, cyc.bits ^ 1)
                     for s_dprime in iter_unit_subsets(z_units)}

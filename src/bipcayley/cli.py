@@ -24,6 +24,8 @@ from .autos import (
     automorphism_generators,
     enumerate_automorphisms,
     fix_invert_decomposition,
+    index2_subgroup,
+    index2_subgroup_count,
     index2_subgroups,
     inversion_automorphism,
     prime_index_subgroups,
@@ -93,6 +95,13 @@ def _resolve_caps() -> dict:
     return caps
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return value
+
+
 def _budget(text: str) -> int:
     """Budgets accept plain or scientific notation (e.g. 131072 or 1e6)."""
     value = float(text)
@@ -115,12 +124,12 @@ def parse_subgroup_spec(group: AbelianGroup, spec: str) -> Subgroup:
             raise errors.GroupSpecError(
                 f"{spec!r}: k in index:k must be an integer",
                 len("index:")) from None
-        subs = index2_subgroups(group)
-        if not 0 <= k < len(subs):
+        count = index2_subgroup_count(group)
+        if not 0 <= k < count:
             raise errors.GroupSpecError(
-                f"index:{k} out of range; the group has {len(subs)} "
+                f"index:{k} out of range; the group has {count} "
                 f"index-2 subgroups", len("index:"))
-        return subs[k]
+        return index2_subgroup(group, k)
     gens = [_parse_element(group, part, spec)
             for part in spec.split(";") if part.strip()]
     return generated_subgroup(group, gens)
@@ -232,8 +241,7 @@ def _cmd_group_info(args, caps) -> tuple[object, int]:
         "exponent": group.exponent,
         "invariant_factors": list(invariant_factors_of_orders(group.orders)),
         "involution_subgroup_order": inv.order,
-        "index2_subgroup_count": (len(index2_subgroups(group))
-                                  if group.size % 2 == 0 else 0),
+        "index2_subgroup_count": index2_subgroup_count(group),
     }, EXIT_OK
 
 
@@ -309,6 +317,8 @@ def _cmd_index(args, caps) -> tuple[object, int]:
 
 def _cmd_classify(args, caps) -> tuple[object, int]:
     group = build_group(parse_group_spec(args.group), caps["size_cap"])
+    if args.cross_check:
+        check_search_cap(group.size, caps["search_cap"])
     sub = parse_subgroup_spec(group, args.subgroup)
     bits = parse_set_spec(group, sub, args.set)
     rep = classification_report(group, sub, bits, args.mode,
@@ -410,6 +420,7 @@ def _cmd_sample(args, caps) -> tuple[object, int]:
 
 def _cmd_unlabeled(args, caps) -> tuple[object, int]:
     group = build_group(parse_group_spec(args.group), caps["size_cap"])
+    check_search_cap(group.size, caps["search_cap"])
     sub = parse_subgroup_spec(group, args.subgroup)
     rep = unlabeled_count(group, sub, args.mode, canon_cap=caps["canon_cap"])
     return rep.to_json(), EXIT_OK
@@ -474,7 +485,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("auts", help="automorphism enumeration")
     common(p)
     p.add_argument("--stabilizing", help="restrict to alpha with alpha(B)=B")
-    p.add_argument("--limit", type=int, default=0)
+    p.add_argument("--limit", type=_nonnegative, default=0)
     p.add_argument("--list", action="store_true")
 
     p = sub.add_parser("index", help="Cayley index of one connection set")

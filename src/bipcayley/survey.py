@@ -33,8 +33,8 @@ from .autos import (
     inversion_automorphism,
 )
 from .bounds import (
+    admissible_units,
     count_inverse_closed,
-    inverse_closed_units,
     iter_unit_subsets,
     unit_union,
 )
@@ -74,24 +74,9 @@ C26_BLOCK = 50_000
 # -- admissible sets -----------------------------------------------------------
 
 
-def _outside_elements(group: AbelianGroup, sub: Subgroup) -> list[int]:
-    return [a for a in group.elements() if not sub.contains(a)]
-
-
-def _free_units(group: AbelianGroup, sub: Subgroup) -> list[int]:
-    """Independent bits of an inverse-closed subset of A \\ B: one per
-    involution outside B, one per {a, -a} pair outside B."""
-    return inverse_closed_units(group, sub.complement_bits())
-
-
 def _units(group: AbelianGroup, sub: Subgroup, mode: str) -> list[int]:
-    """The free choices of an admissible set: one unit per element outside B
-    (directed), or per involution and {a, -a} pair outside B (undirected)."""
-    if mode == "directed":
-        return [1 << a for a in _outside_elements(group, sub)]
-    if mode == "undirected":
-        return _free_units(group, sub)
-    raise ValueError(f"unknown mode {mode!r}")
+    """The free choices of an admissible set (see ``admissible_units``)."""
+    return admissible_units(group, sub.complement_bits(), mode)
 
 
 def admissible_set_count(group: AbelianGroup, sub: Subgroup, mode: str) -> int:
@@ -315,14 +300,13 @@ def exhaustive_bipartite_index(group: AbelianGroup, sub: Subgroup, mode: str,
         raise BudgetExceeded(
             f"{total} admissible sets exceed the budget of {budget} searches")
     units = _units(group, sub, mode)
-    if mode == "undirected" and (1 << len(units)
-                                 != count_inverse_closed(group, sub)):
+    if 1 << len(units) != total:
         raise FalsificationError(
-            "inverse-closed enumeration disagrees with the counting formula")
+            "admissible-set enumeration disagrees with the counting formula")
     perms = _orbit_generators(group, sub, units, aut_cap) if orbit_reduce else []
     reps = [unit_union(units, choice) for choice
             in orbit_representatives(range(1 << len(units)), perms)]
-    ordered = _generic_first(reps, len(_outside_elements(group, sub)) / 2)
+    ordered = _generic_first(reps, group.size / 4)  # |A \ B| / 2
 
     if threads > 1 and len(ordered) > 64:
         best, argmin = sweep(group, ordered[:32], timeout=timeout)
@@ -791,17 +775,20 @@ def c26_reduced_search(budget: int | None = None,
     best_mask = None
     if checkpoint:
         try:
-            with open(checkpoint, "r", encoding="utf-8") as fh:
-                last = None
-                for line in fh:
-                    if line.strip():
-                        last = json.loads(line)
-                if last:
-                    start = last["cursor"]
-                    best = last["best_index"]
-                    best_mask = last.get("best_mask")
-        except FileNotFoundError:
-            pass
+            with open(checkpoint, "a+", encoding="utf-8") as fh:
+                fh.seek(0)
+                lines = [line for line in fh if line.strip()]
+            if lines:
+                last = json.loads(lines[-1])
+                start, best = last["cursor"], last["best_index"]
+                best_mask = last.get("best_mask")
+                if not (isinstance(start, int) and start >= 0 and all(
+                        v is None or isinstance(v, int)
+                        for v in (best, best_mask))):
+                    raise ValueError("bad cursor, best_index or best_mask")
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise BadParameter(f"checkpoint {checkpoint!r} is unusable: "
+                               f"{exc!r}") from None
     reps_searched = sum(mask is not None
                         for mask in itertools.islice(stream, start))
 

@@ -12,6 +12,8 @@ from bipcayley.autos import (
     example1_automorphism,
     example2_automorphism,
     fix_invert_decomposition,
+    index2_subgroup,
+    index2_subgroup_count,
     index2_subgroups,
     inversion_automorphism,
     is_exceptional_pair,
@@ -19,11 +21,12 @@ from bipcayley.autos import (
     prime_order_subgroups,
     stabilizing_automorphisms,
 )
-from bipcayley.bounds import iter_inverse_closed_subsets
+from bipcayley.bounds import admissible_units, iter_unit_subsets
 from bipcayley.errors import AutCapExceeded, BadParameter
 from bipcayley.groups import (
     bits_of,
     build_group,
+    factor_multisets,
     generated_subgroup,
     involution_subgroup,
 )
@@ -211,6 +214,24 @@ def test_index2_subgroups():
     assert index2_subgroups(build_group([3, 3])) == []
 
 
+def test_single_index2_kernel_matches_the_character_list():
+    for n in range(2, 33):
+        for orders in factor_multisets(n):
+            g = build_group(list(orders))
+            subs = index2_subgroups(g)
+            assert len(subs) == index2_subgroup_count(g)
+            even = [i for i, m in enumerate(orders) if m % 2 == 0]
+            for k, sub in enumerate(subs):
+                single = index2_subgroup(g, k)
+                assert (single.bits, single.generators) == \
+                    (sub.bits, sub.generators)
+                # character k + 1 adds up the coordinates its bits select
+                picked = [p for j, p in enumerate(even) if (k + 1) >> j & 1]
+                assert sub.bits == sum(
+                    1 << a for a in g.elements()
+                    if sum(g.decode(a)[p] for p in picked) % 2 == 0)
+
+
 def test_prime_order_and_index_subgroups():
     g = build_group([6])
     po = prime_order_subgroups(g)
@@ -290,7 +311,8 @@ def test_example2_inverts_x1x2():
                                          (example2_automorphism, 1)])
 def test_examples_fix_every_inverse_closed_set(builder, ell):
     group, sub, alpha = builder(ell)
-    for bits in iter_inverse_closed_subsets(group, sub.complement_bits()):
+    units = admissible_units(group, sub.complement_bits(), "undirected")
+    for bits in iter_unit_subsets(units):
         assert alpha.apply_to_set(bits) == bits
 
 

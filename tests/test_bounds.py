@@ -1,24 +1,29 @@
+import collections
 import math
 from fractions import Fraction
 
 import pytest
 
 from bipcayley.autos import (
+    index2_subgroup,
     index2_subgroups,
     inversion_automorphism,
     prime_index_subgroups,
     prime_order_subgroups,
     stabilizing_automorphisms,
 )
+from bipcayley import bounds
 from bipcayley.bounds import (
     Bound,
+    _int_leq_rational_pow,
+    admissible_units,
     bounds_suite,
     brute_count_inverse_closed,
     ceil_exponent,
     count_inverse_closed,
     count_product_triples,
     inverse_closed_count_report,
-    iter_inverse_closed_subsets,
+    iter_unit_subsets,
     lemma_bound,
     log2_dyadic_interval,
     logsq_below,
@@ -29,6 +34,7 @@ from bipcayley.bounds import (
 )
 from bipcayley.classify import _direct_decompositions, _match_product
 from bipcayley.errors import HypothesisViolated
+from bipcayley.survey import admissible_set_count
 from bipcayley.groups import (
     abelian_isomorphism_classes,
     bits_of,
@@ -65,10 +71,11 @@ def test_count_formula_matches_brute_force_small():
                     brute_count_inverse_closed(g, b)
 
 
-def test_iter_inverse_closed_subsets_complete():
+def test_undirected_admissible_units_complete():
     g = build_group([2, 4])
     for b in index2_subgroups(g):
-        seen = set(iter_inverse_closed_subsets(g, b.complement_bits()))
+        seen = set(iter_unit_subsets(
+            admissible_units(g, b.complement_bits(), "undirected")))
         assert len(seen) == count_inverse_closed(g, b)
         for bits in seen:
             assert g.negate_set(bits) == bits
@@ -202,7 +209,7 @@ def test_theorem_lower_bounds():
     assert theorem_lower_bound("directed", g8, b8) < 0   # vacuous at |A|=8
 
     g1024 = build_group([2] * 10)
-    b1024 = index2_subgroups(g1024)[0]
+    b1024 = index2_subgroup(g1024, 0)
     v = theorem_lower_bound("directed", g1024, b1024)
     assert v > 0
     # conservative rounding: value is at most the float estimate
@@ -278,6 +285,127 @@ def test_log2_interval_and_ceil():
     assert ceil_exponent(Fraction(0), 6, 1) == 7       # (log2 6)^2 = 6.68...
     assert logsq_below(6, Fraction(7))
     assert not logsq_below(6, Fraction(6))
+
+
+# The three precision loops that ``bounds._settle`` replaced, kept verbatim
+# as references; each raises ArithmeticError when undecided.
+
+
+def _logsq_below_reference(n, t):
+    if n & (n - 1) == 0:
+        k = n.bit_length() - 1
+        return Fraction(k * k) < t
+    for prec in bounds._PRECISIONS:
+        lo, hi = log2_dyadic_interval(n, prec)
+        if hi * hi < t:
+            return True
+        if lo * lo >= t:
+            return False
+    raise ArithmeticError
+
+
+def _ceil_exponent_reference(rational, n, logsq_coeff):
+    if logsq_coeff == 0:
+        return math.ceil(rational)
+    if n & (n - 1) == 0:
+        k = n.bit_length() - 1
+        return math.ceil(rational + logsq_coeff * k * k)
+    for prec in bounds._PRECISIONS:
+        lo, hi = log2_dyadic_interval(n, prec)
+        clo = math.ceil(rational + logsq_coeff * lo * lo)
+        chi = math.ceil(rational + logsq_coeff * hi * hi)
+        if clo == chi:
+            return clo
+    raise ArithmeticError
+
+
+def _admits_reference(bound, count):
+    if count <= 0:
+        return True
+    args = (count, bound.multiplier, bound.n, bound.n_exp)
+    if bound.logsq_coeff == 0:
+        return _int_leq_rational_pow(*args, bound.dyadic)
+    if bound.n & (bound.n - 1) == 0:
+        k = bound.n.bit_length() - 1
+        return _int_leq_rational_pow(*args,
+                                     bound.dyadic + bound.logsq_coeff * k * k)
+    for prec in bounds._PRECISIONS:
+        grain = min(prec, 16)
+        scale = 1 << grain
+        lo, hi = log2_dyadic_interval(bound.n, prec)
+        qlo = Fraction(math.floor(
+            (bound.dyadic + bound.logsq_coeff * lo * lo) * scale), scale)
+        qhi = Fraction(math.ceil(
+            (bound.dyadic + bound.logsq_coeff * hi * hi) * scale), scale)
+        if _int_leq_rational_pow(*args, qlo):
+            return True
+        if not _int_leq_rational_pow(*args, qhi):
+            return False
+    raise ArithmeticError
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticError:
+        return "undecided"
+
+
+def test_settle_matches_the_three_reference_loops(monkeypatch):
+    monkeypatch.setattr(bounds, "_PRECISIONS", (8, 13, 16))
+    seen = collections.Counter()
+    for n in (1, 2, 3, 6, 8, 10, 12, 24, 64, 100, 744, 1024):
+        logsq = math.log2(n) ** 2
+        # thresholds and exponents at and around (log2 n)^2, some of them
+        # closer to it than the finest interval can tell
+        for t in {Fraction(math.floor(logsq * d) + e, d)
+                  for d in (1, 7, 1 << 10, 1 << 30) for e in (-1, 0, 1)}:
+            want = _outcome(_logsq_below_reference, n, t)
+            assert _outcome(logsq_below, n, t) == want, (n, t)
+            seen["logsq", want] += 1
+        for coeff in (0, 1, 2):
+            near = Fraction(round(coeff * logsq * 2 ** 30), 2 ** 30)
+            for rational in {5 - near + Fraction(e, d)
+                             for d in (1 << 4, 1 << 12, 1 << 40)
+                             for e in (-1, 0, 1)}:
+                want = _outcome(_ceil_exponent_reference, rational, n, coeff)
+                assert _outcome(ceil_exponent, rational, n, coeff) == want
+                seen["ceil", want == "undecided"] += 1
+    for n in (2, 3, 6, 8):
+        for coeff in (0, 1, 2):
+            for dyadic in (Fraction(-3, 2), Fraction(11 * n, 48)):
+                bound = Bound(3, n, 1, dyadic, coeff)
+                edge = 2 ** bound.log2_float()
+                for count in {0, 1, math.floor(edge) - 1, math.floor(edge),
+                              math.ceil(edge), math.ceil(edge) + 1}:
+                    want = _outcome(_admits_reference, bound, count)
+                    assert _outcome(bound.admits, count) == want, \
+                        (bound, count)
+                    seen["admits", want] += 1
+    # both answers and the undecided outcome all occur on the grid
+    for kind in ("logsq", "admits"):
+        assert all(seen[kind, want] for want in (True, False, "undecided"))
+    assert seen["ceil", True] and seen["ceil", False]
+
+
+def test_admissible_units_partition_the_complement(small_groups):
+    for g in small_groups:
+        for b in index2_subgroups(g):
+            outside = b.complement_bits()
+            for mode in ("directed", "undirected"):
+                units = admissible_units(g, outside, mode)
+                union = 0
+                for unit in units:
+                    assert not union & unit          # disjoint
+                    union |= unit
+                    if mode == "undirected":
+                        assert g.negate_set(unit) == unit
+                    else:
+                        assert unit.bit_count() == 1
+                assert union == outside
+                least = [unit & -unit for unit in units]
+                assert least == sorted(least)
+                assert 1 << len(units) == admissible_set_count(g, b, mode)
 
 
 def test_theorem_bound_below_exhaustive_drr_count():

@@ -185,6 +185,10 @@ def test_usage_errors():
     assert code == 2
     code, _ = run_cli(["survey", "--group", "C6", "--subgroup", "index:x"])
     assert code == 2
+    for extra in ([], ["--list"]):
+        code, text = run_cli(["auts", "--group", "C6", "--limit", "-3"]
+                             + extra)
+        assert (code, text) == (2, "")
 
 
 def test_cap_exit_code(monkeypatch):
@@ -332,8 +336,33 @@ def test_search_cap_refuses_surveys(monkeypatch):
                   "--method", "random", "--samples", "5"],
                  ["table", "--which", "1", "--budget", "600",
                   "--threads", "1"],
-                 ["c26", "--budget", "5"]):
+                 ["c26", "--budget", "5"],
+                 ["unlabeled", "--group", "C2^4", "--subgroup", "index:0"],
+                 ["classify", "--group", "C4xC2^2", "--subgroup", "index:0",
+                  "--set", "1,0,0", "--cross-check"]):
         code, _ = run_cli(argv)
         assert code == 3, argv
     code, _ = run_cli(["c26"])  # the sub-claims search nothing
     assert code == 0
+    code, _ = run_cli(["classify", "--group", "C4xC2^2", "--subgroup",
+                       "index:0", "--set", "1,0,0"])  # no search either
+    assert code == 0
+
+
+def test_unusable_checkpoint_exits_2_before_any_search(tmp_path, monkeypatch,
+                                                       capsys):
+    import bipcayley.survey
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before checking the checkpoint")
+
+    monkeypatch.setattr(bipcayley.survey, "sweep", no_search)
+    (tmp_path / "text").write_text('{"cursor": 0, "best_index": null}\n'
+                                   "not json\n")
+    (tmp_path / "keyless").write_text('{"cursor": 50000}\n')
+    for path in (tmp_path / "missing" / "ck", tmp_path, tmp_path / "text",
+                 tmp_path / "keyless"):
+        code, text = run_cli(["c26", "--budget", "5", "--checkpoint",
+                              str(path)])
+        assert (code, text) == (2, ""), path
+        assert str(path) in capsys.readouterr().err

@@ -126,10 +126,9 @@ def test_dispatcher():
 def test_undirected_sampler_valid():
     g = build_group([4, 2])
     b = subgroup_of_type(g, "C4")
-    from bipcayley.survey import _free_units, _outside_elements, _sample_mask
+    from bipcayley.survey import _sample_mask, _units
     rng = random.Random(0)
-    outside = _outside_elements(g, b)
-    units = _free_units(g, b)
+    units = _units(g, b, "undirected")
     for _ in range(200):
         mask = _sample_mask(rng, units)
         assert g.negate_set(mask) == mask
@@ -139,11 +138,11 @@ def test_undirected_sampler_valid():
 def test_directed_sampler_uniform_support():
     g = build_group([2, 2])
     b = index2_subgroups(g)[0]
-    from bipcayley.survey import _outside_elements, _sample_mask
+    from bipcayley.survey import _sample_mask, _units
     rng = random.Random(7)
-    outside = _outside_elements(g, b)
+    units = _units(g, b, "directed")
     counts = collections.Counter(
-        _sample_mask(rng, [1 << a for a in outside]) for _ in range(2000))
+        _sample_mask(rng, units) for _ in range(2000))
     assert len(counts) == 4                    # full support over 2^2 subsets
     assert all(count > 380 for count in counts.values())  # ~500 each
 
