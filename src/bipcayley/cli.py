@@ -95,10 +95,20 @@ def _resolve_caps() -> dict:
     return caps
 
 
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text} is negative")
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text} is below {low}")
+        return value
+    return integer
+
+
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"{text} is not a positive finite number")
     return value
 
 
@@ -113,9 +123,11 @@ def _budget(text: str) -> int:
 # -- argument parsing helpers ----------------------------------------------------
 
 
-def parse_subgroup_spec(group: AbelianGroup, spec: str) -> Subgroup:
+def parse_subgroup_spec(group: AbelianGroup, spec: str | None) -> Subgroup:
     """``index:k`` (k-th index-2 subgroup in character order) or
     semicolon-separated generator tuples like ``2,0;0,1``."""
+    if spec is None:
+        raise errors.BadParameter("this command needs --subgroup")
     spec = spec.strip()
     if spec.startswith("index:"):
         try:
@@ -395,12 +407,11 @@ def _cmd_table(args, caps) -> tuple[object, int]:
 def _cmd_survey(args, caps) -> tuple[object, int]:
     group = build_group(parse_group_spec(args.group), caps["size_cap"])
     check_search_cap(group.size, caps["search_cap"])
-    if args.method == "random":
-        kwargs = {"samples": args.samples, "seed": args.seed}
-    else:
-        kwargs = {"budget": args.budget, "threads": args.threads,
-                  "progress": _progress_printer(args.progress),
-                  "aut_cap": caps["aut_cap"]}
+    kwargs = ({"samples": args.samples, "seed": args.seed}
+              if args.method == "random" else
+              {"budget": args.budget, "aut_cap": caps["aut_cap"]})
+    kwargs.update(threads=args.threads,
+                  progress=_progress_printer(args.progress))
     if args.all_subgroups:
         return global_index(group, args.mode, method=args.method,
                             **kwargs), EXIT_OK
@@ -453,7 +464,8 @@ def make_parser() -> argparse.ArgumentParser:
                     "exact indices, classification, bounds, and surveys.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, group=True, subgroup=False, conn=False, mode=False):
+    def common(p, group=True, subgroup=False, conn=False, mode=False,
+               threads=False):
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="json")
         p.add_argument("--no-timing", action="store_true",
@@ -473,6 +485,9 @@ def make_parser() -> argparse.ArgumentParser:
         if mode:
             p.add_argument("--mode", choices=("directed", "undirected"),
                            default="directed")
+        if threads:
+            p.add_argument("--threads", type=_int_at_least(1),
+                           default=os.cpu_count() or 1)
 
     p = sub.add_parser("group-info", help="orders, size, exponent, type")
     common(p)
@@ -485,12 +500,12 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("auts", help="automorphism enumeration")
     common(p)
     p.add_argument("--stabilizing", help="restrict to alpha with alpha(B)=B")
-    p.add_argument("--limit", type=_nonnegative, default=0)
+    p.add_argument("--limit", type=_int_at_least(0), default=0)
     p.add_argument("--list", action="store_true")
 
     p = sub.add_parser("index", help="Cayley index of one connection set")
     common(p, subgroup=True, conn=True, mode=True)
-    p.add_argument("--timeout", type=float, default=None)
+    p.add_argument("--timeout", type=_seconds, default=None)
     p.add_argument("--export-graph", metavar="PATH",
                    help="also write a DIMACS-like arc list to PATH")
 
@@ -504,20 +519,18 @@ def make_parser() -> argparse.ArgumentParser:
                    help="scan the corollary-proof thresholds instead")
 
     p = sub.add_parser("table", help="reproduce Table 1 or 2")
-    common(p, group=False)
+    common(p, group=False, threads=True)
     p.add_argument("--which", type=int, choices=(1, 2), required=True)
     p.add_argument("--budget", type=_budget, default=DEFAULT_TABLE_BUDGET)
     p.add_argument("--include-extended", action="store_true")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("survey", help="minimize the index over all sets")
-    common(p, subgroup=True, mode=True)
+    common(p, subgroup=True, mode=True, threads=True)
     p.add_argument("--method", choices=("exhaustive", "random"),
                    default="exhaustive")
     p.add_argument("--budget", type=_budget, default=1 << 24)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--all-subgroups", action="store_true",
                    help="global index: minimize over every index-2 B")
 
@@ -530,11 +543,10 @@ def make_parser() -> argparse.ArgumentParser:
     common(p, subgroup=True, mode=True)
 
     p = sub.add_parser("c26", help="the C2^6 reduction sub-claims / search")
-    common(p, group=False)
+    common(p, group=False, threads=True)
     p.add_argument("--full", action="store_true")
     p.add_argument("--budget", type=_budget, default=None)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     return parser
 
@@ -570,15 +582,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
             if hasattr(args, key) and getattr(args, key) not in (None, ""):
                 config[key] = getattr(args, key)
         result, code = _HANDLERS[args.command](args, caps)
-    except (errors.GroupSpecError, errors.EmptyOrders, errors.OrderBelowTwo,
-            errors.BadParameter, errors.BadSubgroup, errors.SetOutOfRange,
-            errors.SetNotAvoidingB, errors.NotInverseClosed,
-            errors.ExceptionalPair, errors.HypothesisViolated,
-            errors.OddOrder) as exc:
+    except errors.UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (errors.CapExceeded, errors.BudgetExceeded, errors.SizeCapExceeded,
-            errors.Timeout) as exc:
+    except errors.LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except errors.FalsificationError as exc:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Exit-code mapping used by the CLI: usage/validation errors -> 2,
-cap/budget errors -> 3, falsification events -> 4.
+Exit-code mapping used by the CLI, by base class: ``UsageError`` -> 2,
+``LimitExceeded`` -> 3, ``FalsificationError`` -> 4.
 """
 
 
@@ -9,21 +9,29 @@ class BipCayleyError(Exception):
     """Base class for all package errors."""
 
 
+class UsageError(BipCayleyError):
+    """Input or parameter the operation cannot accept."""
+
+
+class LimitExceeded(BipCayleyError):
+    """A cap, budget or timeout stopped the operation."""
+
+
 # --- group construction ---
 
-class EmptyOrders(BipCayleyError):
+class EmptyOrders(UsageError):
     """A group needs at least one cyclic factor."""
 
 
-class OrderBelowTwo(BipCayleyError):
+class OrderBelowTwo(UsageError):
     """Every cyclic factor order must be >= 2."""
 
 
-class SizeCapExceeded(BipCayleyError):
+class SizeCapExceeded(LimitExceeded):
     """Group size exceeds the configured construction cap."""
 
 
-class GroupSpecError(BipCayleyError):
+class GroupSpecError(UsageError):
     """Malformed group/subgroup/set specification string."""
 
     def __init__(self, message, position=None):
@@ -34,42 +42,42 @@ class GroupSpecError(BipCayleyError):
 
 # --- validation ---
 
-class BadParameter(BipCayleyError):
+class BadParameter(UsageError):
     """Parameter outside its documented range."""
 
 
-class BadSubgroup(BipCayleyError):
+class BadSubgroup(UsageError):
     """Subgroup does not satisfy the required hypotheses (e.g. index 2)."""
 
 
-class SetOutOfRange(BipCayleyError):
+class SetOutOfRange(UsageError):
     """Connection set refers to elements outside the group."""
 
 
-class SetNotAvoidingB(BipCayleyError):
+class SetNotAvoidingB(UsageError):
     """Connection set intersects the index-2 subgroup it must avoid."""
 
 
-class NotInverseClosed(BipCayleyError):
+class NotInverseClosed(UsageError):
     """Operation requires an inverse-closed connection set."""
 
 
-class ExceptionalPair(BipCayleyError):
+class ExceptionalPair(UsageError):
     """(A, B) is one of the two exceptional families; the undirected
     classification does not apply."""
 
 
-class HypothesisViolated(BipCayleyError):
+class HypothesisViolated(UsageError):
     """A lemma's hypotheses are not met by the given arguments."""
 
 
-class OddOrder(BipCayleyError):
+class OddOrder(UsageError):
     """Group of odd order has no index-2 subgroup."""
 
 
 # --- caps, budgets, timeouts ---
 
-class CapExceeded(BipCayleyError):
+class CapExceeded(LimitExceeded):
     """Problem size exceeds a configured cap."""
 
 
@@ -77,15 +85,11 @@ class AutCapExceeded(CapExceeded):
     """Automorphism enumeration cap exceeded."""
 
 
-class BudgetExceeded(BipCayleyError):
-    """Search budget exhausted; carries progress information when available."""
-
-    def __init__(self, message, progress=None):
-        super().__init__(message)
-        self.progress = progress
+class BudgetExceeded(LimitExceeded):
+    """Search budget exhausted."""
 
 
-class Timeout(BipCayleyError):
+class Timeout(LimitExceeded):
     """Wall-clock budget for a search exceeded."""
 
 

@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -218,7 +218,8 @@ def _generic_first(masks: Iterable[int], half: float) -> list[int]:
 
 
 def sweep(group: AbelianGroup, masks: Sequence[int],
-          best: int | None = None, timeout: float | None = None,
+          best: int | None = None, threads: int = 1,
+          timeout: float | None = None,
           progress=None) -> tuple[int | None, int | None]:
     """Minimum Cayley index of Cay(A, S) over the connection sets ``masks``,
     and its argmin, as ``(best, argmin)``.
@@ -228,8 +229,32 @@ def sweep(group: AbelianGroup, masks: Sequence[int],
     the argmin is the first mask in stream order whose exact index equals
     the minimum: until that mask the running minimum is above it, so it is
     searched exactly.  ``argmin`` is ``None`` when no mask goes below the
-    starting ``best``.  ``progress(done, total)`` is called every 64 masks.
+    starting ``best``.  ``progress(done, total)`` counts masks.
+
+    With more than one thread and more than 64 masks the sweep runs on
+    ``threads`` worker processes, with the same result.  Without a starting
+    bound the first 32 masks are swept here to find one.  The rest are dealt
+    round-robin into 4 * threads shards, each swept from the same bound; the
+    merge keeps the lowest index, then the earliest stream position.
     """
+    if threads > 1 and len(masks) > 64:
+        head = 32 if best is None else 0
+        best, argmin = sweep(group, masks[:head], best, timeout=timeout)
+        width = 4 * threads
+        shards = [masks[i::width]
+                  for i in range(head, min(head + width, len(masks)))]
+        args = [(group.orders, shard, best, timeout) for shard in shards]
+        found = []  # (index, stream position) of each shard's argmin
+        with futures.ProcessPoolExecutor(max_workers=threads) as pool:
+            for i, (local, pos) in enumerate(pool.map(_shard_worker, args)):
+                if pos is not None:
+                    found.append((local, head + i + pos * width))
+                if progress is not None:
+                    progress(head + sum(map(len, shards[:i + 1])), len(masks))
+        if found:
+            best, pos = min(found)
+            argmin = masks[pos]
+        return best, argmin
     argmin = None
     for done, mask in enumerate(masks, 1):
         digraph = build_cayley(group, connection_set(group, mask))
@@ -249,47 +274,33 @@ def _shard_worker(args) -> tuple[int | None, int | None]:
     return best, None if argmin is None else shard.index(argmin)
 
 
-def _sweep_sharded(group: AbelianGroup, masks: Sequence[int],
-                   best: int | None, threads: int,
-                   timeout: float | None = None,
-                   progress=None) -> tuple[int | None, int | None]:
-    """``sweep`` on ``threads`` worker processes, with the same result.
-
-    The masks are dealt round-robin into 4 * threads shards, each swept from
-    the same starting ``best``.  Each worker returns its minimum and the
-    position of its argmin; the merge keeps the lowest index, then the
-    earliest stream position.  ``progress(done, total)`` counts shards.
-    """
-    width = 4 * threads
-    shards = [masks[i::width] for i in range(min(width, len(masks)))]
-    args = [(group.orders, shard, best, timeout) for shard in shards]
-    found = None  # (index, stream position)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for i, (local, pos) in enumerate(pool.map(_shard_worker, args)):
-            if pos is not None:
-                here = (local, i + pos * width)
-                found = here if found is None else min(found, here)
-            if progress is not None:
-                progress(i + 1, len(args))
-    if found is None:
-        return best, None
-    return found[0], masks[found[1]]
-
-
 def _decode_set(group: AbelianGroup, mask: int) -> list:
     return sorted(list(group.decode(a)) for a in bits_of(mask))
 
 
-def _recheck(group: AbelianGroup, mask: int, best: int) -> None:
+def _survey(group: AbelianGroup, sub: Subgroup, mode: str,
+            masks: Sequence[int], threads: int, timeout: float | None,
+            progress, **fields) -> IndexSurveyResult:
+    """The survey result of ``sweep`` over ``masks``, its argmin re-checked
+    by a full stabilizer search."""
+    best, argmin = sweep(group, masks, threads=threads, timeout=timeout,
+                         progress=progress)
     recheck = vertex_stabilizer(
-        build_cayley(group, connection_set(group, mask))).cayley_index
+        build_cayley(group, connection_set(group, argmin))).cayley_index
     if recheck != best:
         raise FalsificationError("argmin re-check disagrees with the minimum")
+    return IndexSurveyResult(
+        group=format_group_spec(group.orders),
+        subgroup=[list(group.decode(g)) for g in sub.generators],
+        mode=mode,
+        min_index=best,
+        argmin_set=_decode_set(group, argmin),
+        **fields,
+    )
 
 
 def exhaustive_bipartite_index(group: AbelianGroup, sub: Subgroup, mode: str,
                                budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
-                               orbit_reduce: bool = True,
                                threads: int = 1,
                                timeout: float | None = None,
                                progress=None,
@@ -303,32 +314,14 @@ def exhaustive_bipartite_index(group: AbelianGroup, sub: Subgroup, mode: str,
     if 1 << len(units) != total:
         raise FalsificationError(
             "admissible-set enumeration disagrees with the counting formula")
-    perms = _orbit_generators(group, sub, units, aut_cap) if orbit_reduce else []
+    perms = _orbit_generators(group, sub, units, aut_cap)
     reps = [unit_union(units, choice) for choice
             in orbit_representatives(range(1 << len(units)), perms)]
     ordered = _generic_first(reps, group.size / 4)  # |A \ B| / 2
-
-    if threads > 1 and len(ordered) > 64:
-        best, argmin = sweep(group, ordered[:32], timeout=timeout)
-        best, found = _sweep_sharded(group, ordered[32:], best, threads,
-                                     timeout=timeout, progress=progress)
-        if found is not None:
-            argmin = found
-    else:
-        best, argmin = sweep(group, ordered, timeout=timeout,
-                             progress=progress)
-    _recheck(group, argmin, best)
-    return IndexSurveyResult(
-        group=format_group_spec(group.orders),
-        subgroup=[list(group.decode(g)) for g in sub.generators],
-        mode=mode,
-        min_index=best,
-        argmin_set=_decode_set(group, argmin),
-        sets_examined=total,
-        reps_searched=len(reps),
-        method="exhaustive",
-        details={"orbit_generators": len(perms), "recheck": True},
-    )
+    return _survey(group, sub, mode, ordered, threads, timeout, progress,
+                   sets_examined=total, reps_searched=len(reps),
+                   method="exhaustive",
+                   details={"orbit_generators": len(perms), "recheck": True})
 
 
 def _sample_mask(rng: random.Random, units: list[int]) -> int:
@@ -337,7 +330,9 @@ def _sample_mask(rng: random.Random, units: list[int]) -> int:
 
 def random_bipartite_index(group: AbelianGroup, sub: Subgroup, mode: str,
                            samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                           timeout: float | None = None) -> IndexSurveyResult:
+                           threads: int = 1,
+                           timeout: float | None = None,
+                           progress=None) -> IndexSurveyResult:
     """Minimum index over uniformly random admissible sets (an upper bound)."""
     check_index2(sub)
     if samples < 1:
@@ -345,20 +340,11 @@ def random_bipartite_index(group: AbelianGroup, sub: Subgroup, mode: str,
     rng = random.Random(seed)
     units = _units(group, sub, mode)
     masks = [_sample_mask(rng, units) for _ in range(samples)]
-    best, argmin = sweep(group, masks, timeout=timeout)
-    _recheck(group, argmin, best)
-    return IndexSurveyResult(
-        group=format_group_spec(group.orders),
-        subgroup=[list(group.decode(g)) for g in sub.generators],
-        mode=mode,
-        min_index=best,
-        argmin_set=_decode_set(group, argmin),
-        sets_examined=samples,
-        reps_searched=samples,
-        method="random",
-        details={"seed": seed, "upper_bound_only": True,
-                 "rng": "mersenne-twister"},
-    )
+    return _survey(group, sub, mode, masks, threads, timeout, progress,
+                   sets_examined=samples, reps_searched=samples,
+                   method="random",
+                   details={"seed": seed, "upper_bound_only": True,
+                            "rng": "mersenne-twister"})
 
 
 def bipartite_index(group: AbelianGroup, sub: Subgroup, mode: str,
@@ -799,10 +785,7 @@ def c26_reduced_search(budget: int | None = None,
         block = list(itertools.islice(stream, min(C26_BLOCK,
                                                   limit - searched)))
         reps = [mask for mask in block if mask is not None]
-        if threads > 1:
-            best, found = _sweep_sharded(group, reps, best, threads)
-        else:
-            best, found = sweep(group, reps, best)
+        best, found = sweep(group, reps, best, threads=threads)
         if found is not None:
             best_mask = found
         searched += len(block)

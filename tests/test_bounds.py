@@ -8,6 +8,7 @@ from bipcayley.autos import (
     index2_subgroup,
     index2_subgroups,
     inversion_automorphism,
+    is_exceptional_pair,
     prime_index_subgroups,
     prime_order_subgroups,
     stabilizing_automorphisms,
@@ -420,6 +421,39 @@ def test_theorem_bound_below_exhaustive_drr_count():
                     build_cayley(g, connection_set(g, m))).cayley_index == 1
                 for m in iter_admissible_sets(g, b, "directed"))
             assert theorem_lower_bound("directed", g, b) <= drr
+
+
+def _alpha_worst_reference(group, sub):
+    """The alpha rows as ``bounds_suite`` first built them: one
+    ``lemma_bound`` report per B-stabilizing automorphism, the first of
+    largest count kept per family."""
+    iota = inversion_automorphism(group)
+    undirected = group.exponent > 2 and not is_exceptional_pair(group, sub)
+    families = {"alpha-invariant": [], "alpha-undirected": []}
+    for alpha in stabilizing_automorphisms(group, sub):
+        if alpha.is_identity:
+            continue
+        families["alpha-invariant"].append(
+            lemma_bound("alpha-invariant", group, sub, alpha=alpha))
+        if undirected and alpha.image != iota.image:
+            families["alpha-undirected"].append(
+                lemma_bound("alpha-undirected", group, sub, alpha=alpha))
+    return [max(reps, key=lambda rep: rep.exact)
+            for reps in families.values() if reps]
+
+
+def test_bounds_suite_alpha_rows_match_per_automorphism_reports(small_groups):
+    def key(rep):
+        return rep.name, rep.exact, rep.bound, rep.holds
+
+    for g in small_groups:
+        for b in index2_subgroups(g):
+            rows = [rep for rep in bounds_suite(g, b)
+                    if rep.name.startswith("alpha")]
+            assert [key(rep) for rep in rows] == [
+                key(rep) for rep in _alpha_worst_reference(g, b)], g.orders
+            assert all(rep.details == {"aggregated": "max over alpha"}
+                       for rep in rows)
 
 
 def test_bounds_suite_all_hold():

@@ -116,6 +116,14 @@ def test_survey_all_subgroups_random():
     assert run_cli(argv) == (0, text)
 
 
+def test_random_survey_threads_keep_the_result():
+    argv = ["survey", "--group", "C2xC6", "--subgroup", "index:0", "--method",
+            "random", "--samples", "300", "--seed", "3", "--no-timing"]
+    results = [run_json(argv + ["--threads", threads])[1]["result"]
+               for threads in ("1", "2")]
+    assert results[0] == results[1]
+
+
 def test_sample_command():
     code, payload = run_json(["sample", "--group", "C6", "--subgroup",
                               "index:0", "--mode", "directed",
@@ -152,7 +160,7 @@ def test_byte_identical_repeat():
     assert first == second
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     code, _ = run_cli(["group-info", "--group", "C4yC2"])
     assert code == 2
     code, _ = run_cli(["index", "--group", "C6", "--subgroup", "index:5",
@@ -189,6 +197,35 @@ def test_usage_errors():
         code, text = run_cli(["auts", "--group", "C6", "--limit", "-3"]
                              + extra)
         assert (code, text) == (2, "")
+    capsys.readouterr()
+    for argv in (["survey", "--group", "C6"],  # no --subgroup
+                 ["classify", "--group", "C6", "--set", "1"],
+                 ["sample", "--group", "C6"],
+                 ["unlabeled", "--group", "C6"],
+                 ["index", "--group", "C6", "--set", "1", "--timeout", "nan"],
+                 ["index", "--group", "C6", "--set", "1", "--timeout", "inf"],
+                 ["index", "--group", "C6", "--set", "1", "--timeout", "0"],
+                 ["survey", "--group", "C6", "--subgroup", "index:0",
+                  "--threads", "0"],
+                 ["table", "--which", "1", "--threads", "-2"],
+                 ["c26", "--threads", "0"]):
+        assert run_cli(argv) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err, argv
+
+
+def test_exit_codes_follow_two_base_classes():
+    from bipcayley import errors
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    bases = (errors.UsageError, errors.LimitExceeded)
+    for cls in subclasses(errors.BipCayleyError):
+        if cls not in bases + (errors.FalsificationError,):
+            assert sum(issubclass(cls, base) for base in bases) == 1, cls
 
 
 def test_cap_exit_code(monkeypatch):

@@ -69,10 +69,10 @@ def test_bipartite_index_undirected_c2xc4():
 def test_orbit_reduction_consistency():
     g = build_group([2, 2, 2])
     b = subgroup_of_type(g, "C2^2")
-    with_red = exhaustive_bipartite_index(g, b, "directed", orbit_reduce=True)
-    without = exhaustive_bipartite_index(g, b, "directed", orbit_reduce=False)
-    assert with_red.min_index == without.min_index == 6
-    assert without.reps_searched == 16 >= with_red.reps_searched
+    reduced = exhaustive_bipartite_index(g, b, "directed")
+    everything = list(iter_admissible_sets(g, b, "directed"))
+    assert reduced.min_index == sweep(g, everything)[0] == 6
+    assert len(everything) == 16 >= reduced.reps_searched
 
 
 def test_budget_exceeded():
@@ -342,18 +342,34 @@ def test_parallel_sweep_matches_serial():
 
 
 def test_sweep_argmin_is_first_achiever_in_stream_order():
+    """Serial and sharded sweeps of the 256 directed sets of (C4xC2^2,
+    index:0) return the minimum and its first achiever, also when that
+    achiever lies inside or past the 32 masks swept before sharding."""
     from bipcayley.cayley import build_cayley, connection_set
     from bipcayley.stabilizer import vertex_stabilizer
-    g = build_group([2, 2, 2])
-    b = subgroup_of_type(g, "C2^2")
+    g = build_group([4, 2, 2])
+    b = index2_subgroups(g)[0]
     masks = list(iter_admissible_sets(g, b, "directed"))
     index = {m: vertex_stabilizer(
         build_cayley(g, connection_set(g, m))).cayley_index for m in masks}
     low = min(index.values())
-    for stream in (masks, masks[::-1]):
-        assert sweep(g, stream) == (
-            low, next(m for m in stream if index[m] == low))
-    assert sweep(g, masks, best=low) == (low, None)
+    hits = [i for i, m in enumerate(masks) if index[m] == low]
+    shift = next(s for s in range(len(masks))
+                 if min((i - s) % len(masks) for i in hits) > 32)
+    for stream in (masks, masks[::-1], masks[shift:] + masks[:shift]):
+        first = next(m for m in stream if index[m] == low)
+        assert sweep(g, stream, threads=2) == sweep(g, stream) == (low, first)
+    assert sweep(g, masks, best=low, threads=2) == (low, None)
+
+
+def test_random_survey_threads_keep_the_answer():
+    g = build_group([4, 2, 2])
+    b = index2_subgroups(g)[0]
+    serial, sharded = (random_bipartite_index(g, b, "directed", samples=200,
+                                              seed=7, threads=threads)
+                       for threads in (1, 2))
+    assert (serial.min_index, serial.argmin_set) == (
+        sharded.min_index, sharded.argmin_set)
 
 
 # The argmin of the first 400 C2^6 candidates (the minimum drops from 48 to
@@ -395,12 +411,11 @@ def test_c26_threaded_resume_matches_straight(tmp_path, c26_serial_400):
 
 def test_worker_timeout_reaches_caller():
     from bipcayley.errors import Timeout
-    from bipcayley.survey import _sweep_sharded
     g = build_group([2, 2, 2, 2])
     b = subgroup_of_type(g, "C2^3")
     masks = list(iter_admissible_sets(g, b, "directed"))
-    with pytest.raises(Timeout):
-        _sweep_sharded(g, masks, None, 2, timeout=0.0)
+    with pytest.raises(Timeout):  # a starting bound skips the serial head
+        sweep(g, masks, best=1 << 40, threads=2, timeout=0.0)
 
 
 def test_exhaustive_timeout_propagates():
