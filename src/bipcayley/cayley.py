@@ -3,7 +3,9 @@
 Adjacency is stored as one out-neighbor bitset per vertex: (g, h) is an arc
 iff g - h lies in the connection set (the multiplicative gh^-1 condition in
 additive notation), so the out-neighborhood of g is g - S and right
-translation by any group element is an automorphism.
+translation by any group element is an automorphism.  The out-rows are thus
+the translates of -S and the in-rows the translates of S, and both are built
+by rotating bitsets (``AbelianGroup.translates``).
 """
 
 from __future__ import annotations
@@ -62,20 +64,9 @@ class CayleyDigraph:
     def __init__(self, group: AbelianGroup, conn: ConnectionSet):
         self.group = group
         self.conn = conn
-        n = group.size
-        out = [0] * n
-        for s in conn.elements():
-            for g in range(n):
-                out[g] |= 1 << group.sub(g, s)
-        self.out_neighbors = out
-        if conn.inverse_closed:
-            self.in_neighbors = out
-        else:
-            inn = [0] * n
-            for g in range(n):
-                for h in bits_of(out[g]):
-                    inn[h] |= 1 << g
-            self.in_neighbors = inn
+        self.out_neighbors = group.translates(group.negate_set(conn.bits))
+        self.in_neighbors = (self.out_neighbors if conn.inverse_closed
+                             else group.translates(conn.bits))
 
     @property
     def n(self) -> int:

@@ -311,10 +311,14 @@ def _cmd_index(args, caps) -> tuple[object, int]:
     conn = connection_set(group, bits)
     if args.mode == "undirected" and not conn.inverse_closed:
         raise errors.NotInverseClosed("undirected mode requires S = -S")
-    if getattr(args, "export_graph", None):
+    if args.export_graph:
         from .cayley import build_cayley, edge_list_text
-        with open(args.export_graph, "w", encoding="utf-8") as fh:
-            fh.write(edge_list_text(build_cayley(group, conn)))
+        try:
+            with open(args.export_graph, "w", encoding="utf-8") as fh:
+                fh.write(edge_list_text(build_cayley(group, conn)))
+        except OSError as exc:
+            raise errors.BadParameter(f"cannot write --export-graph "
+                                      f"{args.export_graph!r}: {exc!r}") from None
     rep = report_json(group, bits, sub, cap=caps["search_cap"],
                       timeout=args.timeout, with_timing=not args.no_timing)
     rep["mode"] = args.mode
@@ -566,6 +570,10 @@ _HANDLERS = {
 }
 
 
+# Survey options that the other method does not read, kept out of the echo.
+_IGNORED_BY_METHOD = {"exhaustive": ("seed", "samples"), "random": ("budget",)}
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     parser = make_parser()
@@ -576,10 +584,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         caps = _resolve_caps()
         config = {"command": args.command, **caps}
+        ignored = _IGNORED_BY_METHOD.get(getattr(args, "method", None), ())
         for key in ("group", "subgroup", "set", "mode", "method", "seed",
                     "samples", "budget", "threads", "which", "format",
                     "kind", "timeout"):
-            if hasattr(args, key) and getattr(args, key) not in (None, ""):
+            if key not in ignored and getattr(args, key, None) not in (None, ""):
                 config[key] = getattr(args, key)
         result, code = _HANDLERS[args.command](args, caps)
     except errors.UsageError as exc:

@@ -144,6 +144,23 @@ class AbelianGroup:
             out |= 1 << self.neg(b)
         return out
 
+    def translates(self, mask: int) -> list[int]:
+        """``[translate_set(mask, g) for g in elements()]``, by rotations:
+        adding e_i shifts by w_i the bits whose digit i is below n_i - 1 and
+        wraps the rest down by (n_i - 1) * w_i.  Each coordinate, from the
+        last, rotates the rows built so far n_i - 1 times."""
+        full = (1 << self.size) - 1
+        rows = [mask]
+        for n, w in zip(reversed(self.orders), reversed(self._weights)):
+            wrap = (n - 1) * w
+            high = ((1 << w) - 1 << wrap) * (full // ((1 << n * w) - 1))
+            low = full ^ high
+            block = rows
+            for _ in range(n - 1):
+                block = [(x & low) << w | (x & high) >> wrap for x in block]
+                rows += block
+        return rows
+
     def __eq__(self, other) -> bool:
         return isinstance(other, AbelianGroup) and self.orders == other.orders
 

@@ -13,7 +13,12 @@ from bipcayley.cayley import (
     is_connected,
 )
 from bipcayley.errors import CapExceeded, SetOutOfRange
-from bipcayley.groups import build_group, generated_subgroup, involution_subgroup
+from bipcayley.groups import (
+    bits_of,
+    build_group,
+    generated_subgroup,
+    involution_subgroup,
+)
 
 
 def test_directed_six_cycle():
@@ -182,3 +187,43 @@ def test_exports():
     adj = adjacency_text(d).strip().split("\n")
     assert len(adj) == 4 and all(len(r) == 4 for r in adj)
     assert adj[1][0] == "1"  # arc (1, 0): 1 - 0 = 1 in S
+
+
+def reference_rows(group, bits):
+    """Element-wise rows: out[g] = {g - s} and in[h] = {h + s}, s in S."""
+    n = group.size
+    out, inn = [0] * n, [0] * n
+    for s in bits_of(bits):
+        for g in range(n):
+            out[g] |= 1 << group.sub(g, s)
+            inn[g] |= 1 << group.add(g, s)
+    return out, inn
+
+
+def assert_rows_match(group, bits):
+    d = build_cayley(group, connection_set(group, bits))
+    assert (d.out_neighbors, d.in_neighbors) == reference_rows(group, bits)
+
+
+def test_rows_match_reference_on_small_groups(small_groups):
+    rng = random.Random(13)
+    for g in small_groups:
+        if g.size <= 8:
+            masks = range(1 << g.size)
+        else:
+            masks = [rng.getrandbits(g.size) for _ in range(40)]
+        for bits in masks:
+            assert_rows_match(g, bits)
+            assert_rows_match(g, bits | g.negate_set(bits))
+
+
+def test_rows_match_reference_on_mixed_radix_groups():
+    rng = random.Random(17)
+    for orders in ([2, 30], [4, 2, 2, 2], [2] * 6, [3, 4, 5]):
+        g = build_group(orders)
+        for _ in range(20):
+            bits = rng.getrandbits(g.size)
+            assert_rows_match(g, bits)
+            undirected = bits | g.negate_set(bits)
+            assert connection_set(g, undirected).inverse_closed
+            assert_rows_match(g, undirected)

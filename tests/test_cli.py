@@ -403,3 +403,39 @@ def test_unusable_checkpoint_exits_2_before_any_search(tmp_path, monkeypatch,
                               str(path)])
         assert (code, text) == (2, ""), path
         assert str(path) in capsys.readouterr().err
+
+
+def test_unwritable_export_graph_exits_2_before_any_search(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    import bipcayley.cli
+
+    argv = ["index", "--group", "C6", "--subgroup", "index:0", "--set", "1",
+            "--no-timing", "--export-graph"]
+    good = tmp_path / "arcs.txt"
+    assert run_cli(argv + [str(good)])[0] == 0
+    assert good.read_text().splitlines()[:2] == ["p digraph 6 6", "a 0 5"]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before opening the export file")
+
+    monkeypatch.setattr(bipcayley.cli, "report_json", no_search)
+    for path in (tmp_path / "missing" / "arcs.txt", tmp_path):
+        code, text = run_cli(argv + [str(path)])
+        assert (code, text) == (2, ""), path
+        assert str(path) in capsys.readouterr().err
+
+
+def test_survey_echoes_only_the_options_of_its_method():
+    base = ["survey", "--group", "C2xC6", "--subgroup", "index:0",
+            "--threads", "1", "--no-timing"]
+    code, payload = run_json(base + ["--method", "random", "--samples", "20"])
+    assert code == 0
+    config = payload["config"]
+    assert config["seed"] == 0 and config["samples"] == 20
+    assert "budget" not in config
+    code, payload = run_json(base + ["--method", "exhaustive"])
+    assert code == 0
+    config = payload["config"]
+    assert config["budget"] == 1 << 24
+    assert "seed" not in config and "samples" not in config

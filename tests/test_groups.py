@@ -206,6 +206,13 @@ def test_translate_and_negate_set():
     assert g.negate_set(mask) == (1 << 5) | (1 << 4)
 
 
+def test_translates_are_translate_set_in_index_order(small_groups):
+    for g in small_groups + [build_group([3, 4, 5])]:
+        mask = sum(1 << a for a in g.elements() if a % 3 == 1)
+        assert g.translates(mask) == [g.translate_set(mask, a)
+                                      for a in g.elements()]
+
+
 def test_bits_of():
     assert list(bits_of(0b101001)) == [0, 3, 5]
     assert list(bits_of(0)) == []

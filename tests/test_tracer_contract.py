@@ -1,7 +1,8 @@
 """The benchmark tracer (``bench/tracer.py``) wraps library functions and
 methods by name.  A renamed or removed name breaks ``install()`` or empties a
-metric, so this runs one traced stabilizer search and one canonical form and
-checks that the search metrics are populated."""
+metric, so this builds one traced digraph, runs one stabilizer search and one
+canonical form on it, and checks that the build and search metrics are
+populated."""
 
 import json
 import os
@@ -41,6 +42,7 @@ def test_tracer_installs_and_fills_the_search_metrics():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     metrics = out["metrics"]
+    assert metrics["cayley.build.calls"] == 1
     assert metrics["search.runs"] == 1
     assert metrics["search.refine.calls"] > 0
     assert metrics["search.leaf_checks"] > 0
