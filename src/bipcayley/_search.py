@@ -393,11 +393,10 @@ class CanonicalSearch:
     """Minimal row-major adjacency string over the leaves of the
     individualization-refinement tree (with orbit pruning)."""
 
-    def __init__(self, out_adj, in_adj, timeout=None):
+    def __init__(self, out_adj, in_adj):
         self.out_adj = out_adj
         self.in_adj = in_adj
         self.n = len(out_adj)
-        self.deadline = None if timeout is None else time.monotonic() + timeout
         self.best: bytes | None = None
         self.best_leaf: list[int] | None = None
         self.gens: list[Perm] = []
@@ -411,8 +410,6 @@ class CanonicalSearch:
         return self.best
 
     def _descend(self, cells) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise Timeout("canonical labeling exceeded its time budget")
         idx = _target_cell_index(cells)
         if idx < 0:
             self._leaf(cells)

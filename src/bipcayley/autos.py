@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from ._search import _orbit
+from ._search import _orbit, perm_on_set
 from .errors import AutCapExceeded, BadParameter
 from .groups import (
     AbelianGroup,
@@ -63,10 +63,7 @@ class Automorphism:
         return o
 
     def apply_to_set(self, mask: int) -> int:
-        out = 0
-        for b in bits_of(mask):
-            out |= 1 << self.image[b]
-        return out
+        return perm_on_set(self.image, mask)
 
     def fixes_set(self, mask: int) -> bool:
         for b in bits_of(mask):
@@ -77,10 +74,6 @@ class Automorphism:
     def stabilizes(self, sub: Subgroup) -> bool:
         """Setwise stability; for subgroups it suffices to map generators in."""
         return all((sub.bits >> self.image[g]) & 1 for g in sub.generators)
-
-
-def identity_automorphism(group: AbelianGroup) -> Automorphism:
-    return Automorphism(group, tuple(range(group.size)))
 
 
 def inversion_automorphism(group: AbelianGroup) -> Automorphism:
@@ -97,7 +90,7 @@ def automorphism_from_generator_images(
         if n % group.element_order(t) != 0:
             raise BadParameter(
                 f"image order {group.element_order(t)} does not divide {n}")
-    alpha = next(_automorphisms(group, group.size, (), gen_images), None)
+    alpha = next(_automorphisms(group, (), gen_images), None)
     if alpha is None:
         raise BadParameter("generator images do not define a bijection")
     return alpha
@@ -117,7 +110,7 @@ def _elements_by_order(group: AbelianGroup) -> dict[int, list[int]]:
     return by_order
 
 
-def _automorphisms(group: AbelianGroup, cap: int, fixing: Sequence[int],
+def _automorphisms(group: AbelianGroup, fixing: Sequence[int],
                    prefix: Sequence[int] = ()) -> Iterator[Automorphism]:
     """The backtrack behind every automorphism search of this module.
 
@@ -127,7 +120,6 @@ def _automorphisms(group: AbelianGroup, cap: int, fixing: Sequence[int],
     interleaves the columns arr + c*t (0 < c < n_i).  t is dropped at the
     first image that repeats or changes membership of a ``fixing`` bitset.
     """
-    _check_cap(group, cap)
     table = group._add
     # sig[a] has bit j set iff a lies in fixing[j]; want[i][c-1][q] is the
     # sig of the preimage at position q*n_i + c of level i
@@ -176,7 +168,8 @@ def enumerate_automorphisms(group: AbelianGroup, cap: int = AUT_CAP,
     in the generator images as element indices: the identity need not come
     first (it does not for ``C2xC6``).  The stream equals the full one
     filtered, but pruning means it never walks all of Aut(A)."""
-    yield from _automorphisms(group, cap, fixing)
+    _check_cap(group, cap)
+    yield from _automorphisms(group, fixing)
 
 
 def automorphism_generators(group: AbelianGroup, fixing: Sequence[int] = (),
@@ -197,8 +190,8 @@ def automorphism_generators(group: AbelianGroup, fixing: Sequence[int] = (),
         orbit = _orbit([alpha.image for alpha in gens], base[i])
         for t in _elements_by_order(group).get(group.orders[i], ()):
             if not (orbit >> t) & 1:
-                alpha = next(_automorphisms(group, cap, fixing,
-                                            base[:i] + [t]), None)
+                alpha = next(_automorphisms(group, fixing, base[:i] + [t]),
+                             None)
                 if alpha is not None:
                     gens.append(alpha)
                     orbit = _orbit([a.image for a in gens], base[i])
@@ -318,14 +311,13 @@ def fix_invert_decomposition(group: AbelianGroup,
 # -- the two exceptional families ---------------------------------------------
 
 
-def example1_automorphism(ell: int, size_cap: int | None = None
-                          ) -> tuple[AbelianGroup, Subgroup, Automorphism]:
+def example1_automorphism(
+        ell: int) -> tuple[AbelianGroup, Subgroup, Automorphism]:
     """C4 x C2^ell with B of type C2^(ell+1) and the pair-preserving
     automorphism x -> x^-1, y1 -> x^2*y1, yi -> yi."""
     if ell < 1:
         raise BadParameter("ell must be >= 1")
-    orders = [4] + [2] * ell
-    group = build_group(orders, size_cap) if size_cap else build_group(orders)
+    group = build_group([4] + [2] * ell)
     gens = group.generators()
     x, ys = gens[0], gens[1:]
     x2 = group.add(x, x)
@@ -336,14 +328,13 @@ def example1_automorphism(ell: int, size_cap: int | None = None
     return group, sub, alpha
 
 
-def example2_automorphism(ell: int, size_cap: int | None = None
-                          ) -> tuple[AbelianGroup, Subgroup, Automorphism]:
+def example2_automorphism(
+        ell: int) -> tuple[AbelianGroup, Subgroup, Automorphism]:
     """C4^2 x C2^ell with B of type C4 x C2^(ell+1) and the automorphism
     x1 -> x1, x2 -> x1^2*x2^-1, yi -> yi."""
     if ell < 0:
         raise BadParameter("ell must be >= 0")
-    orders = [4, 4] + [2] * ell
-    group = build_group(orders, size_cap) if size_cap else build_group(orders)
+    group = build_group([4, 4] + [2] * ell)
     gens = group.generators()
     x1, x2, ys = gens[0], gens[1], gens[2:]
     x1sq = group.add(x1, x1)

@@ -180,6 +180,15 @@ def count_inverse_closed(group: AbelianGroup, sub: Subgroup) -> int:
     return 1 << (a2_outside + paired // 2)
 
 
+def admissible_set_count(group: AbelianGroup, sub: Subgroup, mode: str) -> int:
+    """Number of admissible connection sets: all subsets of A \\ B when
+    directed, the inverse-closed ones when undirected."""
+    check_index2(sub)
+    if mode == "directed":
+        return 1 << (group.size // 2)
+    return count_inverse_closed(group, sub)
+
+
 def inverse_closed_count_report(group: AbelianGroup, sub: Subgroup) -> dict:
     a2 = involution_subgroup(group)
     a2_outside = popcount(a2.bits & ~sub.bits)
@@ -264,8 +273,7 @@ def _proper_span_count(group: AbelianGroup, sub: Subgroup, mode: str) -> int:
 def lemma_bound(name: str, group: AbelianGroup, sub: Subgroup,
                 alpha: Automorphism | None = None,
                 small: Subgroup | None = None,
-                big: Subgroup | None = None,
-                exact_cap: int = EXACT_SUBSET_CAP) -> BoundReport:
+                big: Subgroup | None = None) -> BoundReport:
     """One named lemma bound with its exact count (when within the cap).
 
     Names: A1-directed, A1-undirected, alpha-invariant, alpha-undirected,
@@ -274,7 +282,7 @@ def lemma_bound(name: str, group: AbelianGroup, sub: Subgroup,
     check_index2(sub)
     n = group.size
     a2_outside = popcount(involution_subgroup(group).bits & ~sub.bits)
-    within_cap = n <= exact_cap
+    within_cap = n <= EXACT_SUBSET_CAP
     outside_bits = sub.complement_bits()
 
     if name == "A1-directed":
@@ -375,16 +383,14 @@ def theorem_lower_bound(which: str, group: AbelianGroup, sub: Subgroup) -> int:
     check_index2(sub)
     n = group.size
     if which == "directed":
-        main = 1 << (n // 2)
-        e = ceil_exponent(Fraction(3 * n, 8), n, 1)
-        return main - 3 * (1 << e)
-    if which == "undirected":
+        slack = 3 << ceil_exponent(Fraction(3 * n, 8), n, 1)
+    elif which == "undirected":
         a2_outside = popcount(involution_subgroup(group).bits & ~sub.bits)
-        main = count_inverse_closed(group, sub)
-        e = ceil_exponent(Fraction(11 * n, 48) + Fraction(a2_outside, 2) + 2,
-                          n, 1)
-        return main - (1 << e)
-    raise ValueError(f"unknown bound kind {which!r}")
+        slack = 1 << ceil_exponent(
+            Fraction(11 * n, 48) + Fraction(a2_outside, 2) + 2, n, 1)
+    else:
+        raise ValueError(f"unknown bound kind {which!r}")
+    return admissible_set_count(group, sub, which) - slack
 
 
 # -- corollary-proof threshold scans -------------------------------------------------
@@ -440,7 +446,6 @@ def threshold_scan(mode: str, scan_limit: int | None = None) -> ThresholdReport:
 
 
 def bounds_suite(group: AbelianGroup, sub: Subgroup,
-                 exact_cap: int = EXACT_SUBSET_CAP,
                  aut_cap: int = AUT_CAP) -> list[BoundReport]:
     """Every applicable lemma bound for one (A, B): the A1 counts, the
     worst case over B-stabilizing automorphisms, the worst case over (H, K)
@@ -448,8 +453,8 @@ def bounds_suite(group: AbelianGroup, sub: Subgroup,
     checked against brute enumeration."""
     check_index2(sub)
     reports = [
-        lemma_bound("A1-directed", group, sub, exact_cap=exact_cap),
-        lemma_bound("A1-undirected", group, sub, exact_cap=exact_cap),
+        lemma_bound("A1-directed", group, sub),
+        lemma_bound("A1-undirected", group, sub),
     ]
 
     ctx = classify_context(group, sub, aut_cap)
@@ -468,18 +473,15 @@ def bounds_suite(group: AbelianGroup, sub: Subgroup,
             if name not in most or orbits > most[name][0]:
                 most[name] = (orbits, alpha)
     # the worst case of each family is its first report of largest count
-    worst = [(lemma_bound(name, group, sub, alpha=alpha, exact_cap=exact_cap),
-              "max over alpha") for name, (_, alpha) in most.items()]
+    worst = [(lemma_bound(name, group, sub, alpha=alpha), "max over alpha")
+             for name, (_, alpha) in most.items()]
     hk_reps, hk_und_reps = [], []
     for small, big in ctx.hk_pairs:
-        if big.order == group.size:
-            continue
         hk_reps.append(lemma_bound("HK-cosets", group, sub, small=small,
-                                   big=big, exact_cap=exact_cap))
+                                   big=big))
         if group.size & (group.size - 1):
             hk_und_reps.append(lemma_bound("HK-undirected", group, sub,
-                                           small=small, big=big,
-                                           exact_cap=exact_cap))
+                                           small=small, big=big))
     for reps in (hk_reps, hk_und_reps):
         counted = [rep for rep in reps if rep.exact is not None]
         if counted:
@@ -489,11 +491,11 @@ def bounds_suite(group: AbelianGroup, sub: Subgroup,
         reports.append(BoundReport(rep.name, rep.exact, rep.bound, rep.holds,
                                    {"aggregated": note}))
 
-    reports.append(lemma_bound("triples", group, sub, exact_cap=exact_cap))
+    reports.append(lemma_bound("triples", group, sub))
 
     formula = count_inverse_closed(group, sub)
     brute = (brute_count_inverse_closed(group, sub)
-             if group.size <= exact_cap else None)
+             if group.size <= EXACT_SUBSET_CAP else None)
     reports.append(BoundReport(
         "inverse-closed-formula", brute,
         Bound(formula, group.size, 0, Fraction(0)),

@@ -27,7 +27,6 @@ class ConnectionSet:
     group: AbelianGroup
     bits: int
     inverse_closed: bool
-    avoids: Subgroup | None = None
 
     @property
     def size(self) -> int:
@@ -41,8 +40,8 @@ class ConnectionSet:
 
 
 def connection_set(group: AbelianGroup,
-                   elements: int | Iterable[int | Sequence[int]],
-                   avoids: Subgroup | None = None) -> ConnectionSet:
+                   elements: int | Iterable[int | Sequence[int]]
+                   ) -> ConnectionSet:
     """Build a connection set from a bitset, element indices, or coord tuples."""
     if isinstance(elements, int):
         bits = elements
@@ -53,7 +52,7 @@ def connection_set(group: AbelianGroup,
             bits |= 1 << idx
     if bits < 0 or bits >> group.size:
         raise SetOutOfRange("connection set refers to elements outside the group")
-    return ConnectionSet(group, bits, group.negate_set(bits) == bits, avoids)
+    return ConnectionSet(group, bits, group.negate_set(bits) == bits)
 
 
 class CayleyDigraph:
@@ -75,9 +74,6 @@ class CayleyDigraph:
     @property
     def is_graph(self) -> bool:
         return self.conn.inverse_closed
-
-    def has_arc(self, g: int, h: int) -> bool:
-        return bool((self.out_neighbors[g] >> h) & 1)
 
     def arcs(self):
         for g in range(self.n):
@@ -109,8 +105,7 @@ def bipartition_respected(digraph: CayleyDigraph, sub: Subgroup) -> bool:
     return digraph.conn.bits & sub.bits == 0
 
 
-def canonical_form(digraph: CayleyDigraph, cap: int = CANON_CAP,
-                   timeout: float | None = None) -> bytes:
+def canonical_form(digraph: CayleyDigraph, cap: int = CANON_CAP) -> bytes:
     """Canonical byte-string: equal for two digraphs iff they are isomorphic.
 
     The string is the row-major adjacency bit matrix of the canonically
@@ -119,8 +114,7 @@ def canonical_form(digraph: CayleyDigraph, cap: int = CANON_CAP,
     """
     if digraph.n > cap:
         raise CapExceeded(f"canonical form cap {cap} exceeded by n={digraph.n}")
-    body = CanonicalSearch(digraph.out_neighbors, digraph.in_neighbors,
-                           timeout=timeout).run()
+    body = CanonicalSearch(digraph.out_neighbors, digraph.in_neighbors).run()
     return digraph.n.to_bytes(4, "big") + body
 
 
@@ -130,13 +124,3 @@ def edge_list_text(digraph: CayleyDigraph) -> str:
     for g, h in digraph.arcs():
         lines.append(f"a {g} {h}")
     return "\n".join(lines) + "\n"
-
-
-def adjacency_text(digraph: CayleyDigraph) -> str:
-    """0/1 adjacency matrix, one row per line."""
-    rows = []
-    for g in range(digraph.n):
-        row = digraph.out_neighbors[g]
-        rows.append("".join("1" if (row >> h) & 1 else "0"
-                            for h in range(digraph.n)))
-    return "\n".join(rows) + "\n"

@@ -184,8 +184,7 @@ def _a3_witness(ctx: ClassifyContext,
     return None
 
 
-def a4_witness_search(group: AbelianGroup, sub: Subgroup,
-                      s_bits: int) -> A4Witness | None:
+def a4_witness_search(group: AbelianGroup, s_bits: int) -> A4Witness | None:
     """Search for (C, Z, S', S'') with A = C x Z and S = S' x S''."""
     for cyc, comp in _direct_decompositions(group):
         witness = _match_product(group, cyc, comp, s_bits)

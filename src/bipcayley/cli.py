@@ -38,7 +38,7 @@ from .bounds import (
     theorem_lower_bound,
     threshold_scan,
 )
-from .cayley import CANON_CAP, build_cayley, connection_set
+from .cayley import CANON_CAP, build_cayley, connection_set, edge_list_text
 from .classify import classification_report
 from .groups import (
     SIZE_CAP,
@@ -215,20 +215,17 @@ def emit(payload: dict, fmt: str, out) -> None:
         for r in rows:
             writer.writerow([_flatten(r.get(h, "")) for h in headers])
         return
-    if fmt == "text":
-        for key, val in config.items():
-            out.write(f"{key}: {_flatten(val)}\n")
-        out.write("--\n")
-        rows = result if isinstance(result, list) else [result]
-        for r in rows:
-            if isinstance(r, dict):
-                for k, v in r.items():
-                    out.write(f"{k}: {_flatten(v)}\n")
-            else:
-                out.write(f"{r}\n")
-            out.write("\n")
-        return
-    raise errors.GroupSpecError(f"unknown format {fmt!r}", 0)
+    for key, val in config.items():
+        out.write(f"{key}: {_flatten(val)}\n")
+    out.write("--\n")
+    rows = result if isinstance(result, list) else [result]
+    for r in rows:
+        if isinstance(r, dict):
+            for k, v in r.items():
+                out.write(f"{k}: {_flatten(v)}\n")
+        else:
+            out.write(f"{r}\n")
+        out.write("\n")
 
 
 def _progress_printer(enabled: bool):
@@ -312,7 +309,6 @@ def _cmd_index(args, caps) -> tuple[object, int]:
     if args.mode == "undirected" and not conn.inverse_closed:
         raise errors.NotInverseClosed("undirected mode requires S = -S")
     if args.export_graph:
-        from .cayley import build_cayley, edge_list_text
         try:
             with open(args.export_graph, "w", encoding="utf-8") as fh:
                 fh.write(edge_list_text(build_cayley(group, conn)))
@@ -600,7 +596,14 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except errors.FalsificationError as exc:
         print(f"FALSIFICATION: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
-    emit({"config": config, "result": result}, args.format, out)
+    try:
+        emit({"config": config, "result": result}, args.format, out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; keep the interpreter's final flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -66,31 +66,28 @@ def vertex_stabilizer(digraph: CayleyDigraph, v: int = 0,
                      stabilizer_generators=tuple(search.gens))
 
 
-def stabilizer_order_bounded(digraph: CayleyDigraph, v: int = 0,
+def stabilizer_order_bounded(digraph: CayleyDigraph,
                              abort_order: int | None = None,
                              timeout: float | None = None) -> tuple[int, bool]:
-    """Stabilizer order with early abort.
+    """Order of the stabilizer of vertex 0, with early abort.
 
     Returns ``(order, exact)``.  When the search is aborted because the group
     found so far already has order >= ``abort_order``, the returned order is a
     lower bound and ``exact`` is False.
     """
     search = AutomorphismSearch(digraph.out_neighbors, digraph.in_neighbors,
-                                root=v, seed_gens=_iota_seed(digraph, v),
+                                root=0, seed_gens=_iota_seed(digraph, 0),
                                 abort_order=abort_order, timeout=timeout).run()
     return search.order(), not search.aborted
 
 
-def cayley_index(group: AbelianGroup, conn, cap: int = SEARCH_CAP,
-                 timeout: float | None = None) -> int:
+def cayley_index(group: AbelianGroup, conn) -> int:
     """|Aut(Cay(A,S)) : A|, computed at the identity vertex."""
-    digraph = build_cayley(group, conn)
-    return vertex_stabilizer(digraph, 0, cap=cap, timeout=timeout).cayley_index
+    return vertex_stabilizer(build_cayley(group, conn)).cayley_index
 
 
-def is_drr(group: AbelianGroup, conn, cap: int = SEARCH_CAP,
-           timeout: float | None = None) -> bool:
-    return cayley_index(group, conn, cap=cap, timeout=timeout) == 1
+def is_drr(group: AbelianGroup, conn) -> bool:
+    return cayley_index(group, conn) == 1
 
 
 def minimal_graph_index_target(group: AbelianGroup) -> int:
@@ -99,12 +96,11 @@ def minimal_graph_index_target(group: AbelianGroup) -> int:
     return 1 if group.exponent == 2 else 2
 
 
-def is_minimal_graph_index(group: AbelianGroup, conn, cap: int = SEARCH_CAP,
-                           timeout: float | None = None) -> bool:
+def is_minimal_graph_index(group: AbelianGroup, conn) -> bool:
     digraph = build_cayley(group, conn)
     if not digraph.is_graph:
         raise NotInverseClosed("minimal graph index requires S = -S")
-    idx = vertex_stabilizer(digraph, 0, cap=cap, timeout=timeout).cayley_index
+    idx = vertex_stabilizer(digraph).cayley_index
     return idx == minimal_graph_index_target(group)
 
 

@@ -33,8 +33,8 @@ from .autos import (
     inversion_automorphism,
 )
 from .bounds import (
+    admissible_set_count,
     admissible_units,
-    count_inverse_closed,
     iter_unit_subsets,
     unit_union,
 )
@@ -77,13 +77,6 @@ C26_BLOCK = 50_000
 def _units(group: AbelianGroup, sub: Subgroup, mode: str) -> list[int]:
     """The free choices of an admissible set (see ``admissible_units``)."""
     return admissible_units(group, sub.complement_bits(), mode)
-
-
-def admissible_set_count(group: AbelianGroup, sub: Subgroup, mode: str) -> int:
-    check_index2(sub)
-    if mode == "directed":
-        return 1 << (group.size // 2)
-    return count_inverse_closed(group, sub)
 
 
 def iter_admissible_sets(group: AbelianGroup, sub: Subgroup, mode: str):
@@ -258,7 +251,7 @@ def sweep(group: AbelianGroup, masks: Sequence[int],
     argmin = None
     for done, mask in enumerate(masks, 1):
         digraph = build_cayley(group, connection_set(group, mask))
-        order, exact = stabilizer_order_bounded(digraph, 0, abort_order=best,
+        order, exact = stabilizer_order_bounded(digraph, abort_order=best,
                                                 timeout=timeout)
         if exact and (best is None or order < best):
             best, argmin = order, mask
@@ -794,7 +787,7 @@ def c26_reduced_search(budget: int | None = None,
             best_set = (_decode_set(group, best_mask)
                         if best_mask is not None else None)
             with open(checkpoint, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps({"shard_id": 0, "best_index": best,
+                fh.write(json.dumps({"best_index": best,
                                      "best_set": best_set,
                                      "cursor": searched,
                                      "reps_searched": reps_searched,

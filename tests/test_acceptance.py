@@ -174,7 +174,7 @@ def test_criterion_05_lemma_bounds_hold():
         for invfac in abelian_isomorphism_classes(n):
             group = build_group(list(invfac))
             for sub in index2_subgroups(group):
-                for rep in bounds_suite(group, sub, exact_cap=16):
+                for rep in bounds_suite(group, sub):
                     if rep.holds is not None:
                         assert rep.holds, (invfac, rep.name, rep.exact)
                         reports += 1

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bipcayley.autos import (
+    Automorphism,
     index2_subgroup,
     index2_subgroups,
     inversion_automorphism,
@@ -17,6 +18,7 @@ from bipcayley import bounds
 from bipcayley.bounds import (
     Bound,
     _int_leq_rational_pow,
+    admissible_set_count,
     admissible_units,
     bounds_suite,
     brute_count_inverse_closed,
@@ -35,7 +37,6 @@ from bipcayley.bounds import (
 )
 from bipcayley.classify import _direct_decompositions, _match_product
 from bipcayley.errors import HypothesisViolated
-from bipcayley.survey import admissible_set_count
 from bipcayley.groups import (
     abelian_isomorphism_classes,
     bits_of,
@@ -104,9 +105,9 @@ def test_alpha_invariant_lemma():
 def test_alpha_invariant_hypotheses():
     g = build_group([6])
     b = generated_subgroup(g, [2])
-    from bipcayley.autos import identity_automorphism
     with pytest.raises(HypothesisViolated):
-        lemma_bound("alpha-invariant", g, b, alpha=identity_automorphism(g))
+        lemma_bound("alpha-invariant", g, b,
+                    alpha=Automorphism(g, tuple(range(g.size))))
 
 
 def test_a1_directed_lemma():

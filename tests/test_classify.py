@@ -100,23 +100,22 @@ def test_undirected_classification_cross_checked():
 
 
 def test_a4_witness_c6_none(c6):
-    g, b = c6
+    g, _ = c6
     for s in (0, (1 << 1) | (1 << 5), (1 << 1) | (1 << 3) | (1 << 5)):
         if s == 0:
             # the trivial complement decomposition C6 x 1 admits S = {}
-            w = a4_witness_search(g, b, s)
+            w = a4_witness_search(g, s)
             assert w is not None and w.s_prime == 0
         else:
-            assert a4_witness_search(g, b, s) is None
+            assert a4_witness_search(g, s) is None
 
 
 def test_a4_witness_product_set():
     g = build_group([4, 2])
-    b = generated_subgroup(g, [g.encode((1, 0))])
     s = 0
     for c in range(4):
         s |= 1 << g.encode((c, 1))
-    w = a4_witness_search(g, b, s)
+    w = a4_witness_search(g, s)
     assert w is not None
     assert w.cyclic.order == 4
     assert w.complement.order == 2

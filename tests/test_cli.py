@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from bipcayley.autos import index2_subgroups
 from bipcayley.cli import main, parse_set_spec, parse_subgroup_spec
@@ -439,3 +443,19 @@ def test_survey_echoes_only_the_options_of_its_method():
     config = payload["config"]
     assert config["budget"] == 1 << 24
     assert "seed" not in config and "samples" not in config
+
+
+def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr():
+    # 276,794 bytes of output: more than a pipe holds, so the write fails
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bipcayley.cli", "subgroups", "--group",
+         "C2^8", "--kind", "prime-index"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""

@@ -136,9 +136,9 @@ def test_chain_order_against_sympy_on_search_output():
 def test_bounded_search_abort():
     g = build_group([2, 2, 2])
     d = build_cayley(g, connection_set(g, []))
-    order, exact = stabilizer_order_bounded(d, 0, abort_order=10)
+    order, exact = stabilizer_order_bounded(d, abort_order=10)
     assert not exact and order >= 10
-    order, exact = stabilizer_order_bounded(d, 0, abort_order=None)
+    order, exact = stabilizer_order_bounded(d, abort_order=None)
     assert exact and order == 5040
 
 

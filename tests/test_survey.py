@@ -409,6 +409,18 @@ def test_c26_threaded_resume_matches_straight(tmp_path, c26_serial_400):
     assert resumed.best_set == c26_serial_400.best_set
 
 
+def test_c26_resumes_a_line_with_the_old_shard_id(tmp_path, c26_serial_400):
+    ck = tmp_path / "c26.ckpt"
+    c26_reduced_search(budget=200, checkpoint=str(ck))
+    last = json.loads(ck.read_text().splitlines()[-1])
+    assert "shard_id" not in last
+    ck.write_text(json.dumps({"shard_id": 0, **last}) + "\n")
+    resumed = c26_reduced_search(budget=200, checkpoint=str(ck))
+    assert resumed.searched == 400
+    assert resumed.best_index == c26_serial_400.best_index
+    assert resumed.best_set == c26_serial_400.best_set
+
+
 def test_worker_timeout_reaches_caller():
     from bipcayley.errors import Timeout
     g = build_group([2, 2, 2, 2])

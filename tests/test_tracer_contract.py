@@ -1,8 +1,8 @@
 """The benchmark tracer (``bench/tracer.py``) wraps library functions and
 methods by name.  A renamed or removed name breaks ``install()`` or empties a
-metric, so this builds one traced digraph, runs one stabilizer search and one
-canonical form on it, and checks that the build and search metrics are
-populated."""
+metric, so this builds one traced digraph, runs one exact and one bounded
+stabilizer search and one canonical form on it, and checks that the build,
+stabilizer and search metrics are populated."""
 
 import json
 import os
@@ -24,6 +24,7 @@ t.start()
 g = groups.build_group([4, 2])
 digraph = cayley.build_cayley(g, cayley.connection_set(g, [(1, 0), (3, 0)]))
 stabilizer.vertex_stabilizer(digraph)
+stabilizer.stabilizer_order_bounded(digraph, abort_order=2)
 cayley.canonical_form(digraph)
 t.stop()
 summary = t.summary()
@@ -43,7 +44,9 @@ def test_tracer_installs_and_fills_the_search_metrics():
     out = json.loads(proc.stdout)
     metrics = out["metrics"]
     assert metrics["cayley.build.calls"] == 1
-    assert metrics["search.runs"] == 1
+    assert metrics["stabilizer.exact.calls"] == 1
+    assert metrics["stabilizer.bounded.calls"] == 1
+    assert metrics["search.runs"] == 2
     assert metrics["search.refine.calls"] > 0
     assert metrics["search.leaf_checks"] > 0
     assert out["counts"].get("_search.CanonicalSearch.run") == 1
