@@ -10,10 +10,13 @@ rows (a few big-int operations per splitter member), branch on the first
 smallest non-singleton cell (smallest vertex first), detect automorphisms
 by comparing discrete leaves against the first leaf reached, and prune
 sibling branches lying in the same orbit under the automorphisms found so
-far.  A completed search's group order is the product of the first-path
-orbit lengths: the orbit of the vertex individualized at depth i, under
-the found automorphisms that fix the vertices individualized above it
-(McKay & Piperno, "Practical graph isomorphism, II").  A lazy
+far.  A split queues every part but the first largest (Hopcroft's rule, as
+in nauty/Traces and bliss): counts into that part are counts into the old
+cell, equitable or queued, minus counts into its siblings.  Splitters visit
+only non-singleton cells.  A completed search's group order is the product
+of the first-path orbit lengths: the orbit of the vertex individualized at
+depth i, under the found automorphisms that fix the vertices individualized
+above it (McKay & Piperno, "Practical graph isomorphism, II").  A lazy
 Schreier-Sims chain gives the lower bound that decides early aborts.
 """
 
@@ -176,8 +179,10 @@ def _fixers(gens, points) -> list[Perm]:
 
 
 def _planes(rows, w: int) -> list[int]:
-    """Ripple-carry sum of ``rows[u]`` over u in ``w``: bit v of ``planes[j]``
-    is bit j of the number of those rows that contain v."""
+    """Ripple-carry sum of ``rows[u]`` over u in ``w``: bit v of
+    ``planes[-1 - j]`` is bit j of the number of those rows that contain v."""
+    if w.bit_count() == 1:  # one row: it is the only plane
+        return [rows[w.bit_length() - 1]]
     planes = [0] * w.bit_count().bit_length()
     for u in bits_of(w):
         carry = rows[u]
@@ -185,38 +190,44 @@ def _planes(rows, w: int) -> list[int]:
         while carry:
             planes[j], carry = planes[j] ^ carry, planes[j] & carry
             j += 1
-    return planes
+    return planes[::-1]
 
 
 def refine_partition(out_adj, in_adj, cells, splitters=None):
     """Refine an ordered partition until equitable wrt (out, in) counts.
 
-    ``cells`` is a list of int bitsets.  New cells produced by a split are
-    ordered by their (out, in) signature, which makes the procedure
-    deterministic and equivariant under vertex relabeling.  The counts into
-    a splitter are bit planes (``_planes``), and each cell splits by
-    intersection with them, most significant first, into ordered parts.
+    ``cells`` is a list of int bitsets, already equitable wrt every cell not
+    in ``splitters`` (``None`` passes them all); the result is the coarsest
+    equitable refinement.  New cells produced by a split are ordered by their
+    (out, in) signature, which makes the procedure deterministic and
+    equivariant under vertex relabeling.  The counts into a splitter are bit
+    planes (``_planes``), and each cell splits by intersection with them,
+    most significant first, into ordered parts.
     """
     cells = list(cells)
     queue = deque(cells if splitters is None else splitters)
-    while queue and len(cells) < len(out_adj):  # else discrete: no split
+    live = [i for i, cell in enumerate(cells) if cell & (cell - 1)]
+    while queue and live:  # live: the positions of non-singleton cells
         w = queue.popleft()
-        planes = _planes(in_adj, w)  # out-counts, least significant first
+        planes = _planes(in_adj, w)  # out-counts
         if out_adj is not in_adj:  # else the in-counts are the same
-            planes = _planes(out_adj, w) + planes  # in-counts rank below
-        refined = []
-        for cell in cells:
-            if cell & (cell - 1):  # at least two vertices
-                parts = [cell]
-                for p in reversed(planes):
-                    if 0 != cell & p != cell:  # count bit 0 before bit 1
-                        parts = [q for r in parts for q in (r & ~p, r & p) if q]
-                if len(parts) > 1:
-                    queue.extend(parts)
-                    refined += parts
-                    continue
-            refined.append(cell)
-        cells = refined
+            planes += _planes(out_adj, w)  # in-counts rank below
+        old, live, shift = live, [], 0
+        for i in old:
+            i += shift
+            cell = cells[i]
+            parts = [cell]
+            for p in planes:
+                if 0 != cell & p != cell:  # count bit 0 before bit 1
+                    parts = [q for r in parts for q in (r & ~p, r & p) if q]
+            if len(parts) == 1:
+                live.append(i)
+                continue
+            cells[i:i + 1] = parts
+            live += [i + j for j, q in enumerate(parts) if q & (q - 1)]
+            shift += len(parts) - 1
+            big = max(parts, key=int.bit_count)  # implied by the others
+            queue.extend(q for q in parts if q is not big)
     return cells
 
 
@@ -233,10 +244,8 @@ def _target_cell_index(cells) -> int:
 
 
 def _individualize(out_adj, in_adj, cells, idx, v):
-    rest = cells[idx] ^ (1 << v)
-    child = cells[:idx] + [1 << v, rest] + cells[idx + 1:]
-    return refine_partition(out_adj, in_adj, child,
-                            splitters=[1 << v, rest])
+    child = cells[:idx] + [1 << v, cells[idx] ^ (1 << v)] + cells[idx + 1:]
+    return refine_partition(out_adj, in_adj, child, [1 << v])
 
 
 def is_digraph_automorphism(out_adj, g) -> bool:

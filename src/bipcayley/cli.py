@@ -410,7 +410,7 @@ def _cmd_survey(args, caps) -> tuple[object, int]:
     kwargs = ({"samples": args.samples, "seed": args.seed}
               if args.method == "random" else
               {"budget": args.budget, "aut_cap": caps["aut_cap"]})
-    kwargs.update(threads=args.threads,
+    kwargs.update(threads=args.threads, timeout=args.timeout,
                   progress=_progress_printer(args.progress))
     if args.all_subgroups:
         return global_index(group, args.mode, method=args.method,
@@ -533,6 +533,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--all-subgroups", action="store_true",
                    help="global index: minimize over every index-2 B")
+    p.add_argument("--timeout", type=_seconds, default=None)
 
     p = sub.add_parser("sample", help="Monte-Carlo minimal-index proportion")
     common(p, subgroup=True, mode=True)

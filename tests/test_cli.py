@@ -128,6 +128,21 @@ def test_random_survey_threads_keep_the_result():
     assert results[0] == results[1]
 
 
+def test_survey_timeout_is_a_per_set_search_budget(capsys):
+    # 76 representatives: with two threads the sweep runs on workers
+    base = ["survey", "--group", "C4xC2^3", "--subgroup", "index:0",
+            "--no-timing"]
+    plain = run_json(base + ["--threads", "1"])[1]["result"]
+    for threads in ("1", "2"):
+        argv = base + ["--threads", threads]
+        code, payload = run_json(argv + ["--timeout", "60"])
+        assert code == 0
+        assert payload["config"]["timeout"] == 60.0
+        assert payload["result"] == plain
+        assert run_cli(argv + ["--timeout", "1e-9"]) == (3, "")
+        assert "time budget" in capsys.readouterr().err
+
+
 def test_sample_command():
     code, payload = run_json(["sample", "--group", "C6", "--subgroup",
                               "index:0", "--mode", "directed",
@@ -209,6 +224,8 @@ def test_usage_errors(capsys):
                  ["index", "--group", "C6", "--set", "1", "--timeout", "nan"],
                  ["index", "--group", "C6", "--set", "1", "--timeout", "inf"],
                  ["index", "--group", "C6", "--set", "1", "--timeout", "0"],
+                 ["survey", "--group", "C6", "--subgroup", "index:0",
+                  "--timeout", "-1"],
                  ["survey", "--group", "C6", "--subgroup", "index:0",
                   "--threads", "0"],
                  ["table", "--which", "1", "--threads", "-2"],

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from bipcayley._search import (
     AutomorphismSearch,
     StabChain,
+    _individualize,
+    _target_cell_index,
     perm_on_set,
     refine_partition,
 )
@@ -245,9 +247,11 @@ def test_first_path_order_needs_every_found_automorphism():
     assert vertex_stabilizer(d, 0).stabilizer_order == 16
 
 
-def _refine_reference(out_adj, in_adj, cells, splitters=None):
+def _refine_reference(out_adj, in_adj, cells, splitters=None,
+                      all_parts=False):
     """Reference refinement: one dict key per vertex of every non-singleton
-    cell, for every splitter."""
+    cell, for every splitter.  A split queues every part but the first
+    largest, or every part with ``all_parts``."""
     cells = list(cells)
     queue = deque(cells if splitters is None else splitters)
     while queue:
@@ -264,7 +268,9 @@ def _refine_reference(out_adj, in_adj, cells, splitters=None):
                 if len(groups) > 1:
                     parts = [groups[k] for k in sorted(groups)]
                     cells[i:i + 1] = parts
-                    queue.extend(parts)
+                    big = max(parts, key=int.bit_count)
+                    queue.extend(q for q in parts
+                                 if all_parts or q is not big)
                     i += len(parts)
                     continue
             i += 1
@@ -305,21 +311,25 @@ def _check_against_reference(rng, out, inn):
             == _refine_reference(out, inn, cells, splitters)
 
 
+def _random_digraph(rng, n):
+    """Directed, symmetric with one shared row list, or symmetric with two
+    equal lists."""
+    p = rng.random()
+    out = [sum(1 << b for b in range(n) if rng.random() < p)
+           for _ in range(n)]
+    kind = rng.randrange(3)
+    if kind:
+        out = [out[a] | sum(1 << b for b in range(n) if (out[b] >> a) & 1)
+               for a in range(n)]
+    return out, (_in_rows(out) if kind != 1 else out)
+
+
 def test_refinement_matches_reference_on_random_digraphs():
-    """Same cells in the same order as the dict-keyed reference: directed,
-    symmetric with one shared row list, symmetric with two equal lists."""
+    """Same cells in the same order as the dict-keyed reference."""
     rng = random.Random(23)
     for _ in range(400):
         n = rng.randint(1, 12)
-        p = rng.random()
-        out = [sum(1 << b for b in range(n) if rng.random() < p)
-               for _ in range(n)]
-        kind = rng.randrange(3)
-        if kind:
-            out = [out[a] | sum(1 << b for b in range(n) if (out[b] >> a) & 1)
-                   for a in range(n)]
-        inn = _in_rows(out) if kind != 1 else out
-        _check_against_reference(rng, out, inn)
+        _check_against_reference(rng, *_random_digraph(rng, n))
 
 
 def test_refinement_matches_reference_on_cayley_digraphs(small_groups):
@@ -328,6 +338,55 @@ def test_refinement_matches_reference_on_cayley_digraphs(small_groups):
         for _ in range(12):
             d = build_cayley(g, connection_set(g, rng.getrandbits(g.size)))
             _check_against_reference(rng, d.out_neighbors, d.in_neighbors)
+
+
+def _assert_equitable(out_adj, in_adj, cells):
+    for x in cells:
+        for y in cells:
+            assert len({((out_adj[v] & y).bit_count(),
+                         (in_adj[v] & y).bit_count())
+                        for v in bits_of(x)}) == 1
+
+
+def _check_cells_as_sets(rng, out, inn):
+    """The two call shapes the searches use give the cells of the all-parts
+    refinement, as sets: a whole partition with ``splitters=None``, and one
+    vertex individualized in an equitable partition."""
+    n = len(out)
+    root = [[1, ((1 << n) - 1) ^ 1]] if n > 1 else []
+    for cells in [[(1 << n) - 1], *root, _random_partition(rng, n)]:
+        refined = refine_partition(out, inn, cells)
+        assert set(refined) == set(
+            _refine_reference(out, inn, cells, all_parts=True))
+        _assert_equitable(out, inn, refined)
+        idx = _target_cell_index(refined)
+        if idx < 0:
+            continue
+        v = rng.choice(list(bits_of(refined[idx])))
+        child = _individualize(out, inn, refined, idx, v)
+        rest = refined[idx] ^ (1 << v)
+        assert set(child) == set(_refine_reference(
+            out, inn, refined[:idx] + [1 << v, rest] + refined[idx + 1:],
+            [1 << v, rest], all_parts=True))
+        _assert_equitable(out, inn, child)
+
+
+def test_refinement_cells_match_all_parts_on_random_digraphs():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        _check_cells_as_sets(rng, *_random_digraph(rng, n))
+
+
+def test_refinement_cells_match_all_parts_on_cayley_digraphs(small_groups):
+    rng = random.Random(37)
+    larger = [build_group(orders)
+              for orders in ([2, 30], [2] * 6, [4, 2, 2, 2])]
+    for g in small_groups + larger:
+        for _ in range(4 if g.size > 16 else 12):
+            conn = connection_set(g, rng.getrandbits(g.size))
+            d = build_cayley(g, conn)
+            _check_cells_as_sets(rng, d.out_neighbors, d.in_neighbors)
 
 
 @given(st.data())
