@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ._search import _orbit, perm_on_set
-from .errors import AutCapExceeded, BadParameter
+from .errors import BadParameter
 from .groups import (
     AbelianGroup,
     Subgroup,
@@ -27,8 +27,6 @@ from .groups import (
     invariant_factors_of_orders,
     subgroup_from_bits,
 )
-
-AUT_CAP = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -96,12 +94,6 @@ def automorphism_from_generator_images(
     return alpha
 
 
-def _check_cap(group: AbelianGroup, cap: int) -> None:
-    if group.size > cap:
-        raise AutCapExceeded(
-            f"automorphism enumeration cap {cap} exceeded by |A|={group.size}")
-
-
 @functools.lru_cache(maxsize=64)
 def _elements_by_order(group: AbelianGroup) -> dict[int, list[int]]:
     by_order: dict[int, list[int]] = {}
@@ -160,20 +152,17 @@ def _automorphisms(group: AbelianGroup, fixing: Sequence[int],
     yield from rec(0, [0], 1)
 
 
-def enumerate_automorphisms(group: AbelianGroup, cap: int = AUT_CAP,
-                            fixing: Sequence[int] = ()
+def enumerate_automorphisms(group: AbelianGroup, fixing: Sequence[int] = ()
                             ) -> Iterator[Automorphism]:
     """Stream, exactly once each, the automorphisms mapping every bitset of
     ``fixing`` onto itself (all of Aut(A) when it is empty), lexicographic
     in the generator images as element indices: the identity need not come
     first (it does not for ``C2xC6``).  The stream equals the full one
     filtered, but pruning means it never walks all of Aut(A)."""
-    _check_cap(group, cap)
     yield from _automorphisms(group, fixing)
 
 
-def automorphism_generators(group: AbelianGroup, fixing: Sequence[int] = (),
-                            cap: int = AUT_CAP
+def automorphism_generators(group: AbelianGroup, fixing: Sequence[int] = ()
                             ) -> tuple[list[Automorphism], int]:
     """A generating set of the automorphisms fixing every bitset of
     ``fixing``, and the exact order of the group they generate.
@@ -182,7 +171,6 @@ def automorphism_generators(group: AbelianGroup, fixing: Sequence[int] = (),
     image t of g_i outside the orbit of g_i under the kept automorphisms,
     the first automorphism fixing g_0..g_{i-1} with g_i -> t is kept, if
     any.  The order is the product of the final orbit lengths."""
-    _check_cap(group, cap)
     base = group.generators()
     gens: list[Automorphism] = []
     order = 1
@@ -199,14 +187,14 @@ def automorphism_generators(group: AbelianGroup, fixing: Sequence[int] = (),
     return gens, order
 
 
-def count_automorphisms(group: AbelianGroup, cap: int = AUT_CAP) -> int:
-    return automorphism_generators(group, (), cap)[1]
+def count_automorphisms(group: AbelianGroup) -> int:
+    return automorphism_generators(group)[1]
 
 
-def stabilizing_automorphisms(group: AbelianGroup, sub: Subgroup,
-                              cap: int = AUT_CAP) -> Iterator[Automorphism]:
+def stabilizing_automorphisms(group: AbelianGroup, sub: Subgroup
+                              ) -> Iterator[Automorphism]:
     """Stream the automorphisms mapping ``sub`` onto itself setwise."""
-    return enumerate_automorphisms(group, cap, (sub.bits,))
+    return enumerate_automorphisms(group, (sub.bits,))
 
 
 # -- distinguished subgroups --------------------------------------------------

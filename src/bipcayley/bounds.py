@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from ._search import _orbit
 from .autos import (
-    AUT_CAP,
     Automorphism,
     count_automorphisms,
     index2_subgroups,
@@ -445,8 +444,7 @@ def threshold_scan(mode: str, scan_limit: int | None = None) -> ThresholdReport:
 # -- preliminary facts ---------------------------------------------------------------
 
 
-def bounds_suite(group: AbelianGroup, sub: Subgroup,
-                 aut_cap: int = AUT_CAP) -> list[BoundReport]:
+def bounds_suite(group: AbelianGroup, sub: Subgroup) -> list[BoundReport]:
     """Every applicable lemma bound for one (A, B): the A1 counts, the
     worst case over B-stabilizing automorphisms, the worst case over (H, K)
     pairs, the triple count, and the closed-form inverse-closed count
@@ -457,12 +455,12 @@ def bounds_suite(group: AbelianGroup, sub: Subgroup,
         lemma_bound("A1-undirected", group, sub),
     ]
 
-    ctx = classify_context(group, sub, aut_cap)
+    ctx = classify_context(group, sub)
     iota = inversion_automorphism(group)
     undirected = group.exponent > 2 and not is_exceptional_pair(group, sub)
     outside = sub.complement_bits()
     most = {}  # family -> (orbits on A \ B, first alpha with that many)
-    for alpha in stabilizing_automorphisms(group, sub, aut_cap):
+    for alpha in stabilizing_automorphisms(group, sub):
         if alpha.is_identity:
             continue
         families = {"alpha-invariant": [alpha.image]}
@@ -504,15 +502,14 @@ def bounds_suite(group: AbelianGroup, sub: Subgroup,
     return reports
 
 
-def prelim_facts_check(group: AbelianGroup, aut_cap: int = AUT_CAP
-                       ) -> list[BoundReport]:
+def prelim_facts_check(group: AbelianGroup) -> list[BoundReport]:
     """Exact verification of the preliminary facts on one group:
     the automorphism-order bound, the prime-order/prime-index subgroup
     counts, and |Z \\ Y| <= |A|/4 for proper Z and index-2 Y."""
     n = group.size
     reports = []
 
-    aut_order = count_automorphisms(group, aut_cap)
+    aut_order = count_automorphisms(group)
     aut_bound = Bound(1, n, int(math.floor(math.log2(n))), Fraction(0))
     reports.append(BoundReport(
         "aut-order", aut_order, aut_bound, aut_bound.admits(aut_order),

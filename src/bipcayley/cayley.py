@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ._search import CanonicalSearch
-from .errors import CapExceeded, SetOutOfRange
+from .errors import SetOutOfRange
 from .groups import AbelianGroup, Subgroup, bits_of, generated_subgroup, popcount
-
-CANON_CAP = 1 << 8
 
 
 @dataclass(frozen=True)
@@ -105,15 +103,13 @@ def bipartition_respected(digraph: CayleyDigraph, sub: Subgroup) -> bool:
     return digraph.conn.bits & sub.bits == 0
 
 
-def canonical_form(digraph: CayleyDigraph, cap: int = CANON_CAP) -> bytes:
+def canonical_form(digraph: CayleyDigraph) -> bytes:
     """Canonical byte-string: equal for two digraphs iff they are isomorphic.
 
     The string is the row-major adjacency bit matrix of the canonically
     relabeled digraph (packed MSB-first, prefixed with the vertex count),
     minimized over the leaves of the individualization-refinement tree.
     """
-    if digraph.n > cap:
-        raise CapExceeded(f"canonical form cap {cap} exceeded by n={digraph.n}")
     body = CanonicalSearch(digraph.out_neighbors, digraph.in_neighbors).run()
     return digraph.n.to_bytes(4, "big") + body
 

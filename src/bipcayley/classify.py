@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .autos import (
-    AUT_CAP,
     Automorphism,
     enumerate_automorphisms,
     inversion_automorphism,
@@ -39,7 +38,6 @@ from .autos import (
     prime_order_subgroups,
 )
 from .errors import (
-    AutCapExceeded,
     ExceptionalPair,
     NotInverseClosed,
     SetNotAvoidingB,
@@ -105,15 +103,11 @@ class Classification:
 class ClassifyContext:
     """Precomputed data for classifying many sets over one (A, B) pair."""
 
-    def __init__(self, group: AbelianGroup, sub: Subgroup, aut_cap: int = AUT_CAP):
+    def __init__(self, group: AbelianGroup, sub: Subgroup):
         check_index2(sub)
-        if group.size > aut_cap:
-            raise AutCapExceeded(
-                f"classification needs Aut(A); |A|={group.size} exceeds cap "
-                f"{aut_cap}")
         self.group = group
         self.sub = sub
-        self.iota_image = tuple(group.neg(a) for a in group.elements())
+        self.iota_image = inversion_automorphism(group).image
         self.exceptional = is_exceptional_pair(group, sub)
         self.is_two_group = group.size & (group.size - 1) == 0
         # candidate (H, K) pairs, H of prime order inside B, K of prime index
@@ -133,12 +127,11 @@ class ClassifyContext:
 _CONTEXTS: dict[tuple, ClassifyContext] = {}
 
 
-def classify_context(group: AbelianGroup, sub: Subgroup,
-                     aut_cap: int = AUT_CAP) -> ClassifyContext:
-    key = (group.orders, sub.bits, aut_cap)
+def classify_context(group: AbelianGroup, sub: Subgroup) -> ClassifyContext:
+    key = (group.orders, sub.bits)
     ctx = _CONTEXTS.get(key)
     if ctx is None:
-        ctx = ClassifyContext(group, sub, aut_cap)
+        ctx = ClassifyContext(group, sub)
         _CONTEXTS[key] = ctx
     return ctx
 
@@ -217,15 +210,15 @@ def _product_set(group: AbelianGroup, s_prime: int, s_dprime: int) -> int:
     return built
 
 
-def classify_directed(group: AbelianGroup, sub: Subgroup, s_bits: int,
-                      aut_cap: int = AUT_CAP) -> Classification:
+def classify_directed(group: AbelianGroup, sub: Subgroup,
+                      s_bits: int) -> Classification:
     """First matching class among A1 < A2 < A3, else GOOD (a certified DRR)."""
     _validate(group, sub, s_bits)
-    ctx = classify_context(group, sub, aut_cap)
+    ctx = classify_context(group, sub)
     span = generated_subgroup(group, list(bits_of(s_bits)))
     if span.order < group.size:
         return Classification(VERDICT_A1, span)
-    for alpha in enumerate_automorphisms(group, aut_cap, (sub.bits, s_bits)):
+    for alpha in enumerate_automorphisms(group, (sub.bits, s_bits)):
         if not alpha.is_identity:
             return Classification(VERDICT_A2, alpha)
     hk = _a3_witness(ctx, s_bits)
@@ -234,21 +227,21 @@ def classify_directed(group: AbelianGroup, sub: Subgroup, s_bits: int,
     return Classification(VERDICT_GOOD, None)
 
 
-def classify_undirected(group: AbelianGroup, sub: Subgroup, s_bits: int,
-                        aut_cap: int = AUT_CAP) -> Classification:
+def classify_undirected(group: AbelianGroup, sub: Subgroup,
+                        s_bits: int) -> Classification:
     """First matching class among A1 < A2 < A3 < A4, else GOOD (certified
     index 2, or 1 at exponent 2).  Exceptional pairs are refused."""
     _validate(group, sub, s_bits)
     if group.negate_set(s_bits) != s_bits:
         raise NotInverseClosed("undirected classification requires S = -S")
-    ctx = classify_context(group, sub, aut_cap)
+    ctx = classify_context(group, sub)
     if ctx.exceptional:
         raise ExceptionalPair(
             "no inverse-closed set over this pair reaches the minimal index")
     span = generated_subgroup(group, list(bits_of(s_bits)))
     if span.order < group.size:
         return Classification(VERDICT_A1, span)
-    for alpha in enumerate_automorphisms(group, aut_cap, (sub.bits, s_bits)):
+    for alpha in enumerate_automorphisms(group, (sub.bits, s_bits)):
         if not alpha.is_identity and alpha.image != ctx.iota_image:
             return Classification(VERDICT_A2, alpha)
     if not ctx.is_two_group:
@@ -308,17 +301,16 @@ def verify_witness(group: AbelianGroup, sub: Subgroup, s_bits: int,
 
 
 def classification_report(group: AbelianGroup, sub: Subgroup, s_bits: int,
-                          mode: str, cross_check: bool = False,
-                          aut_cap: int = AUT_CAP) -> dict:
+                          mode: str, cross_check: bool = False) -> dict:
     """JSON-ready verdict, optionally cross-checked against the stabilizer
     search (GOOD must mean minimal index; other verdicts make no claim)."""
     from .stabilizer import cayley_index, minimal_graph_index_target
 
     if mode == "directed":
-        result = classify_directed(group, sub, s_bits, aut_cap)
+        result = classify_directed(group, sub, s_bits)
         target = 1
     else:
-        result = classify_undirected(group, sub, s_bits, aut_cap)
+        result = classify_undirected(group, sub, s_bits)
         target = minimal_graph_index_target(group)
     out = {
         "verdict": result.verdict,

@@ -20,7 +20,6 @@ import sys
 
 from . import errors
 from .autos import (
-    AUT_CAP,
     automorphism_generators,
     enumerate_automorphisms,
     fix_invert_decomposition,
@@ -38,7 +37,7 @@ from .bounds import (
     theorem_lower_bound,
     threshold_scan,
 )
-from .cayley import CANON_CAP, build_cayley, connection_set, edge_list_text
+from .cayley import build_cayley, connection_set, edge_list_text
 from .classify import classification_report
 from .groups import (
     SIZE_CAP,
@@ -51,11 +50,12 @@ from .groups import (
     involution_subgroup,
     parse_group_spec,
 )
-from .stabilizer import (SEARCH_CAP, check_search_cap,
-                         minimal_graph_index_target, report_json)
+from .stabilizer import minimal_graph_index_target, report_json
 from .survey import (
+    DEFAULT_EXHAUSTIVE_BUDGET,
     DEFAULT_SAMPLES,
     DEFAULT_TABLE_BUDGET,
+    SEARCH_CAP,
     TABLE2_FAMILIES,
     _c26_group_and_parts,
     _decode_set,
@@ -73,10 +73,12 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_FALSIFIED = 4
 
+# build_group checks the size cap; each command checks the others it needs
+# with _check_cap, once, before its work starts.
 _ENV_CAPS = {
     "size_cap": ("BIPCAYLEY_SIZE_CAP", SIZE_CAP),
-    "aut_cap": ("BIPCAYLEY_AUT_CAP", AUT_CAP),
-    "canon_cap": ("BIPCAYLEY_CANON_CAP", CANON_CAP),
+    "aut_cap": ("BIPCAYLEY_AUT_CAP", 1 << 12),
+    "canon_cap": ("BIPCAYLEY_CANON_CAP", 1 << 8),
     "search_cap": ("BIPCAYLEY_SEARCH_CAP", SEARCH_CAP),
 }
 
@@ -93,6 +95,12 @@ def _resolve_caps() -> dict:
             raise errors.BadParameter(
                 f"{env} must be a positive integer, not {raw!r}")
     return caps
+
+
+def _check_cap(caps: dict, key: str, group: AbelianGroup) -> None:
+    if group.size > caps[key]:
+        error = errors.AutCapExceeded if key == "aut_cap" else errors.CapExceeded
+        raise error(f"|A|={group.size} exceeds {_ENV_CAPS[key][0]}={caps[key]}")
 
 
 def _int_at_least(low: int):
@@ -280,11 +288,12 @@ def _cmd_auts(args, caps) -> tuple[object, int]:
     sub = (parse_subgroup_spec(group, args.stabilizing)
            if args.stabilizing else None)
     fixing = (sub.bits,) if sub is not None else ()
-    order = automorphism_generators(group, fixing, caps["aut_cap"])[1]
+    _check_cap(caps, "aut_cap", group)
+    order = automorphism_generators(group, fixing)[1]
     count = min(order, args.limit) if args.limit else order
     listed = [[list(group.decode(alpha(g))) for g in group.generators()]
               for alpha in itertools.islice(
-                  enumerate_automorphisms(group, caps["aut_cap"], fixing),
+                  enumerate_automorphisms(group, fixing),
                   args.limit or 50)] if args.list else []
     iota = inversion_automorphism(group)
     fid = fix_invert_decomposition(group, iota)
@@ -315,8 +324,9 @@ def _cmd_index(args, caps) -> tuple[object, int]:
         except OSError as exc:
             raise errors.BadParameter(f"cannot write --export-graph "
                                       f"{args.export_graph!r}: {exc!r}") from None
-    rep = report_json(group, bits, sub, cap=caps["search_cap"],
-                      timeout=args.timeout, with_timing=not args.no_timing)
+    _check_cap(caps, "search_cap", group)
+    rep = report_json(group, bits, sub, timeout=args.timeout,
+                      with_timing=not args.no_timing)
     rep["mode"] = args.mode
     if args.mode == "undirected":
         rep["minimal_index_target"] = minimal_graph_index_target(group)
@@ -330,12 +340,12 @@ def _cmd_index(args, caps) -> tuple[object, int]:
 def _cmd_classify(args, caps) -> tuple[object, int]:
     group = build_group(parse_group_spec(args.group), caps["size_cap"])
     if args.cross_check:
-        check_search_cap(group.size, caps["search_cap"])
+        _check_cap(caps, "search_cap", group)
     sub = parse_subgroup_spec(group, args.subgroup)
     bits = parse_set_spec(group, sub, args.set)
+    _check_cap(caps, "aut_cap", group)
     rep = classification_report(group, sub, bits, args.mode,
-                                cross_check=args.cross_check,
-                                aut_cap=caps["aut_cap"])
+                                cross_check=args.cross_check)
     rep["set"] = _decode_set(group, bits)
     code = EXIT_OK
     if args.cross_check and not rep["cross_check"]["consistent"]:
@@ -359,10 +369,11 @@ def _cmd_bounds(args, caps) -> tuple[object, int]:
                          "holds": rep.agrees,
                          "note": "exact=computed crossover, log2_bound=paper"})
         return rows, code
-    if args.subgroup:
-        sub = parse_subgroup_spec(group, args.subgroup)
+    sub = parse_subgroup_spec(group, args.subgroup) if args.subgroup else None
+    _check_cap(caps, "aut_cap", group)
+    if sub is not None:
         sname = json.dumps([list(group.decode(g)) for g in sub.generators])
-        for rep in bounds_suite(group, sub, aut_cap=caps["aut_cap"]):
+        for rep in bounds_suite(group, sub):
             row = rep.row()
             row.update({"group": gname, "subgroup": sname})
             rows.append(row)
@@ -378,7 +389,7 @@ def _cmd_bounds(args, caps) -> tuple[object, int]:
                      "subgroup": sname, "exact": icr["count"],
                      "log2_bound": None, "holds": None,
                      "case": icr["case"]})
-    for rep in prelim_facts_check(group, caps["aut_cap"]):
+    for rep in prelim_facts_check(group):
         row = rep.row()
         row.update({"group": gname, "subgroup": ""})
         rows.append(row)
@@ -390,8 +401,7 @@ def _cmd_bounds(args, caps) -> tuple[object, int]:
 def _cmd_table(args, caps) -> tuple[object, int]:
     results = verify_table(args.which, budget=args.budget,
                            include_extended=args.include_extended,
-                           threads=args.threads, aut_cap=caps["aut_cap"],
-                           search_cap=caps["search_cap"])
+                           threads=args.threads, search_cap=caps["search_cap"])
     rows = [r.to_json() for r in results]
     if args.which == 2:
         for fam in TABLE2_FAMILIES:
@@ -406,10 +416,9 @@ def _cmd_table(args, caps) -> tuple[object, int]:
 
 def _cmd_survey(args, caps) -> tuple[object, int]:
     group = build_group(parse_group_spec(args.group), caps["size_cap"])
-    check_search_cap(group.size, caps["search_cap"])
+    _check_cap(caps, "search_cap", group)
     kwargs = ({"samples": args.samples, "seed": args.seed}
-              if args.method == "random" else
-              {"budget": args.budget, "aut_cap": caps["aut_cap"]})
+              if args.method == "random" else {"budget": args.budget})
     kwargs.update(threads=args.threads, timeout=args.timeout,
                   progress=_progress_printer(args.progress))
     if args.all_subgroups:
@@ -422,7 +431,7 @@ def _cmd_survey(args, caps) -> tuple[object, int]:
 
 def _cmd_sample(args, caps) -> tuple[object, int]:
     group = build_group(parse_group_spec(args.group), caps["size_cap"])
-    check_search_cap(group.size, caps["search_cap"])
+    _check_cap(caps, "search_cap", group)
     sub = parse_subgroup_spec(group, args.subgroup)
     est = monte_carlo_proportion(group, sub, args.mode,
                                  samples=args.samples, seed=args.seed)
@@ -431,15 +440,16 @@ def _cmd_sample(args, caps) -> tuple[object, int]:
 
 def _cmd_unlabeled(args, caps) -> tuple[object, int]:
     group = build_group(parse_group_spec(args.group), caps["size_cap"])
-    check_search_cap(group.size, caps["search_cap"])
+    _check_cap(caps, "search_cap", group)
     sub = parse_subgroup_spec(group, args.subgroup)
-    rep = unlabeled_count(group, sub, args.mode, canon_cap=caps["canon_cap"])
+    _check_cap(caps, "canon_cap", group)
+    rep = unlabeled_count(group, sub, args.mode)
     return rep.to_json(), EXIT_OK
 
 
 def _cmd_c26(args, caps) -> tuple[object, int]:
     if args.full or args.budget:
-        check_search_cap(_c26_group_and_parts()[0].size, caps["search_cap"])
+        _check_cap(caps, "search_cap", _c26_group_and_parts()[0])
         rep = c26_reduced_search(budget=args.budget,
                                  checkpoint=args.checkpoint,
                                  threads=args.threads,
@@ -528,7 +538,7 @@ def make_parser() -> argparse.ArgumentParser:
     common(p, subgroup=True, mode=True, threads=True)
     p.add_argument("--method", choices=("exhaustive", "random"),
                    default="exhaustive")
-    p.add_argument("--budget", type=_budget, default=1 << 24)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_EXHAUSTIVE_BUDGET)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--all-subgroups", action="store_true",

@@ -17,11 +17,10 @@ from ._search import (
     format_cycles,
     perm_on_set,
 )
+from .autos import inversion_automorphism
 from .cayley import CayleyDigraph, build_cayley
-from .errors import CapExceeded, NotInverseClosed
+from .errors import NotInverseClosed
 from .groups import AbelianGroup, Subgroup, format_group_spec
-
-SEARCH_CAP = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -42,20 +41,12 @@ def _iota_seed(digraph: CayleyDigraph, v: int) -> list[Perm]:
         return []
     if group.neg(v) != v:
         return []
-    return [tuple(group.neg(a) for a in range(group.size))]
-
-
-def check_search_cap(n: int, cap: int) -> None:
-    """Refuse a stabilizer search on more than ``cap`` vertices."""
-    if n > cap:
-        raise CapExceeded(f"stabilizer search cap {cap} exceeded by n={n}")
+    return [inversion_automorphism(group).image]
 
 
 def vertex_stabilizer(digraph: CayleyDigraph, v: int = 0,
-                      cap: int = SEARCH_CAP,
                       timeout: float | None = None) -> AutReport:
     """Exact order and generators of the stabilizer of ``v`` in Aut(digraph)."""
-    check_search_cap(digraph.n, cap)
     search = AutomorphismSearch(digraph.out_neighbors, digraph.in_neighbors,
                                 root=v, seed_gens=_iota_seed(digraph, v),
                                 timeout=timeout).run()
@@ -128,12 +119,12 @@ def brute_force_stabilizer_order(digraph: CayleyDigraph, v: int = 0) -> int:
 
 
 def report_json(group: AbelianGroup, conn, sub: Subgroup | None = None,
-                cap: int = SEARCH_CAP, timeout: float | None = None,
+                timeout: float | None = None,
                 with_timing: bool = True) -> dict:
     """Machine-readable stabilizer report for one connection set."""
     digraph = build_cayley(group, conn)
     start = time.monotonic()
-    rep = vertex_stabilizer(digraph, 0, cap=cap, timeout=timeout)
+    rep = vertex_stabilizer(digraph, 0, timeout=timeout)
     elapsed_ms = (time.monotonic() - start) * 1000.0
     return {
         "group": format_group_spec(group.orders),

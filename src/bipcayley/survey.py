@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from concurrent import futures
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +28,6 @@ from typing import Iterable, Sequence
 
 from ._search import _orbit, perm_on_set
 from .autos import (
-    AUT_CAP,
     automorphism_generators,
     index2_subgroups,
     inversion_automorphism,
@@ -38,7 +38,7 @@ from .bounds import (
     iter_unit_subsets,
     unit_union,
 )
-from .cayley import CANON_CAP, build_cayley, canonical_form, connection_set
+from .cayley import build_cayley, canonical_form, connection_set
 from .errors import (
     BadParameter,
     BudgetExceeded,
@@ -58,8 +58,6 @@ from .groups import (
     popcount,
 )
 from .stabilizer import (
-    SEARCH_CAP,
-    check_search_cap,
     minimal_graph_index_target,
     stabilizer_order_bounded,
     vertex_stabilizer,
@@ -67,6 +65,7 @@ from .stabilizer import (
 
 DEFAULT_EXHAUSTIVE_BUDGET = 1 << 24
 DEFAULT_TABLE_BUDGET = 1 << 13
+SEARCH_CAP = 1 << 12   # default of BIPCAYLEY_SEARCH_CAP
 DEFAULT_SAMPLES = 10_000
 C26_BLOCK = 50_000
 
@@ -88,25 +87,17 @@ def iter_admissible_sets(group: AbelianGroup, sub: Subgroup, mode: str):
 # -- orbit reduction -----------------------------------------------------------
 
 
-def _orbit_generators(group: AbelianGroup, sub: Subgroup, units: list[int],
-                      aut_cap: int = AUT_CAP) -> list[tuple[int, ...]]:
+def _orbit_generators(group: AbelianGroup, sub: Subgroup,
+                      units: list[int]) -> list[tuple[int, ...]]:
     """Permutations of the unit indices induced by inversion and by a
-    generating set of Stab_Aut(A)(B); past ``aut_cap``, by inversion alone
-    (any subgroup of the stabilizer gives a sound reduction).
+    generating set of Stab_Aut(A)(B).
 
     An automorphism fixing B commutes with inversion, so it maps every unit
     onto a unit; one that does not is a ``FalsificationError``.  Identity
     and repeated unit permutations (inversion, when undirected) are dropped.
     """
-    images = []
-    iota = inversion_automorphism(group)
-    if not iota.is_identity:
-        images.append(iota.image)
-    try:
-        gens = automorphism_generators(group, (sub.bits,), aut_cap)[0]
-        images += [alpha.image for alpha in gens]
-    except CapExceeded:
-        pass  # reduce by inversion alone; still sound
+    gens = automorphism_generators(group, (sub.bits,))[0]
+    images = [inversion_automorphism(group).image] + [a.image for a in gens]
     position = {unit: i for i, unit in enumerate(units)}
     identity = tuple(range(len(units)))
     perms = []
@@ -296,18 +287,18 @@ def exhaustive_bipartite_index(group: AbelianGroup, sub: Subgroup, mode: str,
                                budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
                                threads: int = 1,
                                timeout: float | None = None,
-                               progress=None,
-                               aut_cap: int = AUT_CAP) -> IndexSurveyResult:
+                               progress=None) -> IndexSurveyResult:
     """Exact minimum Cayley index over every admissible connection set."""
     total = admissible_set_count(group, sub, mode)
-    if total > budget:
+    limit = min(budget, sys.maxsize)  # the orbit work space: a byte per set
+    if total > limit:
         raise BudgetExceeded(
-            f"{total} admissible sets exceed the budget of {budget} searches")
+            f"{total} admissible sets exceed the budget of {limit} searches")
     units = _units(group, sub, mode)
     if 1 << len(units) != total:
         raise FalsificationError(
             "admissible-set enumeration disagrees with the counting formula")
-    perms = _orbit_generators(group, sub, units, aut_cap)
+    perms = _orbit_generators(group, sub, units)
     reps = [unit_union(units, choice) for choice
             in orbit_representatives(range(1 << len(units)), perms)]
     ordered = _generic_first(reps, group.size / 4)  # |A \ B| / 2
@@ -455,7 +446,6 @@ def subgroup_of_type(group: AbelianGroup, iso_spec: str) -> Subgroup:
 def verify_table(which: int, budget: int = DEFAULT_TABLE_BUDGET,
                  include_extended: bool = False,
                  threads: int = 1,
-                 aut_cap: int = AUT_CAP,
                  search_cap: int = SEARCH_CAP) -> list[TableRowResult]:
     """Recompute every table row whose admissible-set count fits the budget;
     rows over budget (or extended rows not opted into) come back SKIPPED.
@@ -472,8 +462,9 @@ def verify_table(which: int, budget: int = DEFAULT_TABLE_BUDGET,
                 if row.extended and not include_extended
                 else f"{total} sets exceed budget {budget}"
                 if total > budget else "")
-        if not skip:
-            check_search_cap(group.size, search_cap)
+        if not skip and group.size > search_cap:
+            raise CapExceeded(f"{row.group_spec}: |A|={group.size} exceeds "
+                              f"BIPCAYLEY_SEARCH_CAP={search_cap}")
         plan.append((row, group, sub, total, skip))
     out = []
     for row, group, sub, total, skip in plan:
@@ -483,7 +474,7 @@ def verify_table(which: int, budget: int = DEFAULT_TABLE_BUDGET,
                                       skip, total))
             continue
         res = exhaustive_bipartite_index(group, sub, mode, budget=budget,
-                                         threads=threads, aut_cap=aut_cap)
+                                         threads=threads)
         out.append(TableRowResult(which, row.group_spec, row.subgroup_spec,
                                   row.expected, res.min_index,
                                   res.min_index == row.expected, "ok", "",
@@ -578,18 +569,16 @@ class UnlabeledReport:
         return self.__dict__.copy()
 
 
-def unlabeled_count(group: AbelianGroup, sub: Subgroup, mode: str,
-                    canon_cap: int = CANON_CAP) -> UnlabeledReport:
+def unlabeled_count(group: AbelianGroup, sub: Subgroup,
+                    mode: str) -> UnlabeledReport:
     """Isomorphism classes among admissible Cay(A, S), via canonical forms."""
-    if group.size > canon_cap:
-        raise CapExceeded(f"canonical cap {canon_cap} exceeded")
     target = 1 if mode == "directed" else minimal_graph_index_target(group)
     classes: dict[bytes, list[tuple[int, int]]] = {}
     total = 0
     for mask in iter_admissible_sets(group, sub, mode):
         total += 1
         digraph = build_cayley(group, connection_set(group, mask))
-        form = canonical_form(digraph, cap=canon_cap)
+        form = canonical_form(digraph)
         idx = vertex_stabilizer(digraph).cayley_index
         classes.setdefault(form, []).append((mask, idx))
     for members in classes.values():

@@ -22,7 +22,7 @@ from bipcayley.autos import (
     stabilizing_automorphisms,
 )
 from bipcayley.bounds import admissible_units, iter_unit_subsets
-from bipcayley.errors import AutCapExceeded, BadParameter
+from bipcayley.errors import BadParameter
 from bipcayley.groups import (
     bits_of,
     build_group,
@@ -93,14 +93,6 @@ def test_enumeration_unique_and_homomorphic():
             for b in g.elements():
                 assert alpha(g.add(a, b)) == g.add(alpha(a), alpha(b))
             assert g.element_order(alpha(a)) == g.element_order(a)
-
-
-def test_enumeration_cap():
-    g = build_group([2] * 7)
-    with pytest.raises(AutCapExceeded):
-        list(enumerate_automorphisms(g, cap=64))
-    with pytest.raises(AutCapExceeded):
-        automorphism_generators(g, cap=64)
 
 
 def test_aut_order_bound(small_groups):

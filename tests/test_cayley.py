@@ -11,7 +11,7 @@ from bipcayley.cayley import (
     edge_list_text,
     is_connected,
 )
-from bipcayley.errors import CapExceeded, SetOutOfRange
+from bipcayley.errors import SetOutOfRange
 from bipcayley.groups import (
     bits_of,
     build_group,
@@ -169,12 +169,6 @@ def test_canonical_form_separates_nonisomorphic():
              for bits in [0b10, 0b100, 0b1010, 0b10010, 0b11110, 0b10101010]}
     # directed cycles of different structure plus others all distinct
     assert len(forms) == 6
-
-
-def test_canonical_cap():
-    g = build_group([2, 2, 2])
-    with pytest.raises(CapExceeded):
-        canonical_form(build_cayley(g, connection_set(g, [])), cap=4)
 
 
 def test_exports():

@@ -266,19 +266,58 @@ def test_cap_variables_must_be_positive_integers(monkeypatch, capsys):
     assert code == 0 and payload["config"]["aut_cap"] == 16
 
 
-def test_survey_aut_cap_reaches_orbit_reduction(monkeypatch):
-    """A cap below |A| leaves inversion as the only orbit generator: the
-    same minimum from more representatives."""
+def test_aut_cap_refuses_automorphism_work(monkeypatch, capsys):
+    """auts, classify and bounds walk Aut(A) and exit 3 over the aut cap;
+    the threshold scan walks no group and runs."""
+    monkeypatch.setenv("BIPCAYLEY_AUT_CAP", "4")
+    for argv in (["auts", "--group", "C4xC2"],
+                 ["classify", "--group", "C4xC2", "--subgroup", "index:0",
+                  "--set", "1,0"],
+                 ["bounds", "--group", "C4xC2"],
+                 ["bounds", "--group", "C4xC2", "--subgroup", "index:0"]):
+        assert run_cli(argv) == (3, ""), argv
+        assert "BIPCAYLEY_AUT_CAP=4" in capsys.readouterr().err
+    code, _ = run_cli(["bounds", "--group", "C4xC2", "--thresholds"])
+    assert code == 0
+
+
+def test_canon_cap_refuses_unlabeled(monkeypatch, capsys):
+    monkeypatch.setenv("BIPCAYLEY_CANON_CAP", "4")
+    assert run_cli(["unlabeled", "--group", "C4xC2", "--subgroup",
+                    "index:0"]) == (3, "")
+    assert "BIPCAYLEY_CANON_CAP=4" in capsys.readouterr().err
+
+
+def test_survey_ignores_aut_cap(monkeypatch):
+    """Surveys reduce by all of Stab_Aut(A)(B) whatever the aut cap."""
     argv = ["survey", "--group", "C4xC2^2", "--subgroup", "index:0",
-            "--threads", "1"]
+            "--threads", "1", "--no-timing"]
     _, default = run_json(argv)
     monkeypatch.setenv("BIPCAYLEY_AUT_CAP", "4")
     code, capped = run_json(argv)
     assert code == 0
-    default, capped = default["result"], capped["result"]
-    assert capped["min_index"] == default["min_index"] == 4
-    assert capped["orbit_generators"] < default["orbit_generators"]
-    assert capped["reps_searched"] > default["reps_searched"]
+    assert capped["result"] == default["result"]
+    assert capped["result"]["min_index"] == 4
+
+
+def test_raised_search_cap_reaches_every_search(monkeypatch):
+    """The argmin re-check runs under the raised cap too."""
+    monkeypatch.setenv("BIPCAYLEY_SEARCH_CAP", "10000")
+    code, payload = run_json(["survey", "--group", "C2xC4098", "--subgroup",
+                              "index:0", "--method", "random", "--samples",
+                              "2", "--threads", "1"])
+    assert code == 0
+    assert payload["config"]["search_cap"] == 10000
+    assert payload["result"]["min_index"] >= 1
+
+
+def test_budget_past_the_orbit_work_space_exits_3(capsys):
+    """2^64 admissible sets pass a budget of 1e30 but not the one byte per
+    set of the orbit work space."""
+    assert run_cli(["survey", "--group", "C2^7", "--subgroup", "index:0",
+                    "--budget", "1e30", "--threads", "1"]) == (3, "")
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_text_format():
@@ -388,7 +427,9 @@ def test_search_cap_refuses_surveys(monkeypatch):
     monkeypatch.setenv("BIPCAYLEY_SEARCH_CAP", "8")
     code, _ = run_cli(argv)
     assert code == 3
-    for argv in (["sample", "--group", "C4xC2^2", "--subgroup", "index:0",
+    for argv in (["index", "--group", "C4xC2^2", "--subgroup", "index:0",
+                  "--set", "1,0,0"],
+                 ["sample", "--group", "C4xC2^2", "--subgroup", "index:0",
                   "--samples", "5"],
                  ["survey", "--group", "C4xC2^2", "--subgroup", "index:0",
                   "--method", "random", "--samples", "5"],

@@ -1,3 +1,4 @@
+import io
 import random
 from collections import deque
 
@@ -14,7 +15,7 @@ from bipcayley._search import (
 )
 from bipcayley.autos import enumerate_automorphisms, index2_subgroups
 from bipcayley.cayley import build_cayley, connection_set
-from bipcayley.errors import CapExceeded, NotInverseClosed
+from bipcayley.errors import NotInverseClosed
 from bipcayley.groups import bits_of, build_group
 from bipcayley.stabilizer import (
     brute_force_stabilizer_order,
@@ -144,11 +145,18 @@ def test_bounded_search_abort():
     assert exact and order == 5040
 
 
-def test_search_cap():
-    g = build_group([2, 2, 2])
-    d = build_cayley(g, connection_set(g, []))
-    with pytest.raises(CapExceeded):
-        vertex_stabilizer(d, 0, cap=4)
+def test_search_cap(monkeypatch):
+    # vertex_stabilizer takes no cap: the index command refuses the search
+    # on a group over BIPCAYLEY_SEARCH_CAP before it starts.
+    from bipcayley.cli import main
+    argv = ["index", "--group", "C2^3", "--subgroup", "index:0",
+            "--set", "1,0,0", "--no-timing"]
+    monkeypatch.setenv("BIPCAYLEY_SEARCH_CAP", "8")
+    assert main(argv, out=io.StringIO()) == 0
+    monkeypatch.setenv("BIPCAYLEY_SEARCH_CAP", "4")
+    out = io.StringIO()
+    assert main(argv, out=out) == 3
+    assert out.getvalue() == ""
 
 
 def test_search_timeout():
