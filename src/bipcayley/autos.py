@@ -110,7 +110,8 @@ def _automorphisms(group: AbelianGroup, fixing: Sequence[int],
     while i < len(prefix)), as the image of g_i.  Position p of the image
     array of <g_0..g_i> holds the image of ``p * weights[i]``, so t
     interleaves the columns arr + c*t (0 < c < n_i).  t is dropped at the
-    first image that repeats or changes membership of a ``fixing`` bitset.
+    first image that repeats or changes membership of a ``fixing`` bitset,
+    checking t itself (row 0 of column 1) first, then each column as built.
     """
     table = group._add
     # sig[a] has bit j set iff a lies in fixing[j]; want[i][c-1][q] is the
@@ -130,12 +131,13 @@ def _automorphisms(group: AbelianGroup, fixing: Sequence[int],
     def extend(arr, used, t, wanted_cols):
         cols = [arr]
         for wanted in wanted_cols:
-            col = ([table[y][t] for y in cols[-1]] if table is not None
-                   else [group.add(y, t) for y in cols[-1]])
-            for y, s in zip(col, wanted):
+            col = []
+            for y, s in zip(cols[-1], wanted):
+                y = table[y][t] if table is not None else group.add(y, t)
                 if (used >> y) & 1 or sig[y] != s:
                     return None
                 used |= 1 << y
+                col.append(y)
             cols.append(col)
         return [y for row in zip(*cols) for y in row], used
 
@@ -143,8 +145,11 @@ def _automorphisms(group: AbelianGroup, fixing: Sequence[int],
         if i == len(want):
             yield Automorphism(group, tuple(arr))
             return
+        first = want[i][0][0]
         for t in (prefix[i:i + 1] if i < len(prefix)
                   else by_order.get(group.orders[i], ())):
+            if (used >> t) & 1 or sig[t] != first:
+                continue
             grown = extend(arr, used, t, want[i])
             if grown is not None:
                 yield from rec(i + 1, *grown)

@@ -30,7 +30,7 @@ from .autos import (
     prime_order_subgroups,
     stabilizing_automorphisms,
 )
-from .classify import _direct_decompositions, _product_set, classify_context
+from .classify import _product_set, classify_context, group_candidates
 from .errors import HypothesisViolated
 from .groups import (
     AbelianGroup,
@@ -361,7 +361,7 @@ def count_product_triples(group: AbelianGroup, sub: Subgroup) -> int:
     """Exact number of (C, Z, S) with A = C x Z, C cyclic of order >= 4,
     Z elementary abelian of exponent 2, and S = S' x S'' inside A \\ B."""
     total = 0
-    for cyc, comp in _direct_decompositions(group):
+    for cyc, comp in group_candidates(group)[2]:
         z_units = admissible_units(group, comp.bits, "directed")
         products = {_product_set(group, s_prime, s_dprime)
                     for s_prime in (0, 1, cyc.bits, cyc.bits ^ 1)

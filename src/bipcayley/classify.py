@@ -19,10 +19,12 @@ matching class:
 Every verdict carries a machine-checkable witness that re-verifies
 independently of the search that produced it.  The A2 witness is the first
 automorphism, in ``enumerate_automorphisms`` order, of the backtrack
-constrained to fix both B and S.  Classifying many sets over one (A, B) pair
-reuses a cached context holding the candidate (H, K) and (C, Z) subgroup
-pairs.  ``_product_set`` is the one place the A4 product S' x S'' is built:
-the A4 search, its witness check and ``bounds.count_product_triples`` use it.
+constrained to fix both B and S.  ``group_candidates`` builds, once per
+group, the prime-order and prime-index subgroups and the (C, Z) pairs that
+the A4 search and ``bounds.count_product_triples`` read; a per-(A, B)
+``ClassifyContext`` keeps the (H, K) pairs with H inside B.
+``_product_set`` is the one place the A4 product S' x S'' is built: the A4
+search, its witness check and ``bounds.count_product_triples`` use it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ from .errors import (
 from .groups import (
     AbelianGroup,
     Subgroup,
+    _closure,
+    _greedy_generators,
     _prime_factorization,
     all_subgroups,
     bits_of,
@@ -97,7 +101,20 @@ class Classification:
         return repr(w)
 
 
-# -- per-(A, B) context -------------------------------------------------------
+# -- per-group candidates and per-(A, B) contexts ------------------------------
+
+
+_CANDIDATES: dict[tuple, tuple] = {}
+
+
+def group_candidates(group: AbelianGroup) -> tuple:
+    """(prime-order subgroups, prime-index subgroups, (C, Z) decompositions)
+    of A: what the A3 and A4 tests need of A alone, built once per group."""
+    if group.orders not in _CANDIDATES:
+        _CANDIDATES[group.orders] = (
+            prime_order_subgroups(group), prime_index_subgroups(group),
+            _direct_decompositions(group))
+    return _CANDIDATES[group.orders]
 
 
 class ClassifyContext:
@@ -111,17 +128,10 @@ class ClassifyContext:
         self.exceptional = is_exceptional_pair(group, sub)
         self.is_two_group = group.size & (group.size - 1) == 0
         # candidate (H, K) pairs, H of prime order inside B, K of prime index
-        pairs = []
-        for small in prime_order_subgroups(group):
-            if small.bits & ~sub.bits:
-                continue
-            for big in prime_index_subgroups(group):
-                if small.bits & ~big.bits:
-                    continue
-                pairs.append((small, big))
-        self.hk_pairs = tuple(pairs)
-        # candidate (C, Z) direct decompositions for the A4 class
-        self.cz_pairs = tuple(_direct_decompositions(group))
+        smalls, bigs, _ = group_candidates(group)
+        self.hk_pairs = tuple((small, big) for small in smalls
+                              if not small.bits & ~sub.bits
+                              for big in bigs if not small.bits & ~big.bits)
 
 
 _CONTEXTS: dict[tuple, ClassifyContext] = {}
@@ -138,7 +148,9 @@ def classify_context(group: AbelianGroup, sub: Subgroup) -> ClassifyContext:
 
 def _direct_decompositions(group: AbelianGroup) -> list[tuple[Subgroup, Subgroup]]:
     """All pairs (C, Z): C cyclic of order >= 4, Z elementary abelian
-    2-subgroup, A = C x Z (internally)."""
+    2-subgroup, A = C x Z (internally); none below exponent 4."""
+    if group.exponent < 4:
+        return []
     inv = involution_subgroup(group)
     elementary = all_subgroups(group, inv)
     out = []
@@ -179,7 +191,7 @@ def _a3_witness(ctx: ClassifyContext,
 
 def a4_witness_search(group: AbelianGroup, s_bits: int) -> A4Witness | None:
     """Search for (C, Z, S', S'') with A = C x Z and S = S' x S''."""
-    for cyc, comp in _direct_decompositions(group):
+    for cyc, comp in group_candidates(group)[2]:
         witness = _match_product(group, cyc, comp, s_bits)
         if witness is not None:
             return witness
@@ -213,43 +225,40 @@ def _product_set(group: AbelianGroup, s_prime: int, s_dprime: int) -> int:
 def classify_directed(group: AbelianGroup, sub: Subgroup,
                       s_bits: int) -> Classification:
     """First matching class among A1 < A2 < A3, else GOOD (a certified DRR)."""
-    _validate(group, sub, s_bits)
-    ctx = classify_context(group, sub)
-    span = generated_subgroup(group, list(bits_of(s_bits)))
-    if span.order < group.size:
-        return Classification(VERDICT_A1, span)
-    for alpha in enumerate_automorphisms(group, (sub.bits, s_bits)):
-        if not alpha.is_identity:
-            return Classification(VERDICT_A2, alpha)
-    hk = _a3_witness(ctx, s_bits)
-    if hk is not None:
-        return Classification(VERDICT_A3, hk)
-    return Classification(VERDICT_GOOD, None)
+    return _classify(group, sub, s_bits, undirected=False)
 
 
 def classify_undirected(group: AbelianGroup, sub: Subgroup,
                         s_bits: int) -> Classification:
     """First matching class among A1 < A2 < A3 < A4, else GOOD (certified
     index 2, or 1 at exponent 2).  Exceptional pairs are refused."""
+    return _classify(group, sub, s_bits, undirected=True)
+
+
+def _classify(group: AbelianGroup, sub: Subgroup, s_bits: int,
+              undirected: bool) -> Classification:
     _validate(group, sub, s_bits)
-    if group.negate_set(s_bits) != s_bits:
+    if undirected and group.negate_set(s_bits) != s_bits:
         raise NotInverseClosed("undirected classification requires S = -S")
     ctx = classify_context(group, sub)
-    if ctx.exceptional:
+    if undirected and ctx.exceptional:
         raise ExceptionalPair(
             "no inverse-closed set over this pair reaches the minimal index")
-    span = generated_subgroup(group, list(bits_of(s_bits)))
-    if span.order < group.size:
-        return Classification(VERDICT_A1, span)
+    # A1: generators are built only for a proper span, as its witness
+    span = _closure(group, bits_of(s_bits))
+    if span != (1 << group.size) - 1:
+        return Classification(VERDICT_A1, Subgroup(
+            group, span, span.bit_count(), _greedy_generators(group, span)))
     for alpha in enumerate_automorphisms(group, (sub.bits, s_bits)):
-        if not alpha.is_identity and alpha.image != ctx.iota_image:
+        if not alpha.is_identity \
+                and not (undirected and alpha.image == ctx.iota_image):
             return Classification(VERDICT_A2, alpha)
-    if not ctx.is_two_group:
+    if not (undirected and ctx.is_two_group):
         hk = _a3_witness(ctx, s_bits)
         if hk is not None:
             return Classification(VERDICT_A3, hk)
-    for cyc, comp in ctx.cz_pairs:
-        w = _match_product(group, cyc, comp, s_bits)
+    if undirected:
+        w = a4_witness_search(group, s_bits)
         if w is not None:
             return Classification(VERDICT_A4, w)
     return Classification(VERDICT_GOOD, None)

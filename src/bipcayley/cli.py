@@ -317,6 +317,7 @@ def _cmd_index(args, caps) -> tuple[object, int]:
     conn = connection_set(group, bits)
     if args.mode == "undirected" and not conn.inverse_closed:
         raise errors.NotInverseClosed("undirected mode requires S = -S")
+    _check_cap(caps, "search_cap", group)
     if args.export_graph:
         try:
             with open(args.export_graph, "w", encoding="utf-8") as fh:
@@ -324,7 +325,6 @@ def _cmd_index(args, caps) -> tuple[object, int]:
         except OSError as exc:
             raise errors.BadParameter(f"cannot write --export-graph "
                                       f"{args.export_graph!r}: {exc!r}") from None
-    _check_cap(caps, "search_cap", group)
     rep = report_json(group, bits, sub, timeout=args.timeout,
                       with_timing=not args.no_timing)
     rep["mode"] = args.mode

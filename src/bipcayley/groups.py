@@ -181,7 +181,7 @@ def build_group(orders: Sequence[int], size_cap: int = SIZE_CAP) -> AbelianGroup
             raise OrderBelowTwo(f"cyclic factor order {n} is below 2")
     if math.prod(orders) > size_cap:
         raise SizeCapExceeded(
-            f"group of size {math.prod(orders)} exceeds cap {size_cap}")
+            f"|A|={math.prod(orders)} exceeds BIPCAYLEY_SIZE_CAP={size_cap}")
     return AbelianGroup(orders)
 
 

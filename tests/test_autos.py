@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -159,6 +160,32 @@ def test_constrained_stream_is_filtered_full_stream(small_groups):
                 got = [alpha.image
                        for alpha in enumerate_automorphisms(g, fixing=fixing)]
                 assert got == want
+
+
+@pytest.mark.parametrize("orders", [[2, 2, 2, 2], [2, 2, 4], [2, 8]])
+def test_constrained_stream_is_filtered_full_stream_on_sweep_groups(orders):
+    """The same on the groups where the A2 scan of the classifier works
+    hardest: every index-2 B with seeded random admissible sets S, directed
+    and inverse-closed, and the generator-image prefix of the full stream."""
+    g = build_group(orders)
+    full = list(enumerate_automorphisms(g))
+    rng = random.Random(1991)
+    for b in index2_subgroups(g):
+        fixing_b = [alpha for alpha in full if alpha.fixes_set(b.bits)]
+        for mode in ("directed", "undirected"):
+            units = admissible_units(g, b.complement_bits(), mode)
+            for _ in range(6):
+                s_bits = 0
+                for unit in rng.sample(units, rng.randint(1, len(units))):
+                    s_bits |= unit
+                want = [alpha.image for alpha in fixing_b
+                        if alpha.fixes_set(s_bits)]
+                got = [alpha.image for alpha in
+                       enumerate_automorphisms(g, fixing=(b.bits, s_bits))]
+                assert got == want
+    for alpha in full[::max(1, len(full) // 50)]:
+        images = [alpha(x) for x in g.generators()]
+        assert automorphism_from_generator_images(g, images) == alpha
 
 
 def test_stream_order_is_lexicographic_in_generator_images():

@@ -1,6 +1,11 @@
 import pytest
 
-from bipcayley.autos import inversion_automorphism
+import bipcayley.classify as classify
+from bipcayley.autos import (
+    index2_subgroups,
+    inversion_automorphism,
+    is_exceptional_pair,
+)
 from bipcayley.classify import (
     VERDICT_A1,
     VERDICT_A2,
@@ -19,7 +24,9 @@ from bipcayley.errors import (
     SetNotAvoidingB,
 )
 from bipcayley.groups import (
+    all_subgroups,
     build_group,
+    factor_multisets,
     generated_subgroup,
     involution_subgroup,
 )
@@ -172,3 +179,55 @@ def test_classification_report_shape(c6):
     assert rep["witness"] is None
     assert rep["witness_verified"]
     assert rep["cross_check"] == {"cayley_index": 1, "consistent": True}
+
+
+def test_direct_decompositions_match_brute_force():
+    """Every A = C x Z with C cyclic of order >= 4 and Z of exponent <= 2,
+    found by testing every pair of subgroups; none below exponent 4."""
+    for n in range(2, 17):
+        for orders in factor_multisets(n):
+            g = build_group(orders)
+            subs = all_subgroups(g)
+            cyclic = [c for c in subs if c.order >= 4
+                      and len(c.invariant_factors()) == 1]
+            elementary = [z for z in subs
+                          if all(f == 2 for f in z.invariant_factors())]
+            want = {(c.bits, z.bits) for c in cyclic for z in elementary
+                    if c.bits & z.bits == 1 and c.order * z.order == n}
+            got = [(c.bits, z.bits)
+                   for c, z in classify._direct_decompositions(g)]
+            assert len(got) == len(set(got)) and set(got) == want, orders
+            if g.exponent < 4:
+                assert got == []
+
+
+@pytest.mark.parametrize("orders, index", [([2, 2, 2, 2], 0), ([2, 2, 4], 1),
+                                           ([2, 6], 0), ([4, 2], 1)])
+def test_cached_candidates_do_not_change_verdicts(monkeypatch, orders, index):
+    """Classifying from cold caches, and after the caches were filled by the
+    other index-2 subgroups of the same group, gives the same verdicts and
+    witnesses on every admissible set (C4xC2 adds A4 verdicts)."""
+    g = build_group(orders)
+    b = index2_subgroups(g)[index]
+    modes = [("directed", classify_directed)]
+    if not is_exceptional_pair(g, b):
+        modes.append(("undirected", classify_undirected))
+
+    def classify_all():
+        out = []
+        for mode, fn in modes:
+            for s in iter_admissible_sets(g, b, mode):
+                res = fn(g, b, s)
+                out.append((res.verdict, res.witness_json(g)))
+        return out
+
+    monkeypatch.setattr(classify, "_CONTEXTS", {})
+    monkeypatch.setattr(classify, "_CANDIDATES", {})
+    cold = classify_all()
+    monkeypatch.setattr(classify, "_CONTEXTS", {})
+    monkeypatch.setattr(classify, "_CANDIDATES", {})
+    for other in index2_subgroups(g):
+        if other.bits != b.bits:
+            for s in iter_admissible_sets(g, other, "directed"):
+                classify_directed(g, other, s)
+    assert classify_all() == cold

@@ -255,6 +255,13 @@ def test_cap_exit_code(monkeypatch):
     assert code == 3
 
 
+def test_size_cap_message_names_its_variable(monkeypatch, capsys):
+    monkeypatch.setenv("BIPCAYLEY_SIZE_CAP", "4")
+    code, text = run_cli(["group-info", "--group", "C4xC2"])
+    assert (code, text) == (3, "")
+    assert "|A|=8 exceeds BIPCAYLEY_SIZE_CAP=4" in capsys.readouterr().err
+
+
 def test_cap_variables_must_be_positive_integers(monkeypatch, capsys):
     for raw in ("x", "0", "-3", "1.5"):
         monkeypatch.setenv("BIPCAYLEY_AUT_CAP", raw)
@@ -486,6 +493,16 @@ def test_unwritable_export_graph_exits_2_before_any_search(tmp_path,
         code, text = run_cli(argv + [str(path)])
         assert (code, text) == (2, ""), path
         assert str(path) in capsys.readouterr().err
+
+
+def test_search_cap_exits_3_before_writing_the_export(tmp_path, monkeypatch):
+    monkeypatch.setenv("BIPCAYLEY_SEARCH_CAP", "4")
+    path = tmp_path / "g.txt"
+    code, text = run_cli(["index", "--group", "C4xC2", "--subgroup",
+                          "index:0", "--set", "1,0", "--export-graph",
+                          str(path)])
+    assert (code, text) == (3, "")
+    assert not path.exists()
 
 
 def test_survey_echoes_only_the_options_of_its_method():
