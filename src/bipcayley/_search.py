@@ -16,8 +16,11 @@ cell, equitable or queued, minus counts into its siblings.  Splitters visit
 only non-singleton cells.  A completed search's group order is the product
 of the first-path orbit lengths: the orbit of the vertex individualized at
 depth i, under the found automorphisms that fix the vertices individualized
-above it (McKay & Piperno, "Practical graph isomorphism, II").  A lazy
-Schreier-Sims chain gives the lower bound that decides early aborts.
+above it (McKay & Piperno, "Practical graph isomorphism, II").  A leaf
+that yields an automorphism backjumps to the deepest node the current path
+shares with the first path (the best leaf's path, for canonical forms): the
+rest of the abandoned subtree holds nothing new.  A lazy Schreier-Sims
+chain gives the lower bound that decides early aborts.
 """
 
 from __future__ import annotations
@@ -170,6 +173,11 @@ def _orbit(gens, point: int) -> int:
     return orbit
 
 
+def _branch_depth(path, other) -> int:
+    """The first depth where two distinct root-to-leaf paths differ."""
+    return next(i for i, (a, b) in enumerate(zip(path, other)) if a != b)
+
+
 def _fixers(gens, points) -> list[Perm]:
     """The permutations in ``gens`` that fix every one of ``points``."""
     return [g for g in gens if all(g[p] == p for p in points)]
@@ -288,6 +296,7 @@ class AutomorphismSearch:
         self.ref_leaf: list[int] | None = None
         self.ref_invariants: list[tuple[int, ...]] = []
         self.prefix: list[int] = []
+        self.jump = self.n  # the depth a backjump unwinds to; n: none
 
     def _register(self, g: Perm) -> None:
         self.found.append(g)
@@ -301,9 +310,7 @@ class AutomorphismSearch:
         if self.aborted:
             return self
         full = (1 << self.n) - 1
-        if self.root is None:
-            cells = [full]
-        elif self.n == 1:
+        if self.root is None or self.n == 1:
             cells = [full]
         else:
             cells = [1 << self.root, full ^ (1 << self.root)]
@@ -342,6 +349,14 @@ class AutomorphismSearch:
             raise Timeout("stabilizer search exceeded its time budget")
 
     def _descend(self, cells, depth: int) -> None:
+        """Walk a subtree.  A leaf that yields an automorphism g unwinds the
+        walk to the first-path node at depth k, the first where ``prefix``
+        leaves ``first_path``, which goes on with its next child.  g fixes
+        ``first_path[:k]`` and maps ``first_path[k]`` to ``prefix[k]``; the
+        deeper first-path nodes are complete, so the found automorphisms
+        generate the stabilizer H of ``first_path[:k+1]`` (see ``order``),
+        and each leaf left under ``prefix[:k+1]`` yields one in gH.  Each
+        child at depth k yields at most one: |orbit_k| - 1 in all."""
         self._check_deadline()
         building_ref = self.ref_leaf is None
         invariant = tuple(c.bit_count() for c in cells)
@@ -365,6 +380,9 @@ class AutomorphismSearch:
                 self._descend(child, depth + 1)
             finally:
                 self.prefix.pop()
+            if self.jump < depth:
+                return
+            self.jump = self.n
             covered |= _orbit(_fixers(self.gens, self.prefix), u)
 
     def _leaf(self, cells) -> None:
@@ -373,12 +391,10 @@ class AutomorphismSearch:
             self.ref_leaf = sigma
             self.first_path = list(self.prefix)
             return
-        g = [0] * self.n
-        for a, b in zip(self.ref_leaf, sigma):
-            g[a] = b
-        g = tuple(g)
+        g = tuple(b for _, b in sorted(zip(self.ref_leaf, sigma)))
         if is_digraph_automorphism(self.out_adj, g):
             self._register(g)
+            self.jump = _branch_depth(self.prefix, self.first_path)
 
 
 # -- canonical labeling ---------------------------------------------------------
@@ -408,8 +424,10 @@ class CanonicalSearch:
         self.n = len(out_adj)
         self.best: bytes | None = None
         self.best_leaf: list[int] | None = None
+        self.best_path: list[int] = []    # prefix of the best leaf
         self.gens: list[Perm] = []
         self.prefix: list[int] = []
+        self.jump = self.n
 
     def run(self) -> bytes:
         cells = refine_partition(self.out_adj, self.in_adj,
@@ -434,6 +452,9 @@ class CanonicalSearch:
                 self._descend(child)
             finally:
                 self.prefix.pop()
+            if self.jump < len(self.prefix):
+                return
+            self.jump = self.n
             covered |= _orbit(_fixers(self.gens, self.prefix), u)
 
     def _leaf(self, cells) -> None:
@@ -442,11 +463,10 @@ class CanonicalSearch:
         if self.best is None or s < self.best:
             self.best = s
             self.best_leaf = sigma
+            self.best_path = list(self.prefix)
             return
         if s == self.best:
-            g = [0] * self.n
-            for a, b in zip(self.best_leaf, sigma):
-                g[a] = b
-            g = tuple(g)
+            g = tuple(b for _, b in sorted(zip(self.best_leaf, sigma)))
             if is_digraph_automorphism(self.out_adj, g):
                 self.gens.append(g)
+                self.jump = _branch_depth(self.prefix, self.best_path)

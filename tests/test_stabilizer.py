@@ -1,6 +1,7 @@
 import io
 import random
 from collections import deque
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,9 @@ from hypothesis import given, strategies as st
 from bipcayley._search import (
     AutomorphismSearch,
     StabChain,
+    _fixers,
     _individualize,
+    _orbit,
     _target_cell_index,
     perm_on_set,
     refine_partition,
@@ -223,10 +226,9 @@ def test_stab_chain_fuzz_against_closure():
         assert lazy.order() <= _closure_order(gens)  # certified lower bound
 
 
-def test_search_order_fuzz_against_closure():
-    """A completed search's first-path order equals the order of the group
-    its kept generators generate, on random digraphs (directed and
-    symmetric, whole group and root stabilizer)."""
+def _fuzz_digraphs():
+    """60 seeded random digraphs on 2..7 vertices, directed and symmetric,
+    as (out rows, in rows)."""
     rng = random.Random(17)
     for _ in range(60):
         n = rng.randint(2, 7)
@@ -239,12 +241,91 @@ def test_search_order_fuzz_against_closure():
                     out[a] |= 1 << b
                     if symmetric:
                         out[b] |= 1 << a
-        inn = [sum(1 << a for a in range(n) if (out[a] >> b) & 1)
-               for b in range(n)]
+        yield out, _in_rows(out)
+
+
+def test_search_order_fuzz_against_closure():
+    """A completed search's first-path order equals the order of the group
+    its kept generators generate, on random digraphs (directed and
+    symmetric, whole group and root stabilizer)."""
+    for out, inn in _fuzz_digraphs():
         for root in (None, 0):
             search = AutomorphismSearch(out, inn, root=root).run()
             truth = _closure_order(search.gens) if search.gens else 1
             assert search.order() == truth
+
+
+def _assert_one_automorphism_per_branch(search, seeds=0):
+    """Each found automorphism (seeds aside) moves a first first-path
+    vertex, first_path[j], to some image; after a backjump no two share
+    (j, image), so at most |orbit_j| - 1 are found from depth j."""
+    path = search.first_path
+    pairs = set()
+    for g in search.found[seeds:]:
+        j = next(i for i, p in enumerate(path) if g[p] != p)
+        assert (j, g[path[j]]) not in pairs
+        pairs.add((j, g[path[j]]))
+    bound = sum(_orbit(_fixers(search.found, path[:j]), p).bit_count() - 1
+                for j, p in enumerate(path))
+    assert len(pairs) <= bound
+
+
+def test_backjump_finds_one_automorphism_per_first_path_branch():
+    for k in range(1, 7):  # Cay(C2^k, {e1}): a perfect matching
+        g = build_group([2] * k)
+        d = build_cayley(g, connection_set(g, [(1,) + (0,) * (k - 1)]))
+        search = AutomorphismSearch(d.out_neighbors, d.in_neighbors,
+                                    root=0).run()
+        _assert_one_automorphism_per_branch(search)
+        assert len(search.found) == 2 ** (k - 1) - 1
+    for out, inn in _fuzz_digraphs():
+        for root in (None, 0):
+            _assert_one_automorphism_per_branch(
+                AutomorphismSearch(out, inn, root=root).run())
+
+
+def test_perfect_matching_stabilizer_is_exact_and_quick():
+    """Cay(C2^6, {e1}) is 32 disjoint edges: the stabilizer of a vertex is
+    C2 wr S_31, of order 2^31 * 31!.  Without backjumping the search walked
+    931 automorphisms here; it now finds 31."""
+    g = build_group([2] * 6)
+    d = build_cayley(g, connection_set(g, [(1, 0, 0, 0, 0, 0)]))
+    assert vertex_stabilizer(d).stabilizer_order == 2 ** 31 * factorial(31)
+
+
+def _oracle_sets():
+    """Every connection set of every group of order <= 6, and 24 seeded
+    random sets of each group of order 8."""
+    for orders in ([2], [3], [4], [2, 2], [5], [6]):
+        g = build_group(orders)
+        for mask in range(1 << g.size):
+            yield g, mask
+    rng = random.Random(8)
+    for orders in ([8], [4, 2], [2, 2, 2]):
+        g = build_group(orders)
+        for _ in range(24):
+            yield g, rng.getrandbits(g.size)
+
+
+def test_search_against_brute_force_on_all_small_sets():
+    """Exact order against the brute-force filter; the kept generators
+    generate a group of exactly that order; and a bounded search at each
+    abort threshold is either exact or stopped at a lower bound that has
+    reached the threshold."""
+    for g, mask in _oracle_sets():
+        d = build_cayley(g, connection_set(g, mask))
+        truth = brute_force_stabilizer_order(d)
+        rep = vertex_stabilizer(d)
+        assert rep.stabilizer_order == truth
+        gens = rep.stabilizer_generators
+        assert (_closure_order(gens) if gens else 1) == truth
+        for threshold in range(1, truth + 2):
+            order, exact = stabilizer_order_bounded(d, threshold)
+            if exact:
+                assert order == truth
+            else:
+                assert threshold <= order <= truth
+        assert stabilizer_order_bounded(d, truth + 1) == (truth, True)
 
 
 def test_first_path_order_needs_every_found_automorphism():
