@@ -59,9 +59,14 @@ class AbelianGroup:
         else:
             self._neg = None
         if self.size <= _ADD_TABLE_CAP:
-            n = self.size
-            self._add = [[self._add_slow(a, b) for b in range(n)]
-                         for a in range(n)]
+            # Mixed radix, last factor first: row x*w + a of the table is
+            # row a of the table so far, shifted by x + y in each block y.
+            add = [[0]]
+            for n in reversed(self.orders):
+                w = len(add)
+                add = [[(x + y) % n * w + c for y in range(n) for c in row]
+                       for x in range(n) for row in add]
+            self._add = add
         else:
             self._add = None
 

@@ -5,7 +5,8 @@ sets uses two sound accelerations:
 
   * orbit reduction -- conjugate sets alpha(S) for alpha in Aut(A) with
     alpha(B) = B give isomorphic digraphs, so only orbit representatives are
-    searched (every admissible set still counts as examined);
+    searched (every admissible set still counts as examined); the orbits of
+    sets of more than half the free choices are read off their complements;
   * early abort -- once a set's partial automorphism group reaches the
     current best index, its exact index cannot improve the minimum, so the
     search is cut off.
@@ -29,6 +30,8 @@ from typing import Iterable, Sequence
 from ._search import _orbit, perm_on_set
 from .autos import (
     automorphism_generators,
+    index2_subgroup,
+    index2_subgroup_count,
     index2_subgroups,
     inversion_automorphism,
 )
@@ -112,18 +115,14 @@ def _orbit_generators(group: AbelianGroup, sub: Subgroup,
     return perms
 
 
-def _byte_tables(perm: tuple[int, ...]) -> list[list[int]]:
-    """One table per byte of a choice, lowest byte first: ``table[v]`` is
-    the image under ``perm`` of the units picked by the byte value ``v``."""
-    tables = []
-    for shift in range(0, len(perm), 8):
-        block = perm[shift:shift + 8]
-        table = [0] * (1 << len(block))
-        for v in range(1, len(table)):
-            low = v & -v
-            table[v] = table[v ^ low] | (1 << block[low.bit_length() - 1])
-        tables.append(table)
-    return tables
+def _image_table(block: Sequence[int]) -> list[int]:
+    """``table[v]`` is the choice of the units ``block[i]`` for the set bits
+    i of ``v``."""
+    table = [0] * (1 << len(block))
+    for v in range(1, len(table)):
+        low = v & -v
+        table[v] = table[v ^ low] | (1 << block[low.bit_length() - 1])
+    return table
 
 
 def orbit_representatives(choices: range,
@@ -133,29 +132,38 @@ def orbit_representatives(choices: range,
 
     ``choices`` is ``range(1 << k)`` for k units; choice c picks unit i when
     bit i of c is set.  Orbits are marked in a bytearray of 2^k entries.
+    A unit permutation commutes with complementation, so an orbit of more
+    than k/2 units is the complement of one of fewer than k/2 units, and its
+    first choice is the complement of that orbit's last one: only choices of
+    at most k/2 units are walked.  An image is two lookups, one per half of
+    the choice's bits.
     """
-    if not perms:
-        return list(choices)
-    tables = [_byte_tables(perm) for perm in perms]
+    k = len(choices).bit_length() - 1
+    full, width = len(choices) - 1, (k + 1) // 2
+    mask = (1 << width) - 1
+    tables = [(_image_table(perm[:width]), _image_table(perm[width:]))
+              for perm in perms]
     seen = bytearray(len(choices))
     reps = []
     for choice in choices:
-        if seen[choice]:
+        if seen[choice] or 2 * choice.bit_count() > k:
             continue
-        reps.append(choice)
         seen[choice] = 1
-        frontier = [choice]
+        top, frontier = choice, [choice]
         while frontier:
             member = frontier.pop()
-            for perm_tables in tables:
-                im, rest = 0, member
-                for table in perm_tables:
-                    im |= table[rest & 0xFF]
-                    rest >>= 8
+            lo, hi = member & mask, member >> width
+            for lo_table, hi_table in tables:
+                im = lo_table[lo] | hi_table[hi]
                 if not seen[im]:
                     seen[im] = 1
                     frontier.append(im)
-    return reps
+                    if im > top:
+                        top = im
+        reps.append(choice)
+        if 2 * choice.bit_count() < k:
+            reps.append(full ^ top)
+    return sorted(reps)
 
 
 # -- exhaustive / random index minimization ---------------------------------------
@@ -436,7 +444,8 @@ class TableRowResult:
 def subgroup_of_type(group: AbelianGroup, iso_spec: str) -> Subgroup:
     """First index-2 subgroup (in character order) with the given type."""
     want = invariant_factors_of_orders(parse_group_spec(iso_spec))
-    for sub in index2_subgroups(group):
+    for k in range(index2_subgroup_count(group)):
+        sub = index2_subgroup(group, k)
         if sub.invariant_factors() == want:
             return sub
     raise ValueError(f"no index-2 subgroup of type {iso_spec} in "

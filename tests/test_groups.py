@@ -85,6 +85,13 @@ def test_element_order_matches_repeated_addition(small_groups):
             assert count == g.element_order(a)
 
 
+def test_addition_table_matches_coordinatewise_addition(small_groups):
+    extra = [parse_group_spec(spec) for spec in ("C2^6", "C4^3", "C3^2xC6")]
+    for g in small_groups + [build_group(orders) for orders in extra]:
+        assert g._add == [[g._add_slow(a, b) for b in g.elements()]
+                          for a in g.elements()], g.orders
+
+
 def test_involution_subgroup_examples():
     g = build_group([4, 2])
     a2 = involution_subgroup(g)

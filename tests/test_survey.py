@@ -17,6 +17,7 @@ from bipcayley.groups import (
     bits_of,
     build_group,
     generated_subgroup,
+    invariant_factors_of_orders,
     parse_group_spec,
 )
 from bipcayley.survey import (
@@ -502,9 +503,76 @@ def test_orbit_representatives_match_reference_on_table1_rows():
             _check_reps_against_reference(g, b, "directed")
 
 
+def _choice_orbit_reps_reference(k, perms):
+    """The least choice of each orbit of <perms> on range(2^k), by a plain
+    set-based BFS from every choice."""
+    seen, reps = set(), []
+    for choice in range(1 << k):
+        if choice in seen:
+            continue
+        reps.append(choice)
+        seen.add(choice)
+        frontier = [choice]
+        while frontier:
+            member = frontier.pop()
+            for p in perms:
+                im = sum(1 << p[i] for i in bits_of(member))
+                if im not in seen:
+                    seen.add(im)
+                    frontier.append(im)
+    return reps
+
+
+def _synthetic_unit_perms(rng, k):
+    """A random permutation, a transposition and a cycle on a random subset
+    of k units, each kept with probability 1/2."""
+    shuffled = list(range(k))
+    rng.shuffle(shuffled)
+    swap = list(range(k))
+    i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+    swap[i], swap[j] = swap[j], swap[i]
+    cycle = list(range(k))
+    subset = rng.sample(range(k), rng.randint(1, k))
+    for a, b in zip(subset, subset[1:] + subset[:1]):
+        cycle[a] = b
+    return [tuple(p) for p in (shuffled, swap, cycle) if rng.random() < 0.5]
+
+
+def test_orbit_representatives_match_set_bfs_on_synthetic_unit_groups():
+    """Odd and even k, the middle layer, and k > 16, where each half of a
+    choice is looked up in a table of 2^9 entries."""
+    rng = random.Random(19)
+    for k in range(1, 19):
+        perms = _synthetic_unit_perms(rng, k)
+        assert (orbit_representatives(range(1 << k), perms)
+                == _choice_orbit_reps_reference(k, perms)), (k, perms)
+
+
+def test_orbit_representatives_edge_groups():
+    """No generators (every choice is its own orbit), and a transposition
+    with a cycle on a subset, whose orbits are not all of one size."""
+    for k in (0, 1, 4, 7):
+        assert orbit_representatives(range(1 << k), []) == list(range(1 << k))
+    for k in (5, 6, 9, 10):
+        cycle = tuple(list(range(1, k - 1)) + [0, k - 1])
+        swap = tuple([k - 1] + list(range(1, k - 1)) + [0])
+        for perms in ([cycle], [swap], [cycle, swap]):
+            reps = orbit_representatives(range(1 << k), perms)
+            assert reps == _choice_orbit_reps_reference(k, perms), (k, perms)
+
+
+def test_subgroup_of_type_is_first_index2_subgroup_of_that_type():
+    for row in TABLE1_ROWS + TABLE2_ROWS:
+        g = build_group(parse_group_spec(row.group_spec))
+        want = invariant_factors_of_orders(parse_group_spec(row.subgroup_spec))
+        first = next(s for s in index2_subgroups(g)
+                     if s.invariant_factors() == want)
+        assert subgroup_of_type(g, row.subgroup_spec).bits == first.bits, row
+
+
 def test_orbit_generating_sets_stay_small_on_table_rows():
-    """Orbit marking pays one image per generator per choice, so the
-    generating set of Stab_Aut(A)(B) must stay small on every table row."""
+    """Each orbit member pays one image per generator, so the generating
+    set of Stab_Aut(A)(B) must stay small on every table row."""
     for row in TABLE1_ROWS + TABLE2_ROWS:
         g = build_group(parse_group_spec(row.group_spec))
         b = subgroup_of_type(g, row.subgroup_spec)

@@ -2,7 +2,8 @@
 methods by name.  A renamed or removed name breaks ``install()`` or empties a
 metric, so this builds one traced digraph, runs one exact and one bounded
 stabilizer search and one canonical form on it, and checks that the build,
-stabilizer and search metrics are populated."""
+stabilizer and search metrics are populated; and it runs one exhaustive
+survey and checks that the survey's per-layer counts are populated."""
 
 import json
 import os
@@ -15,33 +16,40 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = """
 import json
 import bipcayley
-from bipcayley import cayley, groups, stabilizer
+from bipcayley import autos, cayley, groups, stabilizer, survey
 import tracer
 
 t = tracer.Tracer()
 t.install()
 t.start()
 g = groups.build_group([4, 2])
-digraph = cayley.build_cayley(g, cayley.connection_set(g, [(1, 0), (3, 0)]))
-stabilizer.vertex_stabilizer(digraph)
-stabilizer.stabilizer_order_bounded(digraph, abort_order=2)
-cayley.canonical_form(digraph)
+{work}
 t.stop()
 summary = t.summary()
-print(json.dumps({"metrics": tracer.per_layer_metrics(summary),
-                  "counts": summary["counts"]}))
+print(json.dumps({{"metrics": tracer.per_layer_metrics(summary),
+                   "counts": summary["counts"]}}))
 """
 
 
-def test_tracer_installs_and_fills_the_search_metrics():
+def _traced(work: str) -> dict:
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
                                            str(ROOT / "bench")]),
                PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT.format(work=work)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_tracer_installs_and_fills_the_search_metrics():
+    out = _traced("""
+digraph = cayley.build_cayley(g, cayley.connection_set(g, [(1, 0), (3, 0)]))
+stabilizer.vertex_stabilizer(digraph)
+stabilizer.stabilizer_order_bounded(digraph, abort_order=2)
+cayley.canonical_form(digraph)
+""")
     metrics = out["metrics"]
     assert metrics["cayley.build.calls"] == 1
     assert metrics["stabilizer.exact.calls"] == 1
@@ -50,3 +58,14 @@ def test_tracer_installs_and_fills_the_search_metrics():
     assert metrics["search.refine.calls"] > 0
     assert metrics["search.leaf_checks"] > 0
     assert out["counts"].get("_search.CanonicalSearch.run") == 1
+
+
+def test_orbit_hook_fills_the_survey_counts():
+    """(C4xC2, index:0) directed: 2^4 admissible sets, fewer orbits."""
+    out = _traced("""
+survey.exhaustive_bipartite_index(g, autos.index2_subgroup(g, 0), "directed")
+""")
+    counts = out["counts"]
+    assert counts.get("survey.sets_examined") == 16
+    assert 0 < counts.get("survey.reps_searched", 0) < 16
+    assert 0 < out["metrics"]["survey.reps_ratio"] < 1
