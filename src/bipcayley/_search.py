@@ -19,12 +19,14 @@ depth i, under the found automorphisms that fix the vertices individualized
 above it (McKay & Piperno, "Practical graph isomorphism, II").  A leaf
 that yields an automorphism backjumps to the deepest node the current path
 shares with the first path (the best leaf's path, for canonical forms): the
-rest of the abandoned subtree holds nothing new.  A lazy Schreier-Sims
-chain gives the lower bound that decides early aborts.
+rest of the abandoned subtree holds nothing new.  A leaf map g is checked
+whole: the transposed rows ``out[g[a]]`` must have ``in[b]`` as row g[b].
+A lazy Schreier-Sims chain gives the lower bound that decides early aborts.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
 
@@ -241,14 +243,9 @@ def refine_partition(out_adj, in_adj, cells, splitters=None):
 
 def _target_cell_index(cells) -> int:
     """First smallest non-singleton cell; -1 if the partition is discrete."""
-    best = -1
-    best_size = None
-    for i, cell in enumerate(cells):
-        size = cell.bit_count()
-        if size > 1 and (best_size is None or size < best_size):
-            best = i
-            best_size = size
-    return best
+    sizes = list(map(int.bit_count, cells))
+    nontrivial = [s for s in sizes if s > 1]
+    return sizes.index(min(nontrivial)) if nontrivial else -1
 
 
 def _individualize(out_adj, in_adj, cells, idx, v):
@@ -256,11 +253,43 @@ def _individualize(out_adj, in_adj, cells, idx, v):
     return refine_partition(out_adj, in_adj, child, [1 << v])
 
 
-def is_digraph_automorphism(out_adj, g) -> bool:
-    for a in range(len(out_adj)):
-        if perm_on_set(g, out_adj[a]) != out_adj[g[a]]:
-            return False
-    return True
+@functools.lru_cache(maxsize=8)
+def _swap_masks(w: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of the block swaps, j = w/2, ..., 1, that transpose a
+    w x w bit matrix packed row-major: the mask holds the entries (r, c) with
+    bit j clear in r and set in c, which trade places with (r + j, c - j)."""
+    steps = []
+    for j in (w >> i for i in range(1, w.bit_length())):
+        row = bytes(sum(1 << c for c in range(8) if (8 * k + c) & j)
+                    for k in range(w // 8))
+        block = (row * j + bytes(w // 8) * j) * (w // (2 * j))
+        steps.append((j * (w - 1), int.from_bytes(block, "little")))
+    return tuple(steps)
+
+
+def _transpose(rows) -> list[int]:
+    """Columns of the bit matrix with rows ``rows`` (bit a of column c is bit
+    c of ``rows[a]``), by masked block swaps on the rows packed into one int
+    at a power-of-two stride (Warren, Hacker's Delight, 7-3)."""
+    n = len(rows)
+    w = max(8, 1 << (n - 1).bit_length())
+    width = w // 8
+    x = int.from_bytes(b"".join(r.to_bytes(width, "little") for r in rows),
+                       "little")
+    for shift, mask in _swap_masks(w):
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    buf = x.to_bytes(w * width, "little")
+    return [int.from_bytes(buf[c * width:(c + 1) * width], "little")
+            for c in range(n)]
+
+
+def is_digraph_automorphism(out_adj, in_adj, g) -> bool:
+    """b in out[a] iff g[b] in out[g[a]], for all a, b.  With R[a] =
+    out[g[a]], column c of R is {a : c in out[g[a]]}; so g is an
+    automorphism exactly when column g[b] of R is in[b] for every b."""
+    cols = _transpose([out_adj[v] for v in g])
+    return all(cols[v] == row for v, row in zip(g, in_adj))
 
 
 class AbortSearch(Exception):
@@ -359,7 +388,7 @@ class AutomorphismSearch:
         child at depth k yields at most one: |orbit_k| - 1 in all."""
         self._check_deadline()
         building_ref = self.ref_leaf is None
-        invariant = tuple(c.bit_count() for c in cells)
+        invariant = tuple(map(int.bit_count, cells))
         if building_ref:
             self.ref_invariants.append(invariant)
         elif depth >= len(self.ref_invariants) \
@@ -392,7 +421,7 @@ class AutomorphismSearch:
             self.first_path = list(self.prefix)
             return
         g = tuple(b for _, b in sorted(zip(self.ref_leaf, sigma)))
-        if is_digraph_automorphism(self.out_adj, g):
+        if is_digraph_automorphism(self.out_adj, self.in_adj, g):
             self._register(g)
             self.jump = _branch_depth(self.prefix, self.first_path)
 
@@ -467,6 +496,6 @@ class CanonicalSearch:
             return
         if s == self.best:
             g = tuple(b for _, b in sorted(zip(self.best_leaf, sigma)))
-            if is_digraph_automorphism(self.out_adj, g):
+            if is_digraph_automorphism(self.out_adj, self.in_adj, g):
                 self.gens.append(g)
                 self.jump = _branch_depth(self.prefix, self.best_path)

@@ -74,6 +74,7 @@ class Automorphism:
         return all((sub.bits >> self.image[g]) & 1 for g in sub.generators)
 
 
+@functools.lru_cache(maxsize=64)
 def inversion_automorphism(group: AbelianGroup) -> Automorphism:
     """The map a -> -a; equal to the identity iff the exponent is 2."""
     return Automorphism(group, tuple(group.neg(a) for a in group.elements()))

@@ -265,7 +265,7 @@ class _CanonicalWithoutBackjump:
             g = [0] * self.n
             for a, b in zip(self.best_leaf, sigma):
                 g[a] = b
-            if is_digraph_automorphism(self.out_adj, g):
+            if is_digraph_automorphism(self.out_adj, self.in_adj, g):
                 self.gens.append(tuple(g))
 
 

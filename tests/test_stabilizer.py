@@ -13,6 +13,8 @@ from bipcayley._search import (
     _individualize,
     _orbit,
     _target_cell_index,
+    _transpose,
+    is_digraph_automorphism,
     perm_on_set,
     refine_partition,
 )
@@ -504,3 +506,79 @@ def test_refinement_equivariant_under_relabeling(data):
     refined = refine_partition(out, inn, cells)
     assert refine_partition(out2, inn2, [relabel(c) for c in cells]) \
         == [relabel(c) for c in refined]
+
+
+def test_transpose_matches_naive_and_is_an_involution():
+    rng = random.Random(41)
+    for n in [0, 1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65, 127, 128,
+              129, 255, 256, 257, 300] + [rng.randint(1, 300)
+                                          for _ in range(10)]:
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        cols = [sum(((rows[a] >> c) & 1) << a for a in range(n))
+                for c in range(n)]
+        assert _transpose(rows) == cols
+        assert _transpose(cols) == rows
+
+
+def _is_automorphism_by_rows(out, g):
+    return all(perm_on_set(g, out[a]) == out[g[a]] for a in range(len(out)))
+
+
+def _with_transposition(rng, g):
+    g = list(g)
+    if len(g) > 1:
+        i, j = rng.sample(range(len(g)), 2)
+        g[i], g[j] = g[j], g[i]
+    return tuple(g)
+
+
+def _assert_leaf_check(rng, out, inn, auts):
+    """Genuine automorphisms, each also spoilt by one transposition, and
+    random permutations: the check agrees with the per-row definition."""
+    n = len(out)
+    maps = list(auts) + [_with_transposition(rng, g) for g in auts]
+    maps += [tuple(rng.sample(range(n), n)) for _ in range(4)]
+    for g in maps:
+        assert is_digraph_automorphism(out, inn, g) \
+            == _is_automorphism_by_rows(out, g)
+    assert all(is_digraph_automorphism(out, inn, g) for g in auts)
+
+
+def _invariant_digraph(rng, n, p, symmetric):
+    """A random digraph with the permutation ``p`` among its automorphisms:
+    the union of the <p>-orbits of random arcs."""
+    out = [0] * n
+    for _ in range(rng.randint(0, 2 * n)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        while not (out[a] >> b) & 1:
+            out[a] |= 1 << b
+            out[b] |= symmetric << a
+            a, b = p[a], p[b]
+    return out, (out if symmetric else _in_rows(out))
+
+
+def test_leaf_check_matches_definition_on_random_digraphs():
+    rng = random.Random(43)
+    for n in (1, 2, 7, 8, 9, 16, 17, 33, 64, 65):
+        for symmetric in (False, True):
+            for _ in range(3):
+                p = tuple(rng.sample(range(n), n))
+                out, inn = _invariant_digraph(rng, n, p, symmetric)
+                assert symmetric or n < 16 or out != inn
+                _assert_leaf_check(rng, out, inn, [tuple(range(n)), p])
+
+
+def test_leaf_check_matches_definition_on_cayley_digraphs():
+    rng = random.Random(47)
+    for orders in ([2] * 6, [2, 30], [3, 4, 5]):
+        g = build_group(orders)
+        for directed in (True, False):
+            bits = rng.getrandbits(g.size) & ~1
+            if not directed:
+                bits |= g.negate_set(bits)
+            d = build_cayley(g, connection_set(g, bits))
+            assert d.is_graph != directed or g.exponent == 2
+            shifts = [tuple(g.add(x, t) for x in g.elements())
+                      for t in rng.sample(range(g.size), 3)]
+            auts = shifts + list(vertex_stabilizer(d).stabilizer_generators)
+            _assert_leaf_check(rng, d.out_neighbors, d.in_neighbors, auts)

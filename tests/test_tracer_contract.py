@@ -2,7 +2,8 @@
 methods by name.  A renamed or removed name breaks ``install()`` or empties a
 metric, so this builds one traced digraph, runs one exact and one bounded
 stabilizer search and one canonical form on it, and checks that the build,
-stabilizer and search metrics are populated; and it runs one exhaustive
+stabilizer and search metrics are populated; it checks the leaf counts of
+one search on a directed digraph; and it runs one exhaustive
 survey and checks that the survey's per-layer counts are populated."""
 
 import json
@@ -58,6 +59,21 @@ cayley.canonical_form(digraph)
     assert metrics["search.refine.calls"] > 0
     assert metrics["search.leaf_checks"] > 0
     assert out["counts"].get("_search.CanonicalSearch.run") == 1
+
+
+def test_tracer_counts_leaf_checks_on_a_directed_digraph():
+    """S = {(1, 0), (1, 1)} is not inverse-closed, so the in-rows differ
+    from the out-rows, and (x, y) -> (x, x + y) swaps its two elements: the
+    leaf check runs with both row lists and finds that automorphism."""
+    out = _traced("""
+digraph = cayley.build_cayley(g, cayley.connection_set(g, [(1, 0), (1, 1)]))
+assert digraph.out_neighbors != digraph.in_neighbors
+assert stabilizer.vertex_stabilizer(digraph).stabilizer_order > 1
+""")
+    metrics = out["metrics"]
+    assert metrics["stabilizer.exact.calls"] == 1
+    assert metrics["search.leaf_checks"] > 0
+    assert metrics["search.auts_registered"] > 0
 
 
 def test_orbit_hook_fills_the_survey_counts():
