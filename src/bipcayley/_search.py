@@ -1,7 +1,9 @@
-"""Partition-refinement search core for digraph automorphisms.
+"""One partition-refinement tree walker for digraph automorphisms.
 
-Shared by the vertex-stabilizer engine and the canonical-form engine.
-Vertex sets are int bitsets; permutations are tuples of ints.
+``AutomorphismSearch`` walks the tree for the vertex-stabilizer engine;
+``CanonicalSearch`` walks it for canonical forms with two changes: its
+reference leaf is the best (least-string) leaf so far, and it prunes no node
+by invariants.  Vertex sets are int bitsets; permutations are tuples of ints.
 
 The searches follow the usual individualization-refinement discipline:
 refine an ordered partition to equitability using (out, in)-degree
@@ -313,7 +315,7 @@ class AutomorphismSearch:
         self.deadline = None if timeout is None else time.monotonic() + timeout
         # lazy chain: order() is a certified lower bound, enough for aborts
         self.chain = StabChain(self.n)
-        self.gens: list[Perm] = []        # kept by the chain
+        self.gens: list[Perm] = []  # kept by the chain; canonical: all found
         self.found: list[Perm] = []       # every automorphism found
         self.first_path: list[int] = []   # prefix of the reference leaf
         self.aborted = False
@@ -387,13 +389,8 @@ class AutomorphismSearch:
         and each leaf left under ``prefix[:k+1]`` yields one in gH.  Each
         child at depth k yields at most one: |orbit_k| - 1 in all."""
         self._check_deadline()
-        building_ref = self.ref_leaf is None
-        invariant = tuple(map(int.bit_count, cells))
-        if building_ref:
-            self.ref_invariants.append(invariant)
-        elif depth >= len(self.ref_invariants) \
-                or invariant != self.ref_invariants[depth]:
-            return  # no automorphism can map this node onto the reference path
+        if self._pruned(cells, depth):
+            return
         idx = _target_cell_index(cells)
         if idx < 0:
             self._leaf(cells)
@@ -414,6 +411,17 @@ class AutomorphismSearch:
             self.jump = self.n
             covered |= _orbit(_fixers(self.gens, self.prefix), u)
 
+    def _pruned(self, cells, depth: int) -> bool:
+        """Whether no automorphism can map this node onto the first path:
+        its cell sizes differ from those of the first-path node at ``depth``
+        (recorded while the first path is being walked)."""
+        invariant = tuple(map(int.bit_count, cells))
+        if self.ref_leaf is None:
+            self.ref_invariants.append(invariant)
+            return False
+        return depth >= len(self.ref_invariants) \
+            or invariant != self.ref_invariants[depth]
+
     def _leaf(self, cells) -> None:
         sigma = [cell.bit_length() - 1 for cell in cells]
         if self.ref_leaf is None:
@@ -432,70 +440,42 @@ class AutomorphismSearch:
 def _leaf_string(out_adj, sigma, n) -> bytes:
     """Row-major adjacency bits of the digraph relabeled by sigma
     (label i -> vertex sigma[i]), packed MSB-first into bytes."""
-    bits = bytearray((n * n + 7) // 8)
-    pos = 0
-    for i in range(n):
-        row = out_adj[sigma[i]]
-        for j in range(n):
-            if (row >> sigma[j]) & 1:
-                bits[pos >> 3] |= 0x80 >> (pos & 7)
-            pos += 1
-    return bytes(bits)
+    rank = [0] * n
+    for i, v in enumerate(sigma):
+        rank[v] = n - 1 - i
+    bits = 0
+    for v in sigma:
+        bits = bits << n | perm_on_set(rank, out_adj[v])
+    return (bits << (-n * n % 8)).to_bytes((n * n + 7) // 8, "big")
 
 
-class CanonicalSearch:
+class CanonicalSearch(AutomorphismSearch):
     """Minimal row-major adjacency string over the leaves of the
-    individualization-refinement tree (with orbit pruning)."""
+    individualization-refinement tree, walked as the stabilizer search
+    walks it, with the best leaf so far as the reference leaf."""
 
     def __init__(self, out_adj, in_adj):
-        self.out_adj = out_adj
-        self.in_adj = in_adj
-        self.n = len(out_adj)
+        super().__init__(out_adj, in_adj)
         self.best: bytes | None = None
-        self.best_leaf: list[int] | None = None
-        self.best_path: list[int] = []    # prefix of the best leaf
-        self.gens: list[Perm] = []
-        self.prefix: list[int] = []
-        self.jump = self.n
 
     def run(self) -> bytes:
         cells = refine_partition(self.out_adj, self.in_adj,
                                  [(1 << self.n) - 1])
-        self._descend(cells)
+        self._descend(cells, 0)
         assert self.best is not None
         return self.best
 
-    def _descend(self, cells) -> None:
-        idx = _target_cell_index(cells)
-        if idx < 0:
-            self._leaf(cells)
-            return
-        target = cells[idx]
-        covered = 0
-        for u in bits_of(target):
-            if (covered >> u) & 1:
-                continue
-            child = _individualize(self.out_adj, self.in_adj, cells, idx, u)
-            self.prefix.append(u)
-            try:
-                self._descend(child)
-            finally:
-                self.prefix.pop()
-            if self.jump < len(self.prefix):
-                return
-            self.jump = self.n
-            covered |= _orbit(_fixers(self.gens, self.prefix), u)
+    def _pruned(self, cells, depth: int) -> bool:
+        return False  # the first path depends on the labeling
 
     def _leaf(self, cells) -> None:
         sigma = [cell.bit_length() - 1 for cell in cells]
         s = _leaf_string(self.out_adj, sigma, self.n)
         if self.best is None or s < self.best:
-            self.best = s
-            self.best_leaf = sigma
-            self.best_path = list(self.prefix)
-            return
-        if s == self.best:
-            g = tuple(b for _, b in sorted(zip(self.best_leaf, sigma)))
+            self.best, self.ref_leaf = s, sigma
+            self.first_path = list(self.prefix)
+        elif s == self.best:
+            g = tuple(b for _, b in sorted(zip(self.ref_leaf, sigma)))
             if is_digraph_automorphism(self.out_adj, self.in_adj, g):
                 self.gens.append(g)
-                self.jump = _branch_depth(self.prefix, self.best_path)
+                self.jump = _branch_depth(self.prefix, self.first_path)

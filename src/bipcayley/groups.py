@@ -193,6 +193,7 @@ def build_group(orders: Sequence[int], size_cap: int = SIZE_CAP) -> AbelianGroup
 # -- group spec grammar -----------------------------------------------------
 
 _FACTOR_RE = re.compile(r"C(\d+)(?:\^(\d+))?", re.IGNORECASE)
+_MAX_FACTORS = 64  # each >= 2, so more make |A| > 2^64, which nothing indexes
 
 
 def parse_group_spec(spec: str) -> list[int]:
@@ -210,8 +211,12 @@ def parse_group_spec(spec: str) -> list[int]:
         if not m:
             raise GroupSpecError(
                 f"expected a factor like 'C4' in {spec!r}", pos)
-        n = int(m.group(1))
-        rep = int(m.group(2)) if m.group(2) else 1
+        digits, rep = m.group(1), m.group(2) or "1"
+        if len(digits) > 19 or len(rep) > 2 \
+                or len(orders) + int(rep) > _MAX_FACTORS:
+            raise GroupSpecError(f"more than {_MAX_FACTORS} factors, or one of"
+                                 f" 20 digits or more, in {spec!r}", pos)
+        n, rep = int(digits), int(rep)
         if rep < 1:
             raise GroupSpecError(f"repetition must be >= 1 in {spec!r}", pos)
         orders.extend([n] * rep)

@@ -228,6 +228,30 @@ def test_rows_match_reference_on_mixed_radix_groups():
             assert_rows_match(g, undirected)
 
 
+def _leaf_string_bit_by_bit(out_adj, sigma, n):
+    """Reference for ``_leaf_string``: bit i*n + j, MSB first, is set when
+    sigma[j] is an out-neighbor of sigma[i]."""
+    bits = bytearray((n * n + 7) // 8)
+    pos = 0
+    for i in range(n):
+        row = out_adj[sigma[i]]
+        for j in range(n):
+            if (row >> sigma[j]) & 1:
+                bits[pos >> 3] |= 0x80 >> (pos & 7)
+            pos += 1
+    return bytes(bits)
+
+
+def test_leaf_string_matches_bit_by_bit_reference():
+    rng = random.Random(3)
+    for n in (1, 7, 8, 9, 16, 63, 64, 65, 70):
+        for _ in range(20):
+            out = [rng.getrandbits(n) for _ in range(n)]
+            sigma = rng.sample(range(n), n)
+            assert _leaf_string(out, sigma, n) \
+                == _leaf_string_bit_by_bit(out, sigma, n)
+
+
 class _CanonicalWithoutBackjump:
     """Frozen copy of the canonical walker before backjumping: the minimal
     leaf string with orbit pruning only."""

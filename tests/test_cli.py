@@ -229,7 +229,12 @@ def test_usage_errors(capsys):
                  ["survey", "--group", "C6", "--subgroup", "index:0",
                   "--threads", "0"],
                  ["table", "--which", "1", "--threads", "-2"],
-                 ["c26", "--threads", "0"]):
+                 ["c26", "--threads", "0"],
+                 # a repetition is bounded before its factors are listed
+                 # (these two ran out of memory or overflowed a list size)
+                 ["group-info", "--group", "C2^4000000000"],
+                 ["group-info", "--group", "C2^99999999999999999999"],
+                 ["group-info", "--group", "C2^40xC2^40"]):  # > 64 factors
         assert run_cli(argv) == (2, ""), argv
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err, argv

@@ -2,9 +2,10 @@
 methods by name.  A renamed or removed name breaks ``install()`` or empties a
 metric, so this builds one traced digraph, runs one exact and one bounded
 stabilizer search and one canonical form on it, and checks that the build,
-stabilizer and search metrics are populated; it checks the leaf counts of
-one search on a directed digraph; and it runs one exhaustive
-survey and checks that the survey's per-layer counts are populated."""
+stabilizer and search metrics are populated; it traces one canonical form on
+its own; it checks the leaf counts of one search on a directed digraph; and it
+runs one exhaustive survey and checks that the survey's per-layer counts are
+populated."""
 
 import json
 import os
@@ -59,6 +60,22 @@ cayley.canonical_form(digraph)
     assert metrics["search.refine.calls"] > 0
     assert metrics["search.leaf_checks"] > 0
     assert out["counts"].get("_search.CanonicalSearch.run") == 1
+
+
+def test_canonical_form_alone_runs_no_stabilizer_search():
+    """CanonicalSearch walks the stabilizer search's tree with its own run
+    and leaf, so a canonical form on its own counts leaf checks but no
+    stabilizer search and no registered automorphism.  S = {(1, 0), (3, 0)}
+    is inverse-closed, and its digraph has automorphisms beyond A."""
+    out = _traced("""
+digraph = cayley.build_cayley(g, cayley.connection_set(g, [(1, 0), (3, 0)]))
+cayley.canonical_form(digraph)
+""")
+    metrics = out["metrics"]
+    assert out["counts"].get("_search.CanonicalSearch.run") == 1
+    assert metrics["search.runs"] == 0
+    assert metrics["search.auts_registered"] == 0
+    assert metrics["search.leaf_checks"] > 0
 
 
 def test_tracer_counts_leaf_checks_on_a_directed_digraph():
