@@ -1,9 +1,9 @@
 """One partition-refinement tree walker for digraph automorphisms.
 
 ``AutomorphismSearch`` walks the tree for the vertex-stabilizer engine;
-``CanonicalSearch`` walks it for canonical forms with two changes: its
-reference leaf is the best (least-string) leaf so far, and it prunes no node
-by invariants.  Vertex sets are int bitsets; permutations are tuples of ints.
+``CanonicalSearch`` walks it for canonical forms and differs in one way only:
+its reference leaf is the best (least-string) leaf so far.  Vertex sets are
+int bitsets; permutations are tuples of ints.
 
 The searches follow the usual individualization-refinement discipline:
 refine an ordered partition to equitability using (out, in)-degree
@@ -325,7 +325,6 @@ class AutomorphismSearch:
         except AbortSearch:
             self.aborted = True
         self.ref_leaf: list[int] | None = None
-        self.ref_invariants: list[tuple[int, ...]] = []
         self.prefix: list[int] = []
         self.jump = self.n  # the depth a backjump unwinds to; n: none
 
@@ -347,7 +346,7 @@ class AutomorphismSearch:
             cells = [1 << self.root, full ^ (1 << self.root)]
         cells = refine_partition(self.out_adj, self.in_adj, cells)
         try:
-            self._descend(cells, 0)
+            self._descend(cells)
         except AbortSearch:
             self.aborted = True
         return self
@@ -379,7 +378,7 @@ class AutomorphismSearch:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise Timeout("stabilizer search exceeded its time budget")
 
-    def _descend(self, cells, depth: int) -> None:
+    def _descend(self, cells) -> None:
         """Walk a subtree.  A leaf that yields an automorphism g unwinds the
         walk to the first-path node at depth k, the first where ``prefix``
         leaves ``first_path``, which goes on with its next child.  g fixes
@@ -389,8 +388,6 @@ class AutomorphismSearch:
         and each leaf left under ``prefix[:k+1]`` yields one in gH.  Each
         child at depth k yields at most one: |orbit_k| - 1 in all."""
         self._check_deadline()
-        if self._pruned(cells, depth):
-            return
         idx = _target_cell_index(cells)
         if idx < 0:
             self._leaf(cells)
@@ -403,24 +400,13 @@ class AutomorphismSearch:
             child = _individualize(self.out_adj, self.in_adj, cells, idx, u)
             self.prefix.append(u)
             try:
-                self._descend(child, depth + 1)
+                self._descend(child)
             finally:
                 self.prefix.pop()
-            if self.jump < depth:
+            if self.jump < len(self.prefix):
                 return
             self.jump = self.n
             covered |= _orbit(_fixers(self.gens, self.prefix), u)
-
-    def _pruned(self, cells, depth: int) -> bool:
-        """Whether no automorphism can map this node onto the first path:
-        its cell sizes differ from those of the first-path node at ``depth``
-        (recorded while the first path is being walked)."""
-        invariant = tuple(map(int.bit_count, cells))
-        if self.ref_leaf is None:
-            self.ref_invariants.append(invariant)
-            return False
-        return depth >= len(self.ref_invariants) \
-            or invariant != self.ref_invariants[depth]
 
     def _leaf(self, cells) -> None:
         sigma = [cell.bit_length() - 1 for cell in cells]
@@ -461,12 +447,9 @@ class CanonicalSearch(AutomorphismSearch):
     def run(self) -> bytes:
         cells = refine_partition(self.out_adj, self.in_adj,
                                  [(1 << self.n) - 1])
-        self._descend(cells, 0)
+        self._descend(cells)
         assert self.best is not None
         return self.best
-
-    def _pruned(self, cells, depth: int) -> bool:
-        return False  # the first path depends on the labeling
 
     def _leaf(self, cells) -> None:
         sigma = [cell.bit_length() - 1 for cell in cells]

@@ -401,7 +401,8 @@ def _cmd_bounds(args, caps) -> tuple[object, int]:
 def _cmd_table(args, caps) -> tuple[object, int]:
     results = verify_table(args.which, budget=args.budget,
                            include_extended=args.include_extended,
-                           threads=args.threads, search_cap=caps["search_cap"])
+                           threads=args.threads, search_cap=caps["search_cap"],
+                           progress=_progress_printer(args.progress))
     rows = [r.to_json() for r in results]
     if args.which == 2:
         for fam in TABLE2_FAMILIES:
@@ -480,8 +481,6 @@ def make_parser() -> argparse.ArgumentParser:
                        default="json")
         p.add_argument("--no-timing", action="store_true",
                        help="zero out timing fields for byte-identical output")
-        p.add_argument("--progress", action="store_true",
-                       help="stream progress to stderr")
         if group:
             p.add_argument("--group", required=True,
                            help="group spec, e.g. C4xC2^3")
@@ -498,6 +497,8 @@ def make_parser() -> argparse.ArgumentParser:
         if threads:
             p.add_argument("--threads", type=_int_at_least(1),
                            default=os.cpu_count() or 1)
+            p.add_argument("--progress", action="store_true",
+                           help="stream progress to stderr")
 
     p = sub.add_parser("group-info", help="orders, size, exponent, type")
     common(p)

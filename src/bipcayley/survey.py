@@ -455,11 +455,13 @@ def subgroup_of_type(group: AbelianGroup, iso_spec: str) -> Subgroup:
 def verify_table(which: int, budget: int = DEFAULT_TABLE_BUDGET,
                  include_extended: bool = False,
                  threads: int = 1,
-                 search_cap: int = SEARCH_CAP) -> list[TableRowResult]:
+                 search_cap: int = SEARCH_CAP,
+                 progress=None) -> list[TableRowResult]:
     """Recompute every table row whose admissible-set count fits the budget;
     rows over budget (or extended rows not opted into) come back SKIPPED.
     A row to recompute on a group over ``search_cap`` is refused before any
-    row is searched."""
+    row is searched.  ``progress(done, total)`` counts each row's sets as
+    ``sweep`` does."""
     rows = TABLE1_ROWS if which == 1 else TABLE2_ROWS
     mode = "directed" if which == 1 else "undirected"
     plan = []
@@ -483,7 +485,7 @@ def verify_table(which: int, budget: int = DEFAULT_TABLE_BUDGET,
                                       skip, total))
             continue
         res = exhaustive_bipartite_index(group, sub, mode, budget=budget,
-                                         threads=threads)
+                                         threads=threads, progress=progress)
         out.append(TableRowResult(which, row.group_spec, row.subgroup_spec,
                                   row.expected, res.min_index,
                                   res.min_index == row.expected, "ok", "",
@@ -580,12 +582,15 @@ class UnlabeledReport:
 
 def unlabeled_count(group: AbelianGroup, sub: Subgroup,
                     mode: str) -> UnlabeledReport:
-    """Isomorphism classes among admissible Cay(A, S), via canonical forms."""
+    """Isomorphism classes among admissible Cay(A, S), via canonical forms.
+    Refused before any search when the sets exceed the exhaustive budget."""
+    total = admissible_set_count(group, sub, mode)
+    if total > DEFAULT_EXHAUSTIVE_BUDGET:
+        raise BudgetExceeded(f"{total} admissible sets exceed the budget of "
+                             f"{DEFAULT_EXHAUSTIVE_BUDGET} searches")
     target = 1 if mode == "directed" else minimal_graph_index_target(group)
     classes: dict[bytes, list[tuple[int, int]]] = {}
-    total = 0
     for mask in iter_admissible_sets(group, sub, mode):
-        total += 1
         digraph = build_cayley(group, connection_set(group, mask))
         form = canonical_form(digraph)
         idx = vertex_stabilizer(digraph).cayley_index

@@ -332,6 +332,43 @@ def test_budget_past_the_orbit_work_space_exits_3(capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+def test_unlabeled_past_the_exhaustive_budget_exits_3(monkeypatch, capsys):
+    """C2^6 passes both caps (|A| = 64) but has 2^32 directed sets, past the
+    exhaustive budget of 2^24: refused before any search."""
+    from bipcayley import survey
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched past the budget")
+
+    monkeypatch.setattr(survey, "canonical_form", no_search)
+    monkeypatch.setattr(survey, "vertex_stabilizer", no_search)
+    assert run_cli(["unlabeled", "--group", "C2^6", "--subgroup", "index:0",
+                    "--mode", "directed"]) == (3, "")
+    err = capsys.readouterr().err
+    assert "4294967296 admissible sets exceed the budget" in err
+
+
+def test_progress_is_an_option_of_the_threaded_commands(capsys):
+    """``table`` streams each row's progress (the C4xC2^3 row has 76
+    representatives, 65,536 sets); the commands without
+    ``--threads`` have no ``--progress`` either."""
+    code, _ = run_cli(["table", "--which", "1", "--budget", "65536",
+                       "--threads", "1", "--progress", "--no-timing"])
+    assert code == 0
+    assert "progress: 64/76" in capsys.readouterr().err.splitlines()
+    for argv in (["group-info", "--group", "C6"],
+                 ["subgroups", "--group", "C6"],
+                 ["auts", "--group", "C6"],
+                 ["index", "--group", "C6", "--subgroup", "index:0",
+                  "--set", "1"],
+                 ["classify", "--group", "C6", "--subgroup", "index:0",
+                  "--set", "1"],
+                 ["bounds", "--group", "C6", "--subgroup", "index:0"],
+                 ["sample", "--group", "C6", "--subgroup", "index:0"],
+                 ["unlabeled", "--group", "C6", "--subgroup", "index:0"]):
+        assert run_cli(argv + ["--progress"]) == (2, ""), argv
+
+
 def test_text_format():
     code, text = run_cli(["group-info", "--group", "C6", "--format", "text"])
     assert code == 0

@@ -338,6 +338,29 @@ def test_first_path_order_needs_every_found_automorphism():
     assert vertex_stabilizer(d, 0).stabilizer_order == 16
 
 
+@pytest.mark.parametrize("orders, mask, order", [
+    ([4, 4, 2], 2129589762, 4),
+    ([4, 4, 2], 4202151578, 4),
+    ([4, 4, 2], 2109469954, 4),
+    ([4, 4, 2], 3199990476, 8),
+    ([2, 4, 4], 1000008420, 2),
+    ([2, 4, 4], 4059786186, 32),
+    ([2, 4, 4], 3149882826, 2),
+    ([4, 4, 4], 18012141194728830206, 512),
+    ([4, 4, 4], 18442187057305485296, 8),
+])
+def test_stabilizer_on_sets_with_unequal_cell_sizes_off_the_first_path(
+        orders, mask, order):
+    """Inverse-closed sets whose search trees have nodes with other cell
+    sizes than the first-path node at the same depth.  No automorphism maps
+    such a node onto the first path, so its subtree adds no generator, and
+    walking it leaves the order exact."""
+    g = build_group(orders)
+    rep = vertex_stabilizer(build_cayley(g, connection_set(g, mask)))
+    assert rep.stabilizer_order == order
+    assert _closure_order(rep.stabilizer_generators) == order
+
+
 def _refine_reference(out_adj, in_adj, cells, splitters=None,
                       all_parts=False):
     """Reference refinement: one dict key per vertex of every non-singleton
