@@ -14,21 +14,24 @@ by comparing discrete leaves against the first leaf reached, and prune
 sibling branches lying in the same orbit under the automorphisms found so
 far.  A split queues every part but the first largest (Hopcroft's rule, as
 in nauty/Traces and bliss): counts into that part are counts into the old
-cell, equitable or queued, minus counts into its siblings.  Splitters visit
-only non-singleton cells.  A completed search's group order is the product
-of the first-path orbit lengths: the orbit of the vertex individualized at
-depth i, under the found automorphisms that fix the vertices individualized
-above it (McKay & Piperno, "Practical graph isomorphism, II").  A leaf
-that yields an automorphism backjumps to the deepest node the current path
-shares with the first path (the best leaf's path, for canonical forms): the
-rest of the abandoned subtree holds nothing new.  A leaf map g is checked
-whole: the transposed rows ``out[g[a]]`` must have ``in[b]`` as row g[b].
-A lazy Schreier-Sims chain gives the lower bound that decides early aborts.
+cell, equitable or queued, minus counts into its siblings.  A splitter
+scans only the cells it reaches that can still split: not singletons, nor
+at the root the orbits of the seed automorphisms.  A completed search's
+group order is the product of the first-path orbit lengths: the orbit of
+the vertex individualized at depth i, under the found automorphisms that
+fix the vertices individualized above it (McKay & Piperno, "Practical graph
+isomorphism, II").  A leaf that yields an automorphism backjumps to the
+deepest node the current path shares with the first path (the best leaf's
+path, for canonical forms): the rest of the abandoned subtree holds nothing
+new.  A leaf map g is checked whole: the transposed rows ``out[g[a]]`` must
+have ``in[b]`` as row g[b].  A lazy Schreier-Sims chain gives the lower
+bound that decides early aborts.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import time
 from collections import deque
 
@@ -177,6 +180,13 @@ def _orbit(gens, point: int) -> int:
     return orbit
 
 
+@functools.lru_cache(maxsize=8)  # the same seeds serve every set of a group
+def _orbits(gens: tuple[Perm, ...], n: int) -> frozenset[int]:
+    """The orbits of two or more points under the group ``gens`` generates."""
+    orbits = {_orbit(gens, p) for p in range(n)} if gens else ()
+    return frozenset(o for o in orbits if o & (o - 1))
+
+
 def _branch_depth(path, other) -> int:
     """The first depth where two distinct root-to-leaf paths differ."""
     return next(i for i, (a, b) in enumerate(zip(path, other)) if a != b)
@@ -205,7 +215,8 @@ def _planes(rows, w: int) -> list[int]:
     return planes[::-1]
 
 
-def refine_partition(out_adj, in_adj, cells, splitters=None):
+def refine_partition(out_adj, in_adj, cells, splitters=None,
+                     final=frozenset()):
     """Refine an ordered partition until equitable wrt (out, in) counts.
 
     ``cells`` is a list of int bitsets, already equitable wrt every cell not
@@ -215,19 +226,35 @@ def refine_partition(out_adj, in_adj, cells, splitters=None):
     equivariant under vertex relabeling.  The counts into a splitter are bit
     planes (``_planes``), and each cell splits by intersection with them,
     most significant first, into ordered parts.
+
+    Work that cannot split is skipped.  Cells in ``final`` stay whole:
+    callers pass orbits of automorphisms fixing every cell and splitter, so
+    by equivariance each later cell is a union of orbits.  A regular
+    digraph's last cell is not queued by ``splitters=None``: popped after
+    the other initial cells, its counts are the degree minus theirs.  And
+    a cell that no row of a splitter reaches is not scanned.
     """
     cells = list(cells)
-    queue = deque(cells if splitters is None else splitters)
-    live = [i for i, cell in enumerate(cells) if cell & (cell - 1)]
-    while queue and live:  # live: the positions of non-singleton cells
+    if splitters is None:
+        regular = all(len(set(map(int.bit_count, rows))) < 2
+                      for rows in (out_adj, in_adj))
+        splitters = cells[:-1] if regular else cells
+    queue = deque(splitters)
+    live = [i for i, cell in enumerate(cells)
+            if cell & (cell - 1) and cell not in final]
+    while queue and live:  # live: the positions of cells that may split
         w = queue.popleft()
         planes = _planes(in_adj, w)  # out-counts
         if out_adj is not in_adj:  # else the in-counts are the same
             planes += _planes(out_adj, w)  # in-counts rank below
+        reach = functools.reduce(operator.or_, planes, 0)
         old, live, shift = live, [], 0
         for i in old:
             i += shift
             cell = cells[i]
+            if not cell & reach:  # no row of w meets the cell
+                live.append(i)
+                continue
             parts = [cell]
             for p in planes:
                 if 0 != cell & p != cell:  # count bit 0 before bit 1
@@ -236,7 +263,8 @@ def refine_partition(out_adj, in_adj, cells, splitters=None):
                 live.append(i)
                 continue
             cells[i:i + 1] = parts
-            live += [i + j for j, q in enumerate(parts) if q & (q - 1)]
+            live += [i + j for j, q in enumerate(parts)
+                     if q & (q - 1) and q not in final]
             shift += len(parts) - 1
             big = max(parts, key=int.bit_count)  # implied by the others
             queue.extend(q for q in parts if q is not big)
@@ -344,7 +372,9 @@ class AutomorphismSearch:
             cells = [full]
         else:
             cells = [1 << self.root, full ^ (1 << self.root)]
-        cells = refine_partition(self.out_adj, self.in_adj, cells)
+        seeds = _fixers(self.gens, [] if self.root is None else [self.root])
+        cells = refine_partition(self.out_adj, self.in_adj, cells,
+                                 final=_orbits(tuple(seeds), self.n))
         try:
             self._descend(cells)
         except AbortSearch:

@@ -61,7 +61,8 @@ class CayleyDigraph:
     def __init__(self, group: AbelianGroup, conn: ConnectionSet):
         self.group = group
         self.conn = conn
-        self.out_neighbors = group.translates(group.negate_set(conn.bits))
+        neg = conn.bits if conn.inverse_closed else group.negate_set(conn.bits)
+        self.out_neighbors = group.translates(neg)
         self.in_neighbors = (self.out_neighbors if conn.inverse_closed
                              else group.translates(conn.bits))
 

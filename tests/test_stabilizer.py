@@ -6,12 +6,14 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from bipcayley import _search
 from bipcayley._search import (
     AutomorphismSearch,
     StabChain,
     _fixers,
     _individualize,
     _orbit,
+    _orbits,
     _target_cell_index,
     _transpose,
     is_digraph_automorphism,
@@ -452,6 +454,130 @@ def test_refinement_matches_reference_on_cayley_digraphs(small_groups):
         for _ in range(12):
             d = build_cayley(g, connection_set(g, rng.getrandbits(g.size)))
             _check_against_reference(rng, d.out_neighbors, d.in_neighbors)
+
+
+def _regular_digraph(rng, n):
+    """a -> b iff r(a) + c(b) lies in K mod n, for random permutations r, c
+    and a random K: every out- and in-degree is |K|, and with r != c the
+    digraph is in general not vertex-transitive."""
+    r, c = rng.sample(range(n), n), rng.sample(range(n), n)
+    k = set(rng.sample(range(n), rng.randint(0, n)))
+    out = [sum(1 << b for b in range(n) if (r[a] + c[b]) % n in k)
+           for a in range(n)]
+    return out, _in_rows(out)
+
+
+def test_refinement_without_splitters_matches_reference_on_regular_digraphs():
+    """With ``splitters=None`` a regular digraph's last cell is not queued;
+    the cells still equal the reference's, which queues every cell."""
+    rng = random.Random(53)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        out, inn = (_regular_digraph if rng.random() < 0.7
+                    else _random_digraph)(rng, n)
+        root = [[1, ((1 << n) - 1) ^ 1]] if n > 1 else []
+        for cells in [[(1 << n) - 1], *root, _random_partition(rng, n),
+                      _random_partition(rng, n)]:
+            assert refine_partition(out, inn, cells) \
+                == _refine_reference(out, inn, cells)
+
+
+def _undirected_sets(g):
+    """Every inverse-closed subset of the group, as a bitset."""
+    pairs = sorted({(1 << a) | (1 << g.neg(a)) for a in g.elements()})
+    for mask in range(1 << len(pairs)):
+        yield sum(p for i, p in enumerate(pairs) if (mask >> i) & 1)
+
+
+def _iota_orbits(g):
+    return frozenset((1 << a) | (1 << g.neg(a)) for a in g.elements()
+                     if g.neg(a) != a)
+
+
+def _assert_final_changes_nothing(d, final):
+    cells = [1, ((1 << d.n) - 1) ^ 1]  # the root 0 and the rest
+    assert refine_partition(d.out_neighbors, d.in_neighbors, cells,
+                            final=final) \
+        == refine_partition(d.out_neighbors, d.in_neighbors, cells)
+
+
+def test_inversion_orbits_as_final_cells_change_no_root_refinement(
+        small_groups):
+    """Cells that are one {a, -a} pair are left whole at the root; the
+    refinement is the same, cell for cell and in order, on every undirected
+    Cayley graph of the small groups and on random ones of larger groups."""
+    for g in small_groups:
+        final = _iota_orbits(g)
+        for bits in _undirected_sets(g):
+            _assert_final_changes_nothing(
+                build_cayley(g, connection_set(g, bits)), final)
+    rng = random.Random(59)
+    for orders in ([2, 30], [4, 2, 2, 2]):
+        g = build_group(orders)
+        final = _iota_orbits(g)
+        assert final
+        for _ in range(40):
+            bits = rng.getrandbits(g.size)
+            d = build_cayley(g, connection_set(g, bits | g.negate_set(bits)))
+            _assert_final_changes_nothing(d, final)
+
+
+def test_stabilizer_orbits_as_final_cells_change_no_root_refinement(
+        small_groups):
+    """The orbits of the root-fixing generators a stabilizer search returns
+    are final too; directed and undirected sets."""
+    rng = random.Random(61)
+    for g in small_groups + [build_group([2, 30]), build_group([4, 2, 2, 2])]:
+        for _ in range(8):
+            d = build_cayley(g, connection_set(g, rng.getrandbits(g.size)))
+            gens = vertex_stabilizer(d).stabilizer_generators
+            final = _orbits(tuple(_fixers(gens, [0])), d.n)
+            assert final or not gens
+            _assert_final_changes_nothing(d, final)
+
+
+def _count_rows(monkeypatch):
+    """Wrap ``_search._planes`` to count the rows it sums."""
+    summed = [0]
+    planes = _search._planes
+
+    def counting(rows, w):
+        summed[0] += w.bit_count()
+        return planes(rows, w)
+
+    monkeypatch.setattr(_search, "_planes", counting)
+    return summed
+
+
+def test_regular_digraph_whole_partition_sums_no_row(monkeypatch):
+    summed = _count_rows(monkeypatch)
+    for orders, directed in (([2, 30], True), ([4, 2, 2, 2], False)):
+        g = build_group(orders)
+        bits = random.Random(67).getrandbits(g.size)
+        d = build_cayley(g, connection_set(
+            g, bits if directed else bits | g.negate_set(bits)))
+        full = (1 << g.size) - 1
+        assert refine_partition(d.out_neighbors, d.in_neighbors, [full]) \
+            == [full]
+    assert summed[0] == 0
+
+
+def test_inversion_orbits_save_rows_at_the_root(monkeypatch):
+    """On one undirected Cay(C2xC30, S) the root refinement ends with the
+    {a, -a} pairs and the involutions as its cells; with the pairs final it
+    sums fewer rows."""
+    g = build_group([2, 30])
+    bits = random.Random(71).getrandbits(g.size) & ~1
+    d = build_cayley(g, connection_set(g, bits | g.negate_set(bits)))
+    cells = [1, ((1 << g.size) - 1) ^ 1]
+    summed = _count_rows(monkeypatch)
+    plain = refine_partition(d.out_neighbors, d.in_neighbors, cells)
+    rows_plain, summed[0] = summed[0], 0
+    final = _iota_orbits(g)
+    assert refine_partition(d.out_neighbors, d.in_neighbors, cells,
+                            final=final) == plain
+    assert all(c in final or not c & (c - 1) for c in plain)  # the pairs
+    assert summed[0] < rows_plain
 
 
 def _assert_equitable(out_adj, in_adj, cells):
