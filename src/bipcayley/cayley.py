@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from ._search import CanonicalSearch
 from .errors import SetOutOfRange
-from .groups import AbelianGroup, Subgroup, bits_of, generated_subgroup, popcount
+from .groups import AbelianGroup, Subgroup, bits_of, popcount
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,31 @@ def build_cayley(group: AbelianGroup,
     return CayleyDigraph(group, conn)
 
 
+def root_component(digraph: CayleyDigraph) -> int:
+    """Bitset of <S>, the weak component of vertex 0 (S and -S generate the
+    same subgroup).  {0} u S u -S u (S + S) u (S - S), the union of the rows
+    of 0 and of S, lies in <S>: past n/2 elements it fills A, because a
+    proper subgroup has at most n/2.  Otherwise a search over the rows."""
+    out, inn = digraph.out_neighbors, digraph.in_neighbors
+    full = (1 << digraph.n) - 1
+    near = 1 | out[0] | inn[0]
+    for s in bits_of(inn[0]):
+        near |= out[s] | inn[s]
+    if 2 * near.bit_count() > digraph.n:
+        return full
+    comp = frontier = 1
+    while frontier:
+        reach = 0
+        for v in bits_of(frontier):
+            reach |= out[v] | inn[v]
+        frontier = reach & ~comp
+        comp |= frontier
+    return comp
+
+
 def is_connected(digraph: CayleyDigraph) -> bool:
-    """Weak connectivity, i.e. <S> = A (S and -S generate the same subgroup)."""
-    sub = generated_subgroup(digraph.group, list(digraph.conn.elements()))
-    return sub.order == digraph.group.size
+    """Weak connectivity, i.e. <S> = A."""
+    return root_component(digraph).bit_count() == digraph.n
 
 
 def bipartition_respected(digraph: CayleyDigraph, sub: Subgroup) -> bool:

@@ -7,6 +7,7 @@ regularly, so |Aut(Cay(A,S))| = |A| * |Aut(Cay(A,S))_v| and the Cayley index
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -18,9 +19,9 @@ from ._search import (
     perm_on_set,
 )
 from .autos import inversion_automorphism
-from .cayley import CayleyDigraph, build_cayley
+from .cayley import CayleyDigraph, build_cayley, root_component
 from .errors import NotInverseClosed
-from .groups import AbelianGroup, Subgroup, format_group_spec
+from .groups import AbelianGroup, Subgroup, bits_of, format_group_spec
 
 
 @dataclass(frozen=True)
@@ -44,17 +45,151 @@ def _iota_seed(digraph: CayleyDigraph, v: int) -> list[Perm]:
     return [inversion_automorphism(group).image]
 
 
+def closed_form_order(s_q: int, k: int, m: int, t: int = 1) -> int:
+    """The vertex-stabilizer order of Cay(A, S) from that of a smaller digraph.
+
+    Cay(A, S) is m copies of its root component Y = Cay(<S>, S), on k
+    vertices, so Aut = Aut(Y) wr S_m.  The twin classes of Y (vertices with
+    equal rows: the cosets of the full period P of S, t = |P|) are modules,
+    so Aut(Y) = S_t wr Aut(Q) for the quotient Q = Cay(<S>/P, S/P) on
+    q = k/t vertices (Sabidussi, "The lexicographic product of graphs",
+    Duke Math. J. 28, 1961).  With s_q the stabilizer order of Q, that of Y
+    is s = (t!)^q s_q / t, and that of Cay(A, S) is s (k s)^(m-1) (m-1)!.
+    """
+    s = math.factorial(t) ** (k // t) // t * s_q
+    return s * (k * s) ** (m - 1) * math.factorial(m - 1)
+
+
+def _symmetric(points) -> list[list[tuple[int, int]]]:
+    """A transposition and a full cycle of ``points``, as (point, image)
+    pairs: together they generate Sym(points)."""
+    if len(points) < 2:
+        return []
+    moves = [[(points[0], points[1]), (points[1], points[0])]]
+    if len(points) > 2:
+        moves.append(list(zip(points, points[1:] + points[:1])))
+    return moves
+
+
+class _Quotient:
+    """Cay(A, S) as m copies of its root component Y = Cay(<S>, S), and Y as
+    the quotient Q by its twin classes, each class one vertex of Q.  Class 0
+    is the full period P of S and holds 0 first.  Only Q is searched, with
+    inversion as its seed when S = -S; ``lift`` and ``generators`` answer
+    for Cay(A, S) (see ``closed_form_order``)."""
+
+    def __init__(self, digraph: CayleyDigraph, comp: int):
+        out, inn = digraph.out_neighbors, digraph.in_neighbors
+        self.digraph, self.comp = digraph, comp
+        self.members = list(bits_of(comp))
+        twins: dict[int, list[int]] = {}
+        for g in self.members:
+            twins.setdefault(out[g], []).append(g)
+        self.classes = list(twins.values())
+        label = [0] * digraph.n
+        for j, c in enumerate(self.classes):
+            for g in c:
+                label[g] = j
+        self.k, self.t = len(self.members), len(self.classes[0])
+        self.m = digraph.n // self.k
+        reps = [c[0] for c in self.classes]
+        self.out = [perm_on_set(label, out[r]) for r in reps]
+        self.inn = self.out if inn is out else [perm_on_set(label, inn[r])
+                                                for r in reps]
+        self.seeds = []
+        if digraph.is_graph:
+            iota = tuple(label[digraph.group.neg(r)] for r in reps)
+            if iota != tuple(range(len(reps))):
+                self.seeds.append(iota)
+
+    def lift(self, s_q: int) -> int:
+        return closed_form_order(s_q, self.k, self.m, self.t)
+
+    def search(self, abort_order: int | None,
+               timeout: float | None) -> AutomorphismSearch:
+        """Q's stabilizer search, aborted at the least order whose lift
+        reaches ``abort_order`` (which must exceed ``lift(1)``)."""
+        least = None
+        if abort_order is not None:
+            lo, hi = 1, 2  # lift(lo) < abort_order; lift is increasing
+            while self.lift(hi) < abort_order:
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if self.lift(mid) >= abort_order \
+                    else (mid, hi)
+            least = hi
+        return AutomorphismSearch(self.out, self.inn, root=0,
+                                  seed_gens=self.seeds, abort_order=least,
+                                  timeout=timeout).run()
+
+    def generators(self, q_gens, v: int) -> list[Perm]:
+        """Generators of the stabilizer of ``v``.  Those of the stabilizer
+        of 0 in Y, on copy 0: Q's, lifted class by class, and Sym of each
+        class, Sym(P - 0) for class 0.  With the translations by S they
+        generate Aut(Y), put on copy 1; and translations permute the copies
+        1..m-1 as Sym.  All are then moved from 0 to ``v`` by translation."""
+        group, classes = self.digraph.group, self.classes
+
+        def shift(move, a):
+            return [(group.add(x, a), group.add(y, a)) for x, y in move]
+
+        def onto(a, b):  # the copy of a onto the copy of b, by translation
+            return [(group.add(a, c), group.add(b, c)) for c in self.members]
+
+        moves = [[(x, y) for c, h in zip(classes, gen)
+                  for x, y in zip(c, classes[h])] for gen in q_gens]
+        moves += _symmetric(classes[0][1:])
+        for c in classes[1:]:
+            moves += _symmetric(c)
+        if self.m > 1:
+            reps = [a for a, coset in enumerate(group.translates(self.comp))
+                    if coset & -coset == 1 << a]  # least of its coset
+            a = reps[1]
+            moves += [shift(move, a) for move in moves]
+            moves += [onto(a, group.add(a, s))
+                      for s in bits_of(self.digraph.conn.bits & ~1)]
+            moves += [[p for x, y in move for p in onto(x, y)]
+                      for move in _symmetric(reps[1:])]
+        gens = []
+        for move in moves:
+            g = list(range(self.digraph.n))
+            for x, y in shift(move, v):
+                g[x] = y
+            gens.append(tuple(g))
+        return gens
+
+
+def _quotient(digraph: CayleyDigraph) -> _Quotient | None:
+    """The quotient to search, or None when Cay(A, S) is connected and S
+    has no period (0 is the only vertex with the out-row of 0), so that
+    the digraph itself is searched."""
+    out = digraph.out_neighbors
+    periodic = out.count(out[0]) > 1
+    comp = root_component(digraph)
+    if not periodic and comp.bit_count() == digraph.n:
+        return None
+    return _Quotient(digraph, comp)
+
+
 def vertex_stabilizer(digraph: CayleyDigraph, v: int = 0,
                       timeout: float | None = None) -> AutReport:
     """Exact order and generators of the stabilizer of ``v`` in Aut(digraph)."""
-    search = AutomorphismSearch(digraph.out_neighbors, digraph.in_neighbors,
-                                root=v, seed_gens=_iota_seed(digraph, v),
-                                timeout=timeout).run()
-    order = search.order()
+    quotient = _quotient(digraph)
+    if quotient is None:
+        search = AutomorphismSearch(digraph.out_neighbors,
+                                    digraph.in_neighbors, root=v,
+                                    seed_gens=_iota_seed(digraph, v),
+                                    timeout=timeout).run()
+        order, gens = search.order(), search.gens
+    else:
+        search = quotient.search(None, timeout)
+        order = quotient.lift(search.order())
+        gens = quotient.generators(search.gens, v)
     return AutReport(stabilizer_order=order,
                      full_order=digraph.n * order,
                      cayley_index=order,
-                     stabilizer_generators=tuple(search.gens))
+                     stabilizer_generators=tuple(gens))
 
 
 def stabilizer_order_bounded(digraph: CayleyDigraph,
@@ -64,12 +199,22 @@ def stabilizer_order_bounded(digraph: CayleyDigraph,
 
     Returns ``(order, exact)``.  When the search is aborted because the group
     found so far already has order >= ``abort_order``, the returned order is a
-    lower bound and ``exact`` is False.
+    lower bound and ``exact`` is False.  A disconnected or periodic digraph
+    whose closed form already reaches ``abort_order`` is not searched.
     """
-    search = AutomorphismSearch(digraph.out_neighbors, digraph.in_neighbors,
-                                root=0, seed_gens=_iota_seed(digraph, 0),
-                                abort_order=abort_order, timeout=timeout).run()
-    return search.order(), not search.aborted
+    quotient = _quotient(digraph)
+    if quotient is None:
+        search = AutomorphismSearch(digraph.out_neighbors,
+                                    digraph.in_neighbors, root=0,
+                                    seed_gens=_iota_seed(digraph, 0),
+                                    abort_order=abort_order,
+                                    timeout=timeout).run()
+        return search.order(), not search.aborted
+    least = quotient.lift(1)
+    if abort_order is not None and least >= abort_order:
+        return least, False
+    search = quotient.search(abort_order, timeout)
+    return quotient.lift(search.order()), not search.aborted
 
 
 def cayley_index(group: AbelianGroup, conn) -> int:

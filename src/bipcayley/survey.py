@@ -61,6 +61,7 @@ from .groups import (
     popcount,
 )
 from .stabilizer import (
+    closed_form_order,
     minimal_graph_index_target,
     stabilizer_order_bounded,
     vertex_stabilizer,
@@ -680,15 +681,11 @@ def c26_subclaims() -> C26Report:
         raise FalsificationError("unexpected coordinate-permutation orbits")
 
     # disconnected case: <S> = C2^l gives 2^(6-l) isomorphic components, so
-    # |Aut| >= |Aut(component)|^(2^(6-l)) * (2^(6-l))! with the component
-    # index taken from the smaller table rows (l = 1 is a single edge, index 1)
+    # the index is at least the closed form over a component of at least the
+    # smaller table row's index (l = 1 is a single edge, index 1)
     component_index = {1: 1, 2: 2, 3: 6, 4: 24, 5: 72}
-    disconnected = None
-    for ell, c in component_index.items():
-        comps = 1 << (6 - ell)
-        value = math.factorial(comps) * (c * (1 << ell)) ** comps // 64
-        disconnected = value if disconnected is None else min(disconnected,
-                                                              value)
+    disconnected = min(closed_form_order(c, 1 << ell, 1 << (6 - ell))
+                       for ell, c in component_index.items())
 
     # the connected case fixes a basis inside S; the B-stabilizer acts freely
     # on ordered bases, and |{M in GL6(2) : all columns of odd weight}| equals

@@ -19,6 +19,7 @@ from bipcayley.cayley import (
     connection_set,
     edge_list_text,
     is_connected,
+    root_component,
 )
 from bipcayley.errors import SetOutOfRange
 from bipcayley.groups import (
@@ -106,6 +107,20 @@ def test_is_connected():
     g2 = build_group([4, 2])
     assert not is_connected(
         build_cayley(g2, connection_set(g2, [(2, 0)])))
+
+
+def test_root_component_is_the_generated_subgroup(small_groups):
+    """Both routes of ``root_component``: the union of the rows of 0 and of
+    S past n/2 elements, and the search over rows."""
+    rng = random.Random(5)
+    for g in small_groups + [build_group([2, 30]), build_group([2] * 6)]:
+        for density in (0.02, 0.1, 0.5):
+            for _ in range(6):
+                bits = sum(1 << a for a in g.elements()
+                           if rng.random() < density)
+                d = build_cayley(g, connection_set(g, bits))
+                assert root_component(d) \
+                    == generated_subgroup(g, list(bits_of(bits))).bits
 
 
 def test_bipartition_respected():

@@ -23,10 +23,12 @@ from bipcayley._search import (
 from bipcayley.autos import enumerate_automorphisms, index2_subgroups
 from bipcayley.cayley import build_cayley, connection_set
 from bipcayley.errors import NotInverseClosed
-from bipcayley.groups import bits_of, build_group
+from bipcayley.groups import bits_of, build_group, generated_subgroup
 from bipcayley.stabilizer import (
+    _quotient,
     brute_force_stabilizer_order,
     cayley_index,
+    closed_form_order,
     is_drr,
     is_minimal_graph_index,
     minimal_graph_index_target,
@@ -34,6 +36,11 @@ from bipcayley.stabilizer import (
     stabilizer_order_bounded,
     vertex_stabilizer,
 )
+
+try:
+    from sympy import combinatorics
+except ImportError:
+    combinatorics = None
 
 
 def test_directed_cycle_stabilizer():
@@ -291,10 +298,133 @@ def test_backjump_finds_one_automorphism_per_first_path_branch():
 def test_perfect_matching_stabilizer_is_exact_and_quick():
     """Cay(C2^6, {e1}) is 32 disjoint edges: the stabilizer of a vertex is
     C2 wr S_31, of order 2^31 * 31!.  Without backjumping the search walked
-    931 automorphisms here; it now finds 31."""
+    931 automorphisms here; it now finds 31.  The walker runs on the whole
+    digraph, which ``vertex_stabilizer`` would reduce to one edge."""
     g = build_group([2] * 6)
     d = build_cayley(g, connection_set(g, [(1, 0, 0, 0, 0, 0)]))
-    assert vertex_stabilizer(d).stabilizer_order == 2 ** 31 * factorial(31)
+    search = AutomorphismSearch(d.out_neighbors, d.in_neighbors, root=0).run()
+    assert search.order() == 2 ** 31 * factorial(31)
+    assert len(search.found) == 31
+
+
+def _assert_stabilizer_generators(d, v, gens):
+    for gen in gens:
+        assert gen[v] == v
+        assert is_digraph_automorphism(d.out_neighbors, d.in_neighbors, gen)
+
+
+def test_closed_form_of_a_perfect_matching_on_512_vertices():
+    """Cay(C2^9, {e1}): 256 copies of an edge, of stabilizer order
+    2^255 * 255!, from a search on one edge; the whole digraph took the
+    walker 71 s."""
+    g = build_group([2] * 9)
+    d = build_cayley(g, connection_set(g, [(1,) + (0,) * 8]))
+    rep = vertex_stabilizer(d)
+    assert rep.stabilizer_order == 2 ** 255 * factorial(255)
+    _assert_stabilizer_generators(d, 0, rep.stabilizer_generators)
+
+
+def test_closed_form_of_the_empty_set():
+    """S = {} has period A but <S> = {0}: n isolated vertices, whose
+    stabilizer is Sym(n - 1), generated by a transposition and a cycle."""
+    for orders in ([2, 2, 2], [3, 4]):
+        g = build_group(orders)
+        d = build_cayley(g, connection_set(g, []))
+        rep = vertex_stabilizer(d, 5)
+        assert rep.stabilizer_order == factorial(g.size - 1)
+        assert len(rep.stabilizer_generators) == 2
+        _assert_stabilizer_generators(d, 5, rep.stabilizer_generators)
+
+
+def test_closed_form_needs_the_full_period():
+    """S, three cosets of P = <(2, 0, 0), (0, 1, 0)> in C4xC2^2, has full
+    period P, and its quotient by P is K4.  Its quotient by the partial
+    period <(2, 0, 0)> still has vertices sharing rows, and the closed form
+    over that quotient undercounts."""
+    g = build_group([4, 2, 2])
+    period = {g.encode(p) for p in ((0, 0, 0), (2, 0, 0), (0, 1, 0),
+                                    (2, 1, 0))}
+    d = build_cayley(g, connection_set(g, [
+        g.add(c, p) for c in map(g.encode, ((0, 0, 1), (1, 0, 0), (1, 0, 1)))
+        for p in period]))
+    truth = AutomorphismSearch(d.out_neighbors, d.in_neighbors,
+                               root=0).run().order()
+    assert truth == 497664 == closed_form_order(6, 16, 1, 4)
+    rep = vertex_stabilizer(d)
+    assert rep.stabilizer_order == truth
+    _assert_stabilizer_generators(d, 0, rep.stabilizer_generators)
+    half = [min(a, g.add(a, g.encode((2, 0, 0)))) for a in g.elements()]
+    reps = sorted(set(half))
+    label = [reps.index(h) for h in half]
+    rows = [perm_on_set(label, d.out_neighbors[r]) for r in reps]
+    assert len(set(rows)) < len(rows)
+    partial = AutomorphismSearch(rows, rows, root=0).run().order()
+    assert closed_form_order(partial, 16, 1, 2) == 6144
+
+
+def _structured_sets():
+    """Seeded random periodic (unions of cosets of a subgroup H), disconnected
+    (subsets of a proper subgroup K) and mixed (unions of cosets of H inside
+    K) connection sets, directed and inverse-closed, over groups of order at
+    most 64, each with a random base vertex."""
+    rng = random.Random(97)
+    for orders in ([4, 2, 2], [2] * 4, [3, 6], [2, 12], [4, 2, 2, 2],
+                   [2] * 5, [4, 4, 2], [2, 30], [2, 2, 4, 4]):
+        g = build_group(orders)
+        full = (1 << g.size) - 1
+
+        def subgroup(inside, count):
+            return generated_subgroup(
+                g, rng.sample(list(bits_of(inside)), count)).bits
+
+        for kind in ("periodic", "disconnected", "mixed"):
+            for graph in (False, True):
+                for _ in range(2):
+                    k = full
+                    while kind != "periodic" and k in (1, full):
+                        k = subgroup(full, rng.randint(1, 2))
+                    h = 1
+                    while kind != "disconnected" and h == 1:
+                        h = subgroup(k, 1)
+                    conn = covered = 0
+                    for a in bits_of(k):
+                        if not (covered >> a) & 1:
+                            coset = g.translate_set(h, a)
+                            covered |= coset
+                            conn |= coset if rng.random() < 0.5 else 0
+                    if graph:
+                        conn |= g.negate_set(conn)
+                    yield g, conn, rng.randrange(g.size)
+
+
+def test_closed_forms_against_the_walker_on_structured_sets():
+    """On periodic, disconnected and mixed sets: the order is the walker's
+    on the whole digraph; the generators fix the base vertex, preserve
+    arcs, and on at most 16 vertices generate a group of that order, by
+    closure or, past 50,000 elements, by sympy when it is installed; and a
+    bounded call is exact or a bound in [threshold, order], at thresholds
+    around the least order the closed form gives."""
+    for g, conn, v in _structured_sets():
+        d = build_cayley(g, connection_set(g, conn))
+        truth = AutomorphismSearch(d.out_neighbors, d.in_neighbors,
+                                   root=0).run().order()
+        rep = vertex_stabilizer(d, v)
+        assert rep.stabilizer_order == truth
+        gens = rep.stabilizer_generators
+        _assert_stabilizer_generators(d, v, gens)
+        if g.size <= 16 and truth <= 50_000:
+            assert (_closure_order(gens) if gens else 1) == truth
+        elif g.size <= 16 and combinatorics is not None:
+            assert combinatorics.PermutationGroup(
+                [combinatorics.Permutation(list(p)) for p in gens]
+            ).order() == truth
+        quotient = _quotient(d)
+        for threshold in (1, 2, 3, quotient.lift(1), truth, truth + 1):
+            order, exact = stabilizer_order_bounded(d, threshold)
+            if exact:
+                assert order == truth
+            else:
+                assert threshold <= order <= truth
 
 
 def _oracle_sets():

@@ -3,9 +3,11 @@ methods by name.  A renamed or removed name breaks ``install()`` or empties a
 metric, so this builds one traced digraph, runs one exact and one bounded
 stabilizer search and one canonical form on it, and checks that the build,
 stabilizer and search metrics are populated; it traces one canonical form on
-its own; it checks the leaf counts of one search on a directed digraph; and it
-runs one exhaustive survey and checks that the survey's per-layer counts are
-populated."""
+its own; it checks the leaf counts of one search on a directed digraph; it
+checks that a bounded call answered by its closed form runs no search; and
+it runs one exhaustive survey and checks that the survey's per-layer counts
+are populated.  The stabilizer digraphs are connected and aperiodic, so that
+their searches run on the digraph itself, not on a quotient."""
 
 import json
 import os
@@ -47,8 +49,9 @@ def _traced(work: str) -> dict:
 
 def test_tracer_installs_and_fills_the_search_metrics():
     out = _traced("""
-digraph = cayley.build_cayley(g, cayley.connection_set(g, [(1, 0), (3, 0)]))
-stabilizer.vertex_stabilizer(digraph)
+digraph = cayley.build_cayley(
+    g, cayley.connection_set(g, [(0, 1), (1, 0), (3, 0)]))
+assert stabilizer.vertex_stabilizer(digraph).stabilizer_order == 6
 stabilizer.stabilizer_order_bounded(digraph, abort_order=2)
 cayley.canonical_form(digraph)
 """)
@@ -79,18 +82,33 @@ cayley.canonical_form(digraph)
 
 
 def test_tracer_counts_leaf_checks_on_a_directed_digraph():
-    """S = {(1, 0), (1, 1)} is not inverse-closed, so the in-rows differ
-    from the out-rows, and (x, y) -> (x, x + y) swaps its two elements: the
-    leaf check runs with both row lists and finds that automorphism."""
+    """S = {(0, 1), (1, 0), (2, 1)} is not inverse-closed, so the in-rows
+    differ from the out-rows, and its stabilizer has order 2: the leaf check
+    runs with both row lists and finds the automorphism."""
     out = _traced("""
-digraph = cayley.build_cayley(g, cayley.connection_set(g, [(1, 0), (1, 1)]))
+digraph = cayley.build_cayley(
+    g, cayley.connection_set(g, [(0, 1), (1, 0), (2, 1)]))
 assert digraph.out_neighbors != digraph.in_neighbors
-assert stabilizer.vertex_stabilizer(digraph).stabilizer_order > 1
+assert stabilizer.vertex_stabilizer(digraph).stabilizer_order == 2
 """)
     metrics = out["metrics"]
     assert metrics["stabilizer.exact.calls"] == 1
     assert metrics["search.leaf_checks"] > 0
     assert metrics["search.auts_registered"] > 0
+
+
+def test_bounded_call_at_the_closed_form_runs_no_search():
+    """Cay(C4xC2, {(1, 0), (3, 0)}) is two copies of a 4-cycle, whose period
+    {0, (2, 0)} leaves an edge as its quotient: the least order the closed
+    form gives is 2 * (4 * 2) = 16, and a bound of 16 needs no search."""
+    out = _traced("""
+digraph = cayley.build_cayley(g, cayley.connection_set(g, [(1, 0), (3, 0)]))
+assert stabilizer.stabilizer_order_bounded(digraph, abort_order=16) \\
+    == (16, False)
+""")
+    metrics = out["metrics"]
+    assert metrics["stabilizer.bounded.calls"] == 1
+    assert metrics["search.runs"] == 0
 
 
 def test_orbit_hook_fills_the_survey_counts():
