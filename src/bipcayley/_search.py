@@ -8,30 +8,29 @@ int bitsets; permutations are tuples of ints.
 The searches follow the usual individualization-refinement discipline:
 refine an ordered partition to equitability using (out, in)-degree
 signatures, counted as bit planes by ripple-carry addition of adjacency
-rows (a few big-int operations per splitter member), branch on the first
-smallest non-singleton cell (smallest vertex first), detect automorphisms
-by comparing discrete leaves against the first leaf reached, and prune
-sibling branches lying in the same orbit under the automorphisms found so
-far.  A split queues every part but the first largest (Hopcroft's rule, as
-in nauty/Traces and bliss): counts into that part are counts into the old
-cell, equitable or queued, minus counts into its siblings.  A splitter
-scans only the cells it reaches that can still split: not singletons, nor
-at the root the orbits of the seed automorphisms.  A completed search's
-group order is the product of the first-path orbit lengths: the orbit of
-the vertex individualized at depth i, under the found automorphisms that
-fix the vertices individualized above it (McKay & Piperno, "Practical graph
-isomorphism, II").  A leaf that yields an automorphism backjumps to the
-deepest node the current path shares with the first path (the best leaf's
-path, for canonical forms): the rest of the abandoned subtree holds nothing
-new.  A leaf map g is checked whole: the transposed rows ``out[g[a]]`` must
-have ``in[b]`` as row g[b].  A lazy Schreier-Sims chain gives the lower
-bound that decides early aborts.
+rows (a few big-int operations per splitter member; one row is one plane),
+branch on the first smallest non-singleton cell (smallest vertex first),
+detect automorphisms by comparing discrete leaves against the first leaf
+reached, and prune sibling branches lying in the same orbit under the
+automorphisms found so far.  A split queues every part but the first
+largest (Hopcroft's rule, as in nauty/Traces and bliss): counts into that
+part are counts into the old cell, equitable or queued, minus counts into
+its siblings.  A splitter scans only the cells it reaches that can still
+split: not singletons, nor at the root the orbits of the seed
+automorphisms.  A completed search's group order is the product of the
+first-path orbit lengths: the orbit of the vertex individualized at depth
+i, under the found automorphisms that fix the vertices individualized above
+it (McKay & Piperno, "Practical graph isomorphism, II").  A leaf that
+yields an automorphism backjumps to the deepest node the current path
+shares with the first path (the best leaf's path, for canonical forms): the
+rest of the abandoned subtree holds nothing new.  A leaf map g is checked
+whole: the transposed rows ``out[g[a]]`` must have ``in[b]`` as row g[b].
+A lazy Schreier-Sims chain gives the lower bound that decides early aborts.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 import time
 from collections import deque
 
@@ -202,16 +201,23 @@ def _fixers(gens, points) -> list[Perm]:
 
 def _planes(rows, w: int) -> list[int]:
     """Ripple-carry sum of ``rows[u]`` over u in ``w``: bit v of
-    ``planes[-1 - j]`` is bit j of the number of those rows that contain v."""
-    if w.bit_count() == 1:  # one row: it is the only plane
-        return [rows[w.bit_length() - 1]]
-    planes = [0] * w.bit_count().bit_length()
-    for u in bits_of(w):
-        carry = rows[u]
-        j = 0
-        while carry:
-            planes[j], carry = planes[j] ^ carry, planes[j] & carry
-            j += 1
+    ``planes[-1 - j]`` is bit j of the number of those rows that contain v.
+    A plane is added only for a carry past the top one, so none on top is
+    zero: one row gives ``[row]``, an empty ``w`` gives ``[]``."""
+    if not w & (w - 1):
+        return [rows[w.bit_length() - 1]] if w else []
+    planes = []
+    while w:
+        low = w & -w
+        w ^= low
+        carry = rows[low.bit_length() - 1]
+        for j, p in enumerate(planes):
+            planes[j] = p ^ carry
+            carry &= p
+            if not carry:
+                break
+        if carry:  # past the top plane
+            planes.append(carry)
     return planes[::-1]
 
 
@@ -221,11 +227,11 @@ def refine_partition(out_adj, in_adj, cells, splitters=None,
 
     ``cells`` is a list of int bitsets, already equitable wrt every cell not
     in ``splitters`` (``None`` passes them all); the result is the coarsest
-    equitable refinement.  New cells produced by a split are ordered by their
-    (out, in) signature, which makes the procedure deterministic and
-    equivariant under vertex relabeling.  The counts into a splitter are bit
-    planes (``_planes``), and each cell splits by intersection with them,
-    most significant first, into ordered parts.
+    equitable refinement, with the cells and order of the sequential Hopcroft
+    refinement (FIFO splitters, cells scanned left to right).  Parts of a
+    split are ordered by (out, in) signature, so the result is deterministic
+    and equivariant under relabeling: the counts into a splitter are bit
+    planes (``_planes``), and a cell splits by them, most significant first.
 
     Work that cannot split is skipped.  Cells in ``final`` stay whole:
     callers pass orbits of automorphisms fixing every cell and splitter, so
@@ -247,7 +253,9 @@ def refine_partition(out_adj, in_adj, cells, splitters=None,
         planes = _planes(in_adj, w)  # out-counts
         if out_adj is not in_adj:  # else the in-counts are the same
             planes += _planes(out_adj, w)  # in-counts rank below
-        reach = functools.reduce(operator.or_, planes, 0)
+        reach = 0
+        for p in planes:
+            reach |= p
         old, live, shift = live, [], 0
         for i in old:
             i += shift
@@ -255,19 +263,34 @@ def refine_partition(out_adj, in_adj, cells, splitters=None,
             if not cell & reach:  # no row of w meets the cell
                 live.append(i)
                 continue
-            parts = [cell]
-            for p in planes:
-                if 0 != cell & p != cell:  # count bit 0 before bit 1
-                    parts = [q for r in parts for q in (r & ~p, r & p) if q]
-            if len(parts) == 1:
+            rest = iter(planes)
+            for p in rest:
+                hit = cell & p
+                if 0 != hit != cell:
+                    break
+            else:
                 live.append(i)
                 continue
+            parts = [cell ^ hit, hit]  # count bit 0 before bit 1
+            for p in rest:
+                if 0 != cell & p != cell:
+                    split = []
+                    for r in parts:
+                        h = r & p
+                        split += (r ^ h, h) if 0 != h != r else (r,)
+                    parts = split
             cells[i:i + 1] = parts
-            live += [i + j for j, q in enumerate(parts)
-                     if q & (q - 1) and q not in final]
             shift += len(parts) - 1
-            big = max(parts, key=int.bit_count)  # implied by the others
-            queue.extend(q for q in parts if q is not big)
+            big = size = 0  # the first largest part: implied by the others
+            for q in parts:
+                k = q.bit_count()
+                if k > size:
+                    big, size = q, k
+                if k > 1 and q not in final:
+                    live.append(i)
+                i += 1
+            parts.remove(big)
+            queue.extend(parts)
     return cells
 
 

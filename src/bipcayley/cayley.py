@@ -20,11 +20,15 @@ from .groups import AbelianGroup, Subgroup, bits_of, popcount
 
 @dataclass(frozen=True)
 class ConnectionSet:
-    """Subset of the group as a bitset, with its inverse-closure flag cached."""
+    """Subset S of the group as a bitset, with -S computed once."""
 
     group: AbelianGroup
     bits: int
-    inverse_closed: bool
+    negated: int
+
+    @property
+    def inverse_closed(self) -> bool:
+        return self.negated == self.bits
 
     @property
     def size(self) -> int:
@@ -50,7 +54,7 @@ def connection_set(group: AbelianGroup,
             bits |= 1 << idx
     if bits < 0 or bits >> group.size:
         raise SetOutOfRange("connection set refers to elements outside the group")
-    return ConnectionSet(group, bits, group.negate_set(bits) == bits)
+    return ConnectionSet(group, bits, group.negate_set(bits))
 
 
 class CayleyDigraph:
@@ -61,8 +65,7 @@ class CayleyDigraph:
     def __init__(self, group: AbelianGroup, conn: ConnectionSet):
         self.group = group
         self.conn = conn
-        neg = conn.bits if conn.inverse_closed else group.negate_set(conn.bits)
-        self.out_neighbors = group.translates(neg)
+        self.out_neighbors = group.translates(conn.negated)
         self.in_neighbors = (self.out_neighbors if conn.inverse_closed
                              else group.translates(conn.bits))
 
@@ -96,15 +99,14 @@ def build_cayley(group: AbelianGroup,
 def root_component(digraph: CayleyDigraph) -> int:
     """Bitset of <S>, the weak component of vertex 0 (S and -S generate the
     same subgroup).  {0} u S u -S u (S + S) u (S - S), the union of the rows
-    of 0 and of S, lies in <S>: past n/2 elements it fills A, because a
-    proper subgroup has at most n/2.  Otherwise a search over the rows."""
+    of 0 and of S, lies in <S>: it fills A as soon as it passes n/2
+    elements, as a proper subgroup has at most n/2.  Else a row search."""
     out, inn = digraph.out_neighbors, digraph.in_neighbors
-    full = (1 << digraph.n) - 1
-    near = 1 | out[0] | inn[0]
-    for s in bits_of(inn[0]):
+    near = 1
+    for s in (0, *bits_of(inn[0])):
         near |= out[s] | inn[s]
-    if 2 * near.bit_count() > digraph.n:
-        return full
+        if 2 * near.bit_count() > digraph.n:
+            return (1 << digraph.n) - 1
     comp = frontier = 1
     while frontier:
         reach = 0

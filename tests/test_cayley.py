@@ -86,6 +86,7 @@ def test_right_translation_is_automorphism(small_groups):
 
 def test_graph_iff_inverse_closed():
     g = build_group([6])
+    assert connection_set(g, [1, 2]).negated == (1 << 5) | (1 << 4)
     assert not connection_set(g, [1]).inverse_closed
     assert connection_set(g, [1, 5]).inverse_closed
     assert connection_set(g, [3]).inverse_closed

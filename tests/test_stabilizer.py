@@ -612,6 +612,69 @@ def test_refinement_without_splitters_matches_reference_on_regular_digraphs():
                 == _refine_reference(out, inn, cells)
 
 
+def _random_set(rng, g, undirected):
+    """A random subset of the group, of a random size so that sparse sets,
+    whose root refinement stays coarse, are drawn as well as dense ones."""
+    bits = sum(1 << a for a in rng.sample(range(g.size),
+                                          rng.randint(1, g.size // 2)))
+    return bits | g.negate_set(bits) if undirected else bits
+
+
+def test_refinement_matches_reference_at_benchmark_scale():
+    """Same cells in the same order as the reference on the groups the
+    sample and C2^6 workloads search, in the three call shapes the searches
+    use: the root cells with ``splitters=None``, the same cells with the
+    {a, -a} pairs final, and one vertex individualized in a refined
+    partition with ``splitters=[1 << v]``."""
+    rng = random.Random(79)
+    for orders, modes in (([2, 30], (False, True)), ([2] * 6, (True,))):
+        g = build_group(orders)
+        full = (1 << g.size) - 1
+        iota = _iota_orbits(g)
+        for undirected in modes:
+            for _ in range(10):
+                d = build_cayley(g, connection_set(
+                    g, _random_set(rng, g, undirected)))
+                out, inn = d.out_neighbors, d.in_neighbors
+                root = [1, full ^ 1]
+                refined = _refine_reference(out, inn, root)
+                assert refine_partition(out, inn, root) == refined
+                if undirected:
+                    assert refine_partition(out, inn, root,
+                                            final=iota) == refined
+                for cells in ([full], refined):
+                    idx = _target_cell_index(cells)
+                    if idx < 0:
+                        continue
+                    v = rng.choice(list(bits_of(cells[idx])))
+                    child = (cells[:idx] + [1 << v, cells[idx] ^ (1 << v)]
+                             + cells[idx + 1:])
+                    assert _individualize(out, inn, cells, idx, v) \
+                        == _refine_reference(out, inn, child, [1 << v])
+
+
+def test_empty_and_repeated_splitters():
+    """An empty splitter splits nothing, and a splitter queued twice gives
+    the reference's cells: ``_planes`` reads no row for ``w == 0``."""
+    assert _search._planes([5, 6, 7], 0) == []
+    assert _search._planes([5, 6, 7], 2) == [6]
+    rng = random.Random(83)
+    digraphs = [_random_digraph(rng, rng.randint(1, 12)) for _ in range(100)]
+    g = build_group([2, 30])
+    for undirected in (False, True):
+        d = build_cayley(g, connection_set(g, _random_set(rng, g, undirected)))
+        digraphs.append((d.out_neighbors, d.in_neighbors))
+    for out, inn in digraphs:
+        n = len(out)
+        cells = refine_partition(out, inn, _random_partition(rng, n))
+        assert refine_partition(out, inn, cells, [0]) == cells
+        start = _random_partition(rng, n)
+        w = rng.choice(start)
+        for splitters in ([w, w], [0, w, 0, w], [w, rng.getrandbits(n)] * 2):
+            assert refine_partition(out, inn, start, splitters) \
+                == _refine_reference(out, inn, start, splitters)
+
+
 def _undirected_sets(g):
     """Every inverse-closed subset of the group, as a bitset."""
     pairs = sorted({(1 << a) | (1 << g.neg(a)) for a in g.elements()})
