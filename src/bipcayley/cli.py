@@ -598,6 +598,12 @@ def main(argv: list[str] | None = None, out=None) -> int:
                     "kind", "timeout"):
             if key not in ignored and getattr(args, key, None) not in (None, ""):
                 config[key] = getattr(args, key)
+        # flags and limits that change the result, echoed when set
+        for key in ("stabilizing", "limit", "include_extended",
+                    "all_subgroups", "thresholds", "cross_check", "full",
+                    "checkpoint"):
+            if getattr(args, key, None):
+                config[key] = getattr(args, key)
         result, code = _HANDLERS[args.command](args, caps)
     except errors.UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

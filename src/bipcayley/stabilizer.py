@@ -1,8 +1,9 @@
 """Exact automorphism-group computation for Cayley digraphs.
 
-Only the stabilizer of one vertex is ever searched: right translations act
+Only the stabilizer of vertex 0 is ever searched: right translations act
 regularly, so |Aut(Cay(A,S))| = |A| * |Aut(Cay(A,S))_v| and the Cayley index
-|Aut : A| equals the stabilizer order.
+|Aut : A| equals the stabilizer order; the stabilizer of v is that of 0
+moved by the translation by v.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from ._search import (
     format_cycles,
     perm_on_set,
 )
-from .autos import inversion_automorphism
 from .cayley import CayleyDigraph, build_cayley, root_component
 from .errors import NotInverseClosed
 from .groups import AbelianGroup, Subgroup, bits_of, format_group_spec
@@ -32,17 +32,6 @@ class AutReport:
     full_order: int
     cayley_index: int
     stabilizer_generators: tuple[Perm, ...] = field(default=())
-
-
-def _iota_seed(digraph: CayleyDigraph, v: int) -> list[Perm]:
-    """Negation is a digraph automorphism whenever S = -S; seed the search
-    with it when it also fixes the chosen vertex."""
-    group = digraph.group
-    if not digraph.is_graph or group.exponent <= 2:
-        return []
-    if group.neg(v) != v:
-        return []
-    return [inversion_automorphism(group).image]
 
 
 def closed_form_order(s_q: int, k: int, m: int, t: int = 1) -> int:
@@ -74,30 +63,40 @@ def _symmetric(points) -> list[list[tuple[int, int]]]:
 class _Quotient:
     """Cay(A, S) as m copies of its root component Y = Cay(<S>, S), and Y as
     the quotient Q by its twin classes, each class one vertex of Q.  Class 0
-    is the full period P of S and holds 0 first.  Only Q is searched, with
-    inversion as its seed when S = -S; ``lift`` and ``generators`` answer
-    for Cay(A, S) (see ``closed_form_order``)."""
+    is the full period P of S and holds 0 first.  A connected, aperiodic
+    digraph (m = t = 1) is its own quotient and keeps its rows.  Only Q is
+    searched, at 0, with inversion as its seed when S = -S; ``lift`` and
+    ``generators`` answer for Cay(A, S) (see ``closed_form_order``)."""
 
-    def __init__(self, digraph: CayleyDigraph, comp: int):
+    def __init__(self, digraph: CayleyDigraph):
         out, inn = digraph.out_neighbors, digraph.in_neighbors
-        self.digraph, self.comp = digraph, comp
-        self.members = list(bits_of(comp))
-        twins: dict[int, list[int]] = {}
-        for g in self.members:
-            twins.setdefault(out[g], []).append(g)
-        self.classes = list(twins.values())
-        label = [0] * digraph.n
-        for j, c in enumerate(self.classes):
-            for g in c:
-                label[g] = j
-        self.k, self.t = len(self.members), len(self.classes[0])
-        self.m = digraph.n // self.k
-        reps = [c[0] for c in self.classes]
-        self.out = [perm_on_set(label, out[r]) for r in reps]
-        self.inn = self.out if inn is out else [perm_on_set(label, inn[r])
-                                                for r in reps]
+        n = digraph.n
+        self.digraph = digraph
+        self.comp = root_component(digraph)
+        self.k = self.comp.bit_count()
+        self.m = n // self.k
+        # t counts inside <S>: with S = {} every vertex has the row of 0
+        if self.m == 1 and out.count(out[0]) == 1:
+            self.t, self.classes = 1, None
+            label = reps = range(n)
+            self.out, self.inn = out, inn
+        else:
+            self.members = list(bits_of(self.comp))
+            twins: dict[int, list[int]] = {}
+            for g in self.members:
+                twins.setdefault(out[g], []).append(g)
+            self.classes = list(twins.values())
+            label = [0] * n
+            for j, c in enumerate(self.classes):
+                for g in c:
+                    label[g] = j
+            self.t = len(self.classes[0])
+            reps = [c[0] for c in self.classes]
+            self.out = [perm_on_set(label, out[r]) for r in reps]
+            self.inn = self.out if inn is out else [
+                perm_on_set(label, inn[r]) for r in reps]
         self.seeds = []
-        if digraph.is_graph:
+        if digraph.is_graph and digraph.group.exponent > 2:
             iota = tuple(label[digraph.group.neg(r)] for r in reps)
             if iota != tuple(range(len(reps))):
                 self.seeds.append(iota)
@@ -109,16 +108,13 @@ class _Quotient:
                timeout: float | None) -> AutomorphismSearch:
         """Q's stabilizer search, aborted at the least order whose lift
         reaches ``abort_order`` (which must exceed ``lift(1)``)."""
-        least = None
-        if abort_order is not None:
-            lo, hi = 1, 2  # lift(lo) < abort_order; lift is increasing
-            while self.lift(hi) < abort_order:
-                lo, hi = hi, 2 * hi
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if self.lift(mid) >= abort_order \
-                    else (mid, hi)
-            least = hi
+        least = abort_order
+        if least is not None:  # lift(s) = s^m lift(1): the least s^m >= r
+            r = least = -(-abort_order // self.lift(1))
+            lo = 1  # lo^m < r <= least^m
+            while self.m > 1 and least - lo > 1:
+                mid = (lo + least) // 2
+                lo, least = (lo, mid) if mid ** self.m >= r else (mid, least)
         return AutomorphismSearch(self.out, self.inn, root=0,
                                   seed_gens=self.seeds, abort_order=least,
                                   timeout=timeout).run()
@@ -137,11 +133,16 @@ class _Quotient:
         def onto(a, b):  # the copy of a onto the copy of b, by translation
             return [(group.add(a, c), group.add(b, c)) for c in self.members]
 
-        moves = [[(x, y) for c, h in zip(classes, gen)
-                  for x, y in zip(c, classes[h])] for gen in q_gens]
-        moves += _symmetric(classes[0][1:])
-        for c in classes[1:]:
-            moves += _symmetric(c)
+        if classes is None:  # Q's generators are already permutations of A
+            if not v:
+                return list(q_gens)
+            moves = [list(enumerate(gen)) for gen in q_gens]
+        else:
+            moves = [[(x, y) for c, h in zip(classes, gen)
+                      for x, y in zip(c, classes[h])] for gen in q_gens]
+            moves += _symmetric(classes[0][1:])
+            for c in classes[1:]:
+                moves += _symmetric(c)
         if self.m > 1:
             reps = [a for a, coset in enumerate(group.translates(self.comp))
                     if coset & -coset == 1 << a]  # least of its coset
@@ -160,36 +161,17 @@ class _Quotient:
         return gens
 
 
-def _quotient(digraph: CayleyDigraph) -> _Quotient | None:
-    """The quotient to search, or None when Cay(A, S) is connected and S
-    has no period (0 is the only vertex with the out-row of 0), so that
-    the digraph itself is searched."""
-    out = digraph.out_neighbors
-    periodic = out.count(out[0]) > 1
-    comp = root_component(digraph)
-    if not periodic and comp.bit_count() == digraph.n:
-        return None
-    return _Quotient(digraph, comp)
-
-
 def vertex_stabilizer(digraph: CayleyDigraph, v: int = 0,
                       timeout: float | None = None) -> AutReport:
     """Exact order and generators of the stabilizer of ``v`` in Aut(digraph)."""
-    quotient = _quotient(digraph)
-    if quotient is None:
-        search = AutomorphismSearch(digraph.out_neighbors,
-                                    digraph.in_neighbors, root=v,
-                                    seed_gens=_iota_seed(digraph, v),
-                                    timeout=timeout).run()
-        order, gens = search.order(), search.gens
-    else:
-        search = quotient.search(None, timeout)
-        order = quotient.lift(search.order())
-        gens = quotient.generators(search.gens, v)
+    quotient = _Quotient(digraph)
+    search = quotient.search(None, timeout)
+    order = quotient.lift(search.order())
     return AutReport(stabilizer_order=order,
                      full_order=digraph.n * order,
                      cayley_index=order,
-                     stabilizer_generators=tuple(gens))
+                     stabilizer_generators=tuple(
+                         quotient.generators(search.gens, v)))
 
 
 def stabilizer_order_bounded(digraph: CayleyDigraph,
@@ -199,17 +181,10 @@ def stabilizer_order_bounded(digraph: CayleyDigraph,
 
     Returns ``(order, exact)``.  When the search is aborted because the group
     found so far already has order >= ``abort_order``, the returned order is a
-    lower bound and ``exact`` is False.  A disconnected or periodic digraph
-    whose closed form already reaches ``abort_order`` is not searched.
+    lower bound and ``exact`` is False.  A digraph whose least closed form,
+    ``lift(1)``, already reaches ``abort_order`` is not searched.
     """
-    quotient = _quotient(digraph)
-    if quotient is None:
-        search = AutomorphismSearch(digraph.out_neighbors,
-                                    digraph.in_neighbors, root=0,
-                                    seed_gens=_iota_seed(digraph, 0),
-                                    abort_order=abort_order,
-                                    timeout=timeout).run()
-        return search.order(), not search.aborted
+    quotient = _Quotient(digraph)
     least = quotient.lift(1)
     if abort_order is not None and least >= abort_order:
         return least, False

@@ -166,6 +166,29 @@ def test_c26_command():
     assert payload["result"]["subclaims_ok"] is True
 
 
+def test_index_output_is_pinned():
+    """``index --no-timing`` answers, generators included, for a connected
+    aperiodic set, a periodic set (the C4xC2^2 set of
+    ``test_closed_form_needs_the_full_period``), a disconnected set and the
+    empty set."""
+    periodic = ";".join(f"{a},{b},{c}" for a in range(4) for b in range(2)
+                        for c in range(2) if (a % 2, c) != (0, 0))
+    for group, conn, index, generators in (
+            ("C4xC2", "0,1;1,0;3,0", 6, ["(2 6)(3 7)", "(1 2)(4 7)"]),
+            ("C4xC2^2", periodic, 497664,
+             ["(4 5)(6 7)(12 13)(14 15)", "(1 4)(3 6)(9 12)(11 14)",
+              "(2 8)", "(2 8 10)", "(1 3)", "(1 3 9 11)", "(4 6)",
+              "(4 6 12 14)", "(5 7)", "(5 7 13 15)"]),
+            ("C2^3", "1,0,0", 48, ["(1 5)", "(1 2)(5 6)", "(1 2 3)(5 6 7)"]),
+            ("C4xC2", "", 5040, ["(1 2)", "(1 2 3 4 5 6 7)"])):
+        code, payload = run_json(["index", "--group", group, "--set", conn,
+                                  "--no-timing"])
+        assert code == 0
+        res = payload["result"]
+        assert (res["cayley_index"], res["generators"], res["elapsed_ms"]) \
+            == (index, generators, 0.0), group
+
+
 def test_byte_identical_repeat():
     argv = ["index", "--group", "C6", "--subgroup", "index:0",
             "--set", "1,3,5", "--mode", "undirected", "--no-timing"]
@@ -560,6 +583,33 @@ def test_survey_echoes_only_the_options_of_its_method():
     config = payload["config"]
     assert config["budget"] == 1 << 24
     assert "seed" not in config and "samples" not in config
+
+
+def test_config_echoes_the_options_that_change_the_result(tmp_path):
+    """Each flag or limit that changes a command's result is echoed in its
+    config when set, and left out when it is not."""
+    checkpoint = str(tmp_path / "ck")
+    for argv, echoed in (
+            (["auts", "--group", "C6", "--stabilizing", "index:0",
+              "--limit", "1"], {"stabilizing": "index:0", "limit": 1}),
+            (["table", "--which", "1", "--budget", "0", "--threads", "1",
+              "--include-extended"], {"include_extended": True}),
+            (["survey", "--group", "C6", "--all-subgroups", "--threads",
+              "1"], {"all_subgroups": True}),
+            (["bounds", "--group", "C6", "--thresholds"],
+             {"thresholds": True}),
+            (["classify", "--group", "C6", "--subgroup", "index:0", "--set",
+              "1,3,5", "--cross-check"], {"cross_check": True}),
+            (["c26", "--full", "--budget", "5", "--threads", "1",
+              "--checkpoint", checkpoint],
+             {"full": True, "checkpoint": checkpoint})):
+        code, payload = run_json(argv + ["--no-timing"])
+        assert code == 0, argv
+        config = payload["config"]
+        assert {k: config.get(k) for k in echoed} == echoed, argv
+    code, payload = run_json(["auts", "--group", "C6"])
+    assert code == 0
+    assert not {"stabilizing", "limit"} & set(payload["config"])
 
 
 def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr():

@@ -21,11 +21,11 @@ from bipcayley._search import (
     refine_partition,
 )
 from bipcayley.autos import enumerate_automorphisms, index2_subgroups
-from bipcayley.cayley import build_cayley, connection_set
+from bipcayley.cayley import build_cayley, connection_set, is_connected
 from bipcayley.errors import NotInverseClosed
 from bipcayley.groups import bits_of, build_group, generated_subgroup
 from bipcayley.stabilizer import (
-    _quotient,
+    _Quotient,
     brute_force_stabilizer_order,
     cayley_index,
     closed_form_order,
@@ -133,10 +133,19 @@ def test_brute_force_cross_validation():
 
 
 def test_nonidentity_base_vertex():
-    g = build_group([6])
-    d = build_cayley(g, connection_set(g, [1, 3, 5]))
-    # vertex-transitive, so the stabilizer order is the same at any vertex
-    assert vertex_stabilizer(d, 3).stabilizer_order == 12
+    """Vertex-transitive, so the stabilizer order is the same at any vertex.
+    K33 is periodic; the other two digraphs are connected and aperiodic, one
+    directed and one a graph seeded by inversion, and their generators at 3
+    are those at 0 moved by translation."""
+    for orders, conn, order in (([6], [1, 3, 5], 12),
+                                ([4, 2], [(0, 1), (1, 0), (3, 0)], 6),
+                                ([8], [1, 2, 6, 7], 2)):
+        g = build_group(orders)
+        d = build_cayley(g, connection_set(g, conn))
+        rep = vertex_stabilizer(d, 3)
+        assert rep.stabilizer_order == order
+        _assert_stabilizer_generators(d, 3, rep.stabilizer_generators)
+        assert _closure_order(rep.stabilizer_generators) == order
 
 
 def test_chain_order_against_sympy_on_search_output():
@@ -418,13 +427,46 @@ def test_closed_forms_against_the_walker_on_structured_sets():
             assert combinatorics.PermutationGroup(
                 [combinatorics.Permutation(list(p)) for p in gens]
             ).order() == truth
-        quotient = _quotient(d)
-        for threshold in (1, 2, 3, quotient.lift(1), truth, truth + 1):
+        for threshold in (1, 2, 3, _Quotient(d).lift(1), truth, truth + 1):
             order, exact = stabilizer_order_bounded(d, threshold)
             if exact:
                 assert order == truth
             else:
                 assert threshold <= order <= truth
+
+
+def test_bipartite_complement_has_the_same_index():
+    """The automorphisms of a connected bipartite digraph preserve its parts
+    {B, A - B}, so they map the non-arcs between the parts to non-arcs
+    between the parts: when Cay(A, S) and Cay(A, (A - B) - S) are both
+    connected, they have the same stabilizer order.  Seeded random S inside
+    A - B, directed and inverse-closed, over groups of order at most 32."""
+    rng = random.Random(26)
+    checked = 0
+    for orders in ([6], [4, 2], [2, 2, 2], [8], [2, 6], [4, 4], [2, 2, 4],
+                   [2, 8], [2] * 4, [2, 2, 6], [4, 2, 2, 2], [2] * 5):
+        g = build_group(orders)
+        subs = index2_subgroups(g)
+        for b in rng.sample(subs, min(2, len(subs))):
+            odd = b.complement_bits()
+            for graph in (False, True):
+                for _ in range(3):
+                    conn = sum(1 << a for a in bits_of(odd)
+                               if rng.random() < 0.5)
+                    if graph:
+                        conn |= g.negate_set(conn)
+                    pair = [build_cayley(g, connection_set(g, c))
+                            for c in (conn, odd & ~conn)]
+                    if not all(map(is_connected, pair)):
+                        continue
+                    order = vertex_stabilizer(pair[0]).stabilizer_order
+                    assert vertex_stabilizer(pair[1]).stabilizer_order \
+                        == order
+                    for d in pair:
+                        assert stabilizer_order_bounded(d, order + 1) \
+                            == (order, True)
+                    checked += 1
+    assert checked >= 50
 
 
 def _oracle_sets():

@@ -7,7 +7,7 @@ its own; it checks the leaf counts of one search on a directed digraph; it
 checks that a bounded call answered by its closed form runs no search; and
 it runs one exhaustive survey and checks that the survey's per-layer counts
 are populated.  The stabilizer digraphs are connected and aperiodic, so that
-their searches run on the digraph itself, not on a quotient."""
+each is its own quotient and their searches run on the digraph itself."""
 
 import json
 import os
@@ -100,14 +100,20 @@ assert stabilizer.vertex_stabilizer(digraph).stabilizer_order == 2
 def test_bounded_call_at_the_closed_form_runs_no_search():
     """Cay(C4xC2, {(1, 0), (3, 0)}) is two copies of a 4-cycle, whose period
     {0, (2, 0)} leaves an edge as its quotient: the least order the closed
-    form gives is 2 * (4 * 2) = 16, and a bound of 16 needs no search."""
+    form gives is 2 * (4 * 2) = 16, and a bound of 16 needs no search.  A
+    connected, aperiodic digraph is its own quotient, whose least order is
+    1, so a bound of 1 needs no search either."""
     out = _traced("""
 digraph = cayley.build_cayley(g, cayley.connection_set(g, [(1, 0), (3, 0)]))
 assert stabilizer.stabilizer_order_bounded(digraph, abort_order=16) \\
     == (16, False)
+digraph = cayley.build_cayley(
+    g, cayley.connection_set(g, [(0, 1), (1, 0), (3, 0)]))
+assert stabilizer.stabilizer_order_bounded(digraph, abort_order=1) \\
+    == (1, False)
 """)
     metrics = out["metrics"]
-    assert metrics["stabilizer.bounded.calls"] == 1
+    assert metrics["stabilizer.bounded.calls"] == 2
     assert metrics["search.runs"] == 0
 
 
