@@ -308,26 +308,3 @@ def verify_witness(group: AbelianGroup, sub: Subgroup, s_bits: int,
         return _product_set(group, w.s_prime, w.s_dprime) == s_bits
     return result.verdict == VERDICT_GOOD and result.witness is None
 
-
-def classification_report(group: AbelianGroup, sub: Subgroup, s_bits: int,
-                          mode: str, cross_check: bool = False) -> dict:
-    """JSON-ready verdict, optionally cross-checked against the stabilizer
-    search (GOOD must mean minimal index; other verdicts make no claim)."""
-    from .stabilizer import cayley_index, minimal_graph_index_target
-
-    if mode == "directed":
-        result = classify_directed(group, sub, s_bits)
-        target = 1
-    else:
-        result = classify_undirected(group, sub, s_bits)
-        target = minimal_graph_index_target(group)
-    out = {
-        "verdict": result.verdict,
-        "witness": result.witness_json(group),
-        "witness_verified": verify_witness(group, sub, s_bits, result, mode),
-    }
-    if cross_check:
-        idx = cayley_index(group, s_bits)
-        consistent = idx == target if result.verdict == VERDICT_GOOD else True
-        out["cross_check"] = {"cayley_index": idx, "consistent": consistent}
-    return out

@@ -17,8 +17,10 @@ import itertools
 import json
 import os
 import sys
+import time
 
 from . import errors
+from ._search import format_cycles
 from .autos import (
     automorphism_generators,
     enumerate_automorphisms,
@@ -37,8 +39,18 @@ from .bounds import (
     theorem_lower_bound,
     threshold_scan,
 )
-from .cayley import build_cayley, connection_set, edge_list_text
-from .classify import classification_report
+from .cayley import (
+    bipartition_respected,
+    build_cayley,
+    connection_set,
+    edge_list_text,
+)
+from .classify import (
+    VERDICT_GOOD,
+    classify_directed,
+    classify_undirected,
+    verify_witness,
+)
 from .groups import (
     SIZE_CAP,
     AbelianGroup,
@@ -50,7 +62,11 @@ from .groups import (
     involution_subgroup,
     parse_group_spec,
 )
-from .stabilizer import minimal_graph_index_target, report_json
+from .stabilizer import (
+    cayley_index,
+    minimal_graph_index_target,
+    vertex_stabilizer,
+)
 from .survey import (
     DEFAULT_EXHAUSTIVE_BUDGET,
     DEFAULT_SAMPLES,
@@ -249,8 +265,7 @@ def _progress_printer(enabled: bool):
 # -- subcommand handlers -----------------------------------------------------------
 
 
-def _cmd_group_info(args, caps) -> tuple[object, int]:
-    group = build_group(parse_group_spec(args.group), caps["size_cap"])
+def _cmd_group_info(args, caps, group) -> tuple[object, int]:
     inv = involution_subgroup(group)
     return {
         "orders": list(group.orders),
@@ -262,29 +277,19 @@ def _cmd_group_info(args, caps) -> tuple[object, int]:
     }, EXIT_OK
 
 
-def _cmd_subgroups(args, caps) -> tuple[object, int]:
-    group = build_group(parse_group_spec(args.group), caps["size_cap"])
-    kind = args.kind
-    if kind == "index2":
-        subs = index2_subgroups(group)
-    elif kind == "prime-order":
-        subs = prime_order_subgroups(group)
-    else:
-        subs = prime_index_subgroups(group)
-    rows = []
-    for i, sub in enumerate(subs):
-        rows.append({
-            "position": i,
-            "order": sub.order,
-            "index": sub.index,
-            "invariant_factors": list(sub.invariant_factors()),
-            "generators": [list(group.decode(g)) for g in sub.generators],
-        })
-    return rows, EXIT_OK
+def _cmd_subgroups(args, caps, group) -> tuple[object, int]:
+    subs = {"index2": index2_subgroups, "prime-order": prime_order_subgroups,
+            "prime-index": prime_index_subgroups}[args.kind](group)
+    return [{
+        "position": i,
+        "order": sub.order,
+        "index": sub.index,
+        "invariant_factors": list(sub.invariant_factors()),
+        "generators": [list(group.decode(g)) for g in sub.generators],
+    } for i, sub in enumerate(subs)], EXIT_OK
 
 
-def _cmd_auts(args, caps) -> tuple[object, int]:
-    group = build_group(parse_group_spec(args.group), caps["size_cap"])
+def _cmd_auts(args, caps, group) -> tuple[object, int]:
     sub = (parse_subgroup_spec(group, args.stabilizing)
            if args.stabilizing else None)
     fixing = (sub.bits,) if sub is not None else ()
@@ -310,53 +315,76 @@ def _cmd_auts(args, caps) -> tuple[object, int]:
     return out, EXIT_OK
 
 
-def _cmd_index(args, caps) -> tuple[object, int]:
-    group = build_group(parse_group_spec(args.group), caps["size_cap"])
+def _cmd_index(args, caps, group) -> tuple[object, int]:
     sub = parse_subgroup_spec(group, args.subgroup) if args.subgroup else None
-    bits = parse_set_spec(group, sub, args.set)
-    conn = connection_set(group, bits)
+    conn = connection_set(group, parse_set_spec(group, sub, args.set))
     if args.mode == "undirected" and not conn.inverse_closed:
         raise errors.NotInverseClosed("undirected mode requires S = -S")
     _check_cap(caps, "search_cap", group)
+    digraph = build_cayley(group, conn)
     if args.export_graph:
         try:
             with open(args.export_graph, "w", encoding="utf-8") as fh:
-                fh.write(edge_list_text(build_cayley(group, conn)))
+                fh.write(edge_list_text(digraph))
         except OSError as exc:
             raise errors.BadParameter(f"cannot write --export-graph "
                                       f"{args.export_graph!r}: {exc!r}") from None
-    rep = report_json(group, bits, sub, timeout=args.timeout,
-                      with_timing=not args.no_timing)
-    rep["mode"] = args.mode
+    start = time.monotonic()
+    rep = vertex_stabilizer(digraph, timeout=args.timeout)
+    elapsed_ms = (time.monotonic() - start) * 1000.0
+    out = {
+        "group": format_group_spec(group.orders),
+        "subgroup": (sorted(group.decode(g) for g in sub.generators)
+                     if sub is not None else None),
+        "connection_set": sorted(conn.element_tuples()),
+        "stabilizer_order": rep.stabilizer_order,
+        "cayley_index": rep.cayley_index,
+        "is_drr": rep.cayley_index == 1,
+        "generators": [format_cycles(g) for g in rep.stabilizer_generators],
+        "elapsed_ms": 0.0 if args.no_timing else round(elapsed_ms, 3),
+        "mode": args.mode,
+    }
     if args.mode == "undirected":
-        rep["minimal_index_target"] = minimal_graph_index_target(group)
-        rep["is_minimal_graph_index"] = (
-            rep["cayley_index"] == rep["minimal_index_target"])
+        target = minimal_graph_index_target(group)
+        out["minimal_index_target"] = target
+        out["is_minimal_graph_index"] = rep.cayley_index == target
     if sub is not None:
-        rep["bipartition_respected"] = (bits & sub.bits) == 0
-    return rep, EXIT_OK
+        out["bipartition_respected"] = bipartition_respected(digraph, sub)
+    return out, EXIT_OK
 
 
-def _cmd_classify(args, caps) -> tuple[object, int]:
-    group = build_group(parse_group_spec(args.group), caps["size_cap"])
+def _cmd_classify(args, caps, group) -> tuple[object, int]:
     if args.cross_check:
         _check_cap(caps, "search_cap", group)
     sub = parse_subgroup_spec(group, args.subgroup)
     bits = parse_set_spec(group, sub, args.set)
     _check_cap(caps, "aut_cap", group)
-    rep = classification_report(group, sub, bits, args.mode,
-                                cross_check=args.cross_check)
-    rep["set"] = _decode_set(group, bits)
-    code = EXIT_OK
-    if args.cross_check and not rep["cross_check"]["consistent"]:
-        code = EXIT_FALSIFIED
-    if not rep["witness_verified"]:
-        code = EXIT_FALSIFIED
-    return rep, code
+    classify = (classify_directed if args.mode == "directed"
+                else classify_undirected)
+    result = classify(group, sub, bits)
+    out = {
+        "verdict": result.verdict,
+        "witness": result.witness_json(group),
+        "witness_verified": verify_witness(group, sub, bits, result,
+                                           args.mode),
+    }
+    code = EXIT_OK if out["witness_verified"] else EXIT_FALSIFIED
+    if args.cross_check:
+        # GOOD must mean the minimal index; other verdicts make no claim
+        index = cayley_index(group, bits)
+        target = (1 if args.mode == "directed"
+                  else minimal_graph_index_target(group))
+        consistent = result.verdict != VERDICT_GOOD or index == target
+        out["cross_check"] = {"cayley_index": index, "consistent": consistent}
+        if not consistent:
+            code = EXIT_FALSIFIED
+    out["set"] = _decode_set(group, bits)
+    return out, code
 
 
-def _cmd_bounds(args, caps) -> tuple[object, int]:
-    group = build_group(parse_group_spec(args.group), caps["size_cap"])
+def _cmd_bounds(args, caps, group) -> tuple[object, int]:
+    if args.thresholds and args.subgroup:
+        raise errors.BadParameter("--thresholds reads no --subgroup")
     gname = format_group_spec(group.orders)
     rows = []
     code = EXIT_OK
@@ -398,7 +426,7 @@ def _cmd_bounds(args, caps) -> tuple[object, int]:
     return rows, code
 
 
-def _cmd_table(args, caps) -> tuple[object, int]:
+def _cmd_table(args, caps, group) -> tuple[object, int]:
     results = verify_table(args.which, budget=args.budget,
                            include_extended=args.include_extended,
                            threads=args.threads, search_cap=caps["search_cap"],
@@ -415,8 +443,9 @@ def _cmd_table(args, caps) -> tuple[object, int]:
     return rows, code
 
 
-def _cmd_survey(args, caps) -> tuple[object, int]:
-    group = build_group(parse_group_spec(args.group), caps["size_cap"])
+def _cmd_survey(args, caps, group) -> tuple[object, int]:
+    if args.all_subgroups and args.subgroup:
+        raise errors.BadParameter("--all-subgroups reads no --subgroup")
     _check_cap(caps, "search_cap", group)
     kwargs = ({"samples": args.samples, "seed": args.seed}
               if args.method == "random" else {"budget": args.budget})
@@ -430,8 +459,7 @@ def _cmd_survey(args, caps) -> tuple[object, int]:
     return res.to_json(), EXIT_OK
 
 
-def _cmd_sample(args, caps) -> tuple[object, int]:
-    group = build_group(parse_group_spec(args.group), caps["size_cap"])
+def _cmd_sample(args, caps, group) -> tuple[object, int]:
     _check_cap(caps, "search_cap", group)
     sub = parse_subgroup_spec(group, args.subgroup)
     est = monte_carlo_proportion(group, sub, args.mode,
@@ -439,8 +467,7 @@ def _cmd_sample(args, caps) -> tuple[object, int]:
     return est.to_json(), EXIT_OK
 
 
-def _cmd_unlabeled(args, caps) -> tuple[object, int]:
-    group = build_group(parse_group_spec(args.group), caps["size_cap"])
+def _cmd_unlabeled(args, caps, group) -> tuple[object, int]:
     _check_cap(caps, "search_cap", group)
     sub = parse_subgroup_spec(group, args.subgroup)
     _check_cap(caps, "canon_cap", group)
@@ -448,7 +475,10 @@ def _cmd_unlabeled(args, caps) -> tuple[object, int]:
     return rep.to_json(), EXIT_OK
 
 
-def _cmd_c26(args, caps) -> tuple[object, int]:
+def _cmd_c26(args, caps, group) -> tuple[object, int]:
+    if args.checkpoint and not (args.full or args.budget):
+        raise errors.BadParameter(
+            "--checkpoint needs --full or a positive --budget")
     if args.full or args.budget:
         _check_cap(caps, "search_cap", _c26_group_and_parts()[0])
         rep = c26_reduced_search(budget=args.budget,
@@ -604,7 +634,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
                     "checkpoint"):
             if getattr(args, key, None):
                 config[key] = getattr(args, key)
-        result, code = _HANDLERS[args.command](args, caps)
+        group = (build_group(parse_group_spec(args.group), caps["size_cap"])
+                 if hasattr(args, "group") else None)
+        result, code = _HANDLERS[args.command](args, caps, group)
     except errors.UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,19 +9,13 @@ moved by the translation by v.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from ._search import (
-    AutomorphismSearch,
-    Perm,
-    format_cycles,
-    perm_on_set,
-)
+from ._search import AutomorphismSearch, Perm, perm_on_set
 from .cayley import CayleyDigraph, build_cayley, root_component
 from .errors import NotInverseClosed
-from .groups import AbelianGroup, Subgroup, bits_of, format_group_spec
+from .groups import AbelianGroup, bits_of
 
 
 @dataclass(frozen=True)
@@ -237,23 +231,3 @@ def brute_force_stabilizer_order(digraph: CayleyDigraph, v: int = 0) -> int:
         count += ok
     return count
 
-
-def report_json(group: AbelianGroup, conn, sub: Subgroup | None = None,
-                timeout: float | None = None,
-                with_timing: bool = True) -> dict:
-    """Machine-readable stabilizer report for one connection set."""
-    digraph = build_cayley(group, conn)
-    start = time.monotonic()
-    rep = vertex_stabilizer(digraph, 0, timeout=timeout)
-    elapsed_ms = (time.monotonic() - start) * 1000.0
-    return {
-        "group": format_group_spec(group.orders),
-        "subgroup": (sorted(group.decode(g) for g in sub.generators)
-                     if sub is not None else None),
-        "connection_set": sorted(digraph.conn.element_tuples()),
-        "stabilizer_order": rep.stabilizer_order,
-        "cayley_index": rep.cayley_index,
-        "is_drr": rep.cayley_index == 1,
-        "generators": [format_cycles(g) for g in rep.stabilizer_generators],
-        "elapsed_ms": round(elapsed_ms, 3) if with_timing else 0.0,
-    }

@@ -1,3 +1,6 @@
+import io
+import json
+
 import pytest
 
 import bipcayley.classify as classify
@@ -13,11 +16,11 @@ from bipcayley.classify import (
     VERDICT_A4,
     VERDICT_GOOD,
     a4_witness_search,
-    classification_report,
     classify_directed,
     classify_undirected,
     verify_witness,
 )
+from bipcayley.cli import main
 from bipcayley.errors import (
     ExceptionalPair,
     NotInverseClosed,
@@ -172,9 +175,12 @@ def test_mini_soundness_sweep_directed():
                     assert cayley_index(g, s) == 1
 
 
-def test_classification_report_shape(c6):
-    g, b = c6
-    rep = classification_report(g, b, 1 << 1, "directed", cross_check=True)
+def test_classification_report_shape():
+    out = io.StringIO()
+    assert main(["classify", "--group", "C6", "--subgroup", "index:0",
+                 "--set", "1", "--mode", "directed", "--cross-check"],
+                out=out) == 0
+    rep = json.loads(out.getvalue())["result"]
     assert rep["verdict"] == VERDICT_GOOD
     assert rep["witness"] is None
     assert rep["witness_verified"]

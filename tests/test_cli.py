@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +190,39 @@ def test_index_output_is_pinned():
             == (index, generators, 0.0), group
 
 
+def test_classify_output_is_pinned():
+    """``classify --cross-check --no-timing`` results, one set per verdict:
+    A1, A2, A3 and GOOD directed; A3, A4 and GOOD undirected."""
+    for group, conn, mode, verdict, witness, index, elements in (
+            ("C2^2", "empty", "directed", "A1",
+             {"subgroup_generators": []}, 6, []),
+            ("C2^2", "1,0;1,1", "directed", "A2",
+             {"automorphism_generator_images": [[1, 1], [0, 1]]}, 2,
+             [[1, 0], [1, 1]]),
+            ("C2xC6", "1,0;1,1;1,4", "directed", "A3",
+             {"H_generators": [[0, 3]], "K_generators": [[0, 3], [1, 0]]},
+             4, [[1, 0], [1, 1], [1, 4]]),
+            ("C4", "1", "directed", "GOOD", None, 1, [[1]]),
+            ("C6", "1;3;5", "undirected", "A3",
+             {"H_generators": [[2]], "K_generators": [[2]]}, 12,
+             [[1], [3], [5]]),
+            ("C2xC4", "1,0;1,1;1,3", "undirected", "A4",
+             {"C_generators": [[0, 1]], "Z_generators": [[1, 2]],
+              "S_prime": [[0, 1], [0, 2], [0, 3]], "S_dprime": [[1, 2]]},
+             6, [[1, 0], [1, 1], [1, 3]]),
+            ("C4", "1;3", "undirected", "GOOD", None, 2, [[1], [3]])):
+        code, payload = run_json(["classify", "--group", group, "--subgroup",
+                                  "index:0", "--set", conn, "--mode", mode,
+                                  "--cross-check", "--no-timing"])
+        assert code == 0
+        want = {"verdict": verdict, "witness": witness,
+                "witness_verified": True,
+                "cross_check": {"cayley_index": index, "consistent": True},
+                "set": elements}
+        res = payload["result"]
+        assert (res, list(res)) == (want, list(want)), (group, conn, mode)
+
+
 def test_byte_identical_repeat():
     argv = ["index", "--group", "C6", "--subgroup", "index:0",
             "--set", "1,3,5", "--mode", "undirected", "--no-timing"]
@@ -261,6 +295,26 @@ def test_usage_errors(capsys):
         assert run_cli(argv) == (2, ""), argv
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err, argv
+
+
+def test_survey_all_subgroups_refuses_subgroup(capsys):
+    assert run_cli(["survey", "--group", "C2xC4", "--all-subgroups",
+                    "--subgroup", "index:7", "--threads", "1"]) == (2, "")
+    assert "--subgroup" in capsys.readouterr().err
+
+
+def test_bounds_thresholds_refuses_subgroup(capsys):
+    assert run_cli(["bounds", "--group", "C6", "--thresholds",
+                    "--subgroup", "index:9"]) == (2, "")
+    assert "--subgroup" in capsys.readouterr().err
+
+
+def test_c26_checkpoint_needs_a_search(tmp_path, capsys):
+    path = tmp_path / "x"
+    for extra in ([], ["--budget", "0"]):
+        assert run_cli(["c26", "--checkpoint", str(path)] + extra) == (2, "")
+        assert "--checkpoint" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_exit_codes_follow_two_base_classes():
@@ -431,6 +485,16 @@ def test_corpus_invocations():
     assert code == 0 and "inverse-closed-formula" in text
 
 
+def test_readme_command_examples_run():
+    """Every ``bipcayley ...`` line of README's "Command line" block exits 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [l for l in block.splitlines() if l.startswith("bipcayley ")]
+    assert len(lines) == 12
+    for line in lines:
+        assert run_cli(shlex.split(line)[1:])[0] == 0, line
+
+
 def test_parse_specs():
     g = build_group([4, 2])
     sub = parse_subgroup_spec(g, "2,0;0,1")
@@ -553,11 +617,28 @@ def test_unwritable_export_graph_exits_2_before_any_search(tmp_path,
     def no_search(*args, **kwargs):
         raise AssertionError("searched before opening the export file")
 
-    monkeypatch.setattr(bipcayley.cli, "report_json", no_search)
+    monkeypatch.setattr(bipcayley.cli, "vertex_stabilizer", no_search)
     for path in (tmp_path / "missing" / "arcs.txt", tmp_path):
         code, text = run_cli(argv + [str(path)])
         assert (code, text) == (2, ""), path
         assert str(path) in capsys.readouterr().err
+
+
+def test_export_graph_builds_the_digraph_once(tmp_path, monkeypatch):
+    import bipcayley.cayley
+
+    built = []
+    init = bipcayley.cayley.CayleyDigraph.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(bipcayley.cayley.CayleyDigraph, "__init__",
+                        counting_init)
+    code, _ = run_cli(["index", "--group", "C6", "--set", "1",
+                       "--export-graph", str(tmp_path / "arcs.txt")])
+    assert code == 0 and len(built) == 1
 
 
 def test_search_cap_exits_3_before_writing_the_export(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import io
+import json
 import random
 from collections import deque
 from math import factorial
@@ -22,6 +23,7 @@ from bipcayley._search import (
 )
 from bipcayley.autos import enumerate_automorphisms, index2_subgroups
 from bipcayley.cayley import build_cayley, connection_set, is_connected
+from bipcayley.cli import main
 from bipcayley.errors import NotInverseClosed
 from bipcayley.groups import bits_of, build_group, generated_subgroup
 from bipcayley.stabilizer import (
@@ -32,7 +34,6 @@ from bipcayley.stabilizer import (
     is_drr,
     is_minimal_graph_index,
     minimal_graph_index_target,
-    report_json,
     stabilizer_order_bounded,
     vertex_stabilizer,
 )
@@ -191,12 +192,13 @@ def test_search_timeout():
 
 
 def test_report_json_shape():
-    g = build_group([6])
-    b = index2_subgroups(g)[0]
-    rep = report_json(g, (1 << 1), b, with_timing=False)
+    out = io.StringIO()
+    assert main(["index", "--group", "C6", "--subgroup", "index:0",
+                 "--set", "1", "--no-timing"], out=out) == 0
+    rep = json.loads(out.getvalue())["result"]
     assert rep["group"] == "C6"
     assert rep["cayley_index"] == 1 and rep["is_drr"]
-    assert rep["connection_set"] == [(1,)]
+    assert rep["connection_set"] == [[1]]
     assert rep["elapsed_ms"] == 0.0
     assert isinstance(rep["generators"], list)
 
