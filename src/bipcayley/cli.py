@@ -73,7 +73,6 @@ from .survey import (
     DEFAULT_TABLE_BUDGET,
     SEARCH_CAP,
     TABLE2_FAMILIES,
-    _c26_group_and_parts,
     _decode_set,
     bipartite_index,
     c26_reduced_search,
@@ -89,14 +88,14 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_FALSIFIED = 4
 
-# build_group checks the size cap; each command checks the others it needs
-# with _check_cap, once, before its work starts.
+# build_group checks the size cap; main checks the search cap right after,
+# for every command that searches, before any other option is read.
 _ENV_CAPS = {
     "size_cap": ("BIPCAYLEY_SIZE_CAP", SIZE_CAP),
-    "aut_cap": ("BIPCAYLEY_AUT_CAP", 1 << 12),
-    "canon_cap": ("BIPCAYLEY_CANON_CAP", 1 << 8),
     "search_cap": ("BIPCAYLEY_SEARCH_CAP", SEARCH_CAP),
 }
+# the --group commands that run no backtrack over A
+_UNSEARCHED = ("group-info", "subgroups")
 
 
 def _resolve_caps() -> dict:
@@ -113,10 +112,10 @@ def _resolve_caps() -> dict:
     return caps
 
 
-def _check_cap(caps: dict, key: str, group: AbelianGroup) -> None:
-    if group.size > caps[key]:
-        error = errors.AutCapExceeded if key == "aut_cap" else errors.CapExceeded
-        raise error(f"|A|={group.size} exceeds {_ENV_CAPS[key][0]}={caps[key]}")
+def _check_cap(caps: dict, size: int) -> None:
+    if size > caps["search_cap"]:
+        raise errors.CapExceeded(
+            f"|A|={size} exceeds BIPCAYLEY_SEARCH_CAP={caps['search_cap']}")
 
 
 def _int_at_least(low: int):
@@ -293,7 +292,6 @@ def _cmd_auts(args, caps, group) -> tuple[object, int]:
     sub = (parse_subgroup_spec(group, args.stabilizing)
            if args.stabilizing else None)
     fixing = (sub.bits,) if sub is not None else ()
-    _check_cap(caps, "aut_cap", group)
     order = automorphism_generators(group, fixing)[1]
     count = min(order, args.limit) if args.limit else order
     listed = [[list(group.decode(alpha(g))) for g in group.generators()]
@@ -320,7 +318,6 @@ def _cmd_index(args, caps, group) -> tuple[object, int]:
     conn = connection_set(group, parse_set_spec(group, sub, args.set))
     if args.mode == "undirected" and not conn.inverse_closed:
         raise errors.NotInverseClosed("undirected mode requires S = -S")
-    _check_cap(caps, "search_cap", group)
     digraph = build_cayley(group, conn)
     if args.export_graph:
         try:
@@ -354,11 +351,8 @@ def _cmd_index(args, caps, group) -> tuple[object, int]:
 
 
 def _cmd_classify(args, caps, group) -> tuple[object, int]:
-    if args.cross_check:
-        _check_cap(caps, "search_cap", group)
     sub = parse_subgroup_spec(group, args.subgroup)
     bits = parse_set_spec(group, sub, args.set)
-    _check_cap(caps, "aut_cap", group)
     classify = (classify_directed if args.mode == "directed"
                 else classify_undirected)
     result = classify(group, sub, bits)
@@ -385,7 +379,6 @@ def _cmd_classify(args, caps, group) -> tuple[object, int]:
 def _cmd_bounds(args, caps, group) -> tuple[object, int]:
     if args.thresholds and args.subgroup:
         raise errors.BadParameter("--thresholds reads no --subgroup")
-    gname = format_group_spec(group.orders)
     rows = []
     code = EXIT_OK
     if args.thresholds:
@@ -397,8 +390,8 @@ def _cmd_bounds(args, caps, group) -> tuple[object, int]:
                          "holds": rep.agrees,
                          "note": "exact=computed crossover, log2_bound=paper"})
         return rows, code
+    gname = format_group_spec(group.orders)
     sub = parse_subgroup_spec(group, args.subgroup) if args.subgroup else None
-    _check_cap(caps, "aut_cap", group)
     if sub is not None:
         sname = json.dumps([list(group.decode(g)) for g in sub.generators])
         for rep in bounds_suite(group, sub):
@@ -446,7 +439,6 @@ def _cmd_table(args, caps, group) -> tuple[object, int]:
 def _cmd_survey(args, caps, group) -> tuple[object, int]:
     if args.all_subgroups and args.subgroup:
         raise errors.BadParameter("--all-subgroups reads no --subgroup")
-    _check_cap(caps, "search_cap", group)
     kwargs = ({"samples": args.samples, "seed": args.seed}
               if args.method == "random" else {"budget": args.budget})
     kwargs.update(threads=args.threads, timeout=args.timeout,
@@ -460,7 +452,6 @@ def _cmd_survey(args, caps, group) -> tuple[object, int]:
 
 
 def _cmd_sample(args, caps, group) -> tuple[object, int]:
-    _check_cap(caps, "search_cap", group)
     sub = parse_subgroup_spec(group, args.subgroup)
     est = monte_carlo_proportion(group, sub, args.mode,
                                  samples=args.samples, seed=args.seed)
@@ -468,9 +459,7 @@ def _cmd_sample(args, caps, group) -> tuple[object, int]:
 
 
 def _cmd_unlabeled(args, caps, group) -> tuple[object, int]:
-    _check_cap(caps, "search_cap", group)
     sub = parse_subgroup_spec(group, args.subgroup)
-    _check_cap(caps, "canon_cap", group)
     rep = unlabeled_count(group, sub, args.mode)
     return rep.to_json(), EXIT_OK
 
@@ -480,7 +469,7 @@ def _cmd_c26(args, caps, group) -> tuple[object, int]:
         raise errors.BadParameter(
             "--checkpoint needs --full or a positive --budget")
     if args.full or args.budget:
-        _check_cap(caps, "search_cap", _c26_group_and_parts()[0])
+        _check_cap(caps, 64)  # |C2^6|
         rep = c26_reduced_search(budget=args.budget,
                                  checkpoint=args.checkpoint,
                                  threads=args.threads,
@@ -555,9 +544,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--cross-check", action="store_true")
 
     p = sub.add_parser("bounds", help="lemma bounds and preliminary facts")
-    common(p, subgroup=True)
-    p.add_argument("--thresholds", action="store_true",
-                   help="scan the corollary-proof thresholds instead")
+    common(p, group=False, subgroup=True)
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--group", help="group spec, e.g. C4xC2^3")
+    what.add_argument("--thresholds", action="store_true",
+                      help="scan the corollary-proof thresholds instead")
 
     p = sub.add_parser("table", help="reproduce Table 1 or 2")
     common(p, group=False, threads=True)
@@ -634,8 +625,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
                     "checkpoint"):
             if getattr(args, key, None):
                 config[key] = getattr(args, key)
-        group = (build_group(parse_group_spec(args.group), caps["size_cap"])
-                 if hasattr(args, "group") else None)
+        group = None
+        if getattr(args, "group", None) is not None:
+            group = build_group(parse_group_spec(args.group), caps["size_cap"])
+            if args.command not in _UNSEARCHED:
+                _check_cap(caps, group.size)
         result, code = _HANDLERS[args.command](args, caps, group)
     except errors.UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

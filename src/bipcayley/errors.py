@@ -81,10 +81,6 @@ class CapExceeded(LimitExceeded):
     """Problem size exceeds a configured cap."""
 
 
-class AutCapExceeded(CapExceeded):
-    """Automorphism enumeration cap exceeded."""
-
-
 class BudgetExceeded(LimitExceeded):
     """Search budget exhausted."""
 

@@ -89,7 +89,7 @@ def test_bounds_command_csv():
 
 
 def test_bounds_thresholds():
-    code, payload = run_json(["bounds", "--group", "C6", "--thresholds"])
+    code, payload = run_json(["bounds", "--thresholds"])
     assert code == 0
     rows = {r["name"]: r for r in payload["result"]}
     assert rows["threshold-directed"]["exact"] == 744
@@ -304,9 +304,24 @@ def test_survey_all_subgroups_refuses_subgroup(capsys):
 
 
 def test_bounds_thresholds_refuses_subgroup(capsys):
-    assert run_cli(["bounds", "--group", "C6", "--thresholds",
-                    "--subgroup", "index:9"]) == (2, "")
+    assert run_cli(["bounds", "--thresholds", "--subgroup",
+                    "index:9"]) == (2, "")
     assert "--subgroup" in capsys.readouterr().err
+
+
+def test_bounds_takes_either_group_or_thresholds(monkeypatch, capsys):
+    """The threshold scan reads no group, so it builds and echoes none,
+    whatever the size cap."""
+    monkeypatch.setenv("BIPCAYLEY_SIZE_CAP", "4")
+    code, payload = run_json(["bounds", "--thresholds"])
+    assert code == 0 and "group" not in payload["config"]
+    assert [row["exact"] for row in payload["result"]] == [744, 8214]
+    for argv, option in (
+            (["--group", "C6", "--thresholds"], "--thresholds"),
+            (["--group", "C2^30", "--thresholds"], "--thresholds"),
+            ([], "--group")):
+        assert run_cli(["bounds"] + argv) == (2, ""), argv
+        assert option in capsys.readouterr().err
 
 
 def test_c26_checkpoint_needs_a_search(tmp_path, capsys):
@@ -346,47 +361,53 @@ def test_size_cap_message_names_its_variable(monkeypatch, capsys):
 
 def test_cap_variables_must_be_positive_integers(monkeypatch, capsys):
     for raw in ("x", "0", "-3", "1.5"):
-        monkeypatch.setenv("BIPCAYLEY_AUT_CAP", raw)
+        monkeypatch.setenv("BIPCAYLEY_SEARCH_CAP", raw)
         code, _ = run_cli(["group-info", "--group", "C6"])
         assert code == 2
-        assert "BIPCAYLEY_AUT_CAP" in capsys.readouterr().err
-    monkeypatch.setenv("BIPCAYLEY_AUT_CAP", "16")
+        assert "BIPCAYLEY_SEARCH_CAP" in capsys.readouterr().err
+    monkeypatch.setenv("BIPCAYLEY_SEARCH_CAP", "16")
     code, payload = run_json(["group-info", "--group", "C6"])
-    assert code == 0 and payload["config"]["aut_cap"] == 16
+    assert code == 0 and payload["config"]["search_cap"] == 16
+
+
+def test_config_echoes_the_two_caps():
+    code, payload = run_json(["group-info", "--group", "C6"])
+    assert code == 0
+    assert {"size_cap", "search_cap"} <= set(payload["config"])
+    assert not {"aut_cap", "canon_cap"} & set(payload["config"])
 
 
 def test_aut_cap_refuses_automorphism_work(monkeypatch, capsys):
-    """auts, classify and bounds walk Aut(A) and exit 3 over the aut cap;
-    the threshold scan walks no group and runs."""
-    monkeypatch.setenv("BIPCAYLEY_AUT_CAP", "4")
+    """auts, classify and bounds walk Aut(A) and exit 3 over the search
+    cap; the threshold scan walks no group and runs."""
+    monkeypatch.setenv("BIPCAYLEY_SEARCH_CAP", "4")
     for argv in (["auts", "--group", "C4xC2"],
                  ["classify", "--group", "C4xC2", "--subgroup", "index:0",
                   "--set", "1,0"],
                  ["bounds", "--group", "C4xC2"],
                  ["bounds", "--group", "C4xC2", "--subgroup", "index:0"]):
         assert run_cli(argv) == (3, ""), argv
-        assert "BIPCAYLEY_AUT_CAP=4" in capsys.readouterr().err
-    code, _ = run_cli(["bounds", "--group", "C4xC2", "--thresholds"])
+        assert "BIPCAYLEY_SEARCH_CAP=4" in capsys.readouterr().err
+    code, _ = run_cli(["bounds", "--thresholds"])
     assert code == 0
 
 
-def test_canon_cap_refuses_unlabeled(monkeypatch, capsys):
-    monkeypatch.setenv("BIPCAYLEY_CANON_CAP", "4")
-    assert run_cli(["unlabeled", "--group", "C4xC2", "--subgroup",
+def test_search_cap_comes_before_option_parsing(monkeypatch, capsys):
+    """Like the size cap, the search cap is checked before any other
+    option is read; the commands that run no backtrack ignore it."""
+    monkeypatch.setenv("BIPCAYLEY_SEARCH_CAP", "4")
+    assert run_cli(["index", "--group", "C4xC2", "--subgroup", "index:9",
+                    "--set", "1,0"]) == (3, "")
+    assert "|A|=8 exceeds BIPCAYLEY_SEARCH_CAP=4" in capsys.readouterr().err
+    for argv in (["group-info", "--group", "C4xC2"],
+                 ["subgroups", "--group", "C4xC2"]):
+        assert run_cli(argv)[0] == 0, argv
+
+
+def test_canon_cap_refuses_unlabeled(capsys):
+    assert run_cli(["unlabeled", "--group", "C2^9", "--subgroup",
                     "index:0"]) == (3, "")
-    assert "BIPCAYLEY_CANON_CAP=4" in capsys.readouterr().err
-
-
-def test_survey_ignores_aut_cap(monkeypatch):
-    """Surveys reduce by all of Stab_Aut(A)(B) whatever the aut cap."""
-    argv = ["survey", "--group", "C4xC2^2", "--subgroup", "index:0",
-            "--threads", "1", "--no-timing"]
-    _, default = run_json(argv)
-    monkeypatch.setenv("BIPCAYLEY_AUT_CAP", "4")
-    code, capped = run_json(argv)
-    assert code == 0
-    assert capped["result"] == default["result"]
-    assert capped["result"]["min_index"] == 4
+    assert "admissible sets exceed the budget" in capsys.readouterr().err
 
 
 def test_raised_search_cap_reaches_every_search(monkeypatch):
@@ -580,8 +601,8 @@ def test_search_cap_refuses_surveys(monkeypatch):
     code, _ = run_cli(["c26"])  # the sub-claims search nothing
     assert code == 0
     code, _ = run_cli(["classify", "--group", "C4xC2^2", "--subgroup",
-                       "index:0", "--set", "1,0,0"])  # no search either
-    assert code == 0
+                       "index:0", "--set", "1,0,0"])  # walks Aut(A)
+    assert code == 3
 
 
 def test_unusable_checkpoint_exits_2_before_any_search(tmp_path, monkeypatch,
@@ -677,8 +698,7 @@ def test_config_echoes_the_options_that_change_the_result(tmp_path):
               "--include-extended"], {"include_extended": True}),
             (["survey", "--group", "C6", "--all-subgroups", "--threads",
               "1"], {"all_subgroups": True}),
-            (["bounds", "--group", "C6", "--thresholds"],
-             {"thresholds": True}),
+            (["bounds", "--thresholds"], {"thresholds": True}),
             (["classify", "--group", "C6", "--subgroup", "index:0", "--set",
               "1,3,5", "--cross-check"], {"cross_check": True}),
             (["c26", "--full", "--budget", "5", "--threads", "1",
