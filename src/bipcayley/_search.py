@@ -353,15 +353,15 @@ class AbortSearch(Exception):
 
 
 class AutomorphismSearch:
-    """Find generators (and the order) of the automorphism group of a digraph,
-    optionally restricted to the stabilizer of a root vertex."""
+    """Find generators (and the order) of the stabilizer of vertex 0 in the
+    automorphism group of a digraph: for a vertex-transitive digraph, such
+    as a Cayley digraph, every vertex stabilizer is conjugate to it."""
 
-    def __init__(self, out_adj, in_adj, root=None, seed_gens=(),
-                 abort_order=None, timeout=None):
+    def __init__(self, out_adj, in_adj, seed_gens=(), abort_order=None,
+                 timeout=None):
         self.out_adj = out_adj
         self.in_adj = in_adj
         self.n = len(out_adj)
-        self.root = root
         self.abort_order = abort_order
         self.deadline = None if timeout is None else time.monotonic() + timeout
         # lazy chain: order() is a certified lower bound, enough for aborts
@@ -390,14 +390,10 @@ class AutomorphismSearch:
     def run(self) -> "AutomorphismSearch":
         if self.aborted:
             return self
-        full = (1 << self.n) - 1
-        if self.root is None or self.n == 1:
-            cells = [full]
-        else:
-            cells = [1 << self.root, full ^ (1 << self.root)]
-        seeds = _fixers(self.gens, [] if self.root is None else [self.root])
+        cells = [1, (1 << self.n) - 2] if self.n > 1 else [1]
+        seeds = tuple(_fixers(self.gens, [0]))
         cells = refine_partition(self.out_adj, self.in_adj, cells,
-                                 final=_orbits(tuple(seeds), self.n))
+                                 final=_orbits(seeds, self.n))
         try:
             self._descend(cells)
         except AbortSearch:

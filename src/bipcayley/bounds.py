@@ -401,7 +401,6 @@ class ThresholdReport:
     paper_value: int
     computed_value: int
     largest_failing: int
-    scan_limit: int
 
     @property
     def agrees(self) -> bool:
@@ -426,19 +425,17 @@ def _threshold_inequality_holds(mode: str, m: int) -> bool:
     return logsq_below(m, t)
 
 
-def threshold_scan(mode: str, scan_limit: int | None = None) -> ThresholdReport:
+def threshold_scan(mode: str) -> ThresholdReport:
     """Least even n such that the corollary-proof inequality holds for all
-    even m >= n (within the scan limit; the gap function is increasing in
-    log2 m for m >= 256, so the scanned crossover is the true one)."""
+    even m >= n (scanned to twice the paper's n; the gap function increases
+    with log2 m for m >= 256, so the scanned crossover is the true one)."""
     paper = (PAPER_THRESHOLD_DIRECTED if mode == "directed"
              else PAPER_THRESHOLD_UNDIRECTED)
-    limit = scan_limit if scan_limit is not None else 2 * paper
     largest_failing = 2
-    for m in range(4, limit + 1, 2):
+    for m in range(4, 2 * paper + 1, 2):
         if not _threshold_inequality_holds(mode, m):
             largest_failing = m
-    computed = largest_failing + 2
-    return ThresholdReport(mode, paper, computed, largest_failing, limit)
+    return ThresholdReport(mode, paper, largest_failing + 2, largest_failing)
 
 
 # -- preliminary facts ---------------------------------------------------------------

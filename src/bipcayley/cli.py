@@ -24,7 +24,6 @@ from ._search import format_cycles
 from .autos import (
     automorphism_generators,
     enumerate_automorphisms,
-    fix_invert_decomposition,
     index2_subgroup,
     index2_subgroup_count,
     index2_subgroups,
@@ -292,24 +291,17 @@ def _cmd_auts(args, caps, group) -> tuple[object, int]:
     sub = (parse_subgroup_spec(group, args.stabilizing)
            if args.stabilizing else None)
     fixing = (sub.bits,) if sub is not None else ()
-    order = automorphism_generators(group, fixing)[1]
-    count = min(order, args.limit) if args.limit else order
-    listed = [[list(group.decode(alpha(g))) for g in group.generators()]
-              for alpha in itertools.islice(
-                  enumerate_automorphisms(group, fixing),
-                  args.limit or 50)] if args.list else []
-    iota = inversion_automorphism(group)
-    fid = fix_invert_decomposition(group, iota)
     out = {
-        "count": count,
-        "count_is_limit": bool(args.limit and count >= args.limit),
-        "total_aut_order": (count if not args.stabilizing and not args.limit
-                            else None),
-        "inversion_is_identity": iota.is_identity,
-        "inversion_fixed_order": fid.fixed.order,
+        "count": automorphism_generators(group, fixing)[1],
+        "inversion_is_identity": inversion_automorphism(group).is_identity,
+        "inversion_fixed_order": involution_subgroup(group).order,
     }
     if args.list:
-        out["generator_images"] = listed
+        out["generator_images"] = [
+            [list(group.decode(alpha(g))) for g in group.generators()]
+            for alpha in itertools.islice(
+                enumerate_automorphisms(group, fixing),
+                50 if args.limit is None else args.limit)]
     return out, EXIT_OK
 
 
@@ -530,7 +522,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("auts", help="automorphism enumeration")
     common(p)
     p.add_argument("--stabilizing", help="restrict to alpha with alpha(B)=B")
-    p.add_argument("--limit", type=_int_at_least(0), default=0)
+    p.add_argument("--limit", type=_int_at_least(0),
+                   help="list at most this many automorphisms (default 50)")
     p.add_argument("--list", action="store_true")
 
     p = sub.add_parser("index", help="Cayley index of one connection set")
@@ -616,11 +609,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
         ignored = _IGNORED_BY_METHOD.get(getattr(args, "method", None), ())
         for key in ("group", "subgroup", "set", "mode", "method", "seed",
                     "samples", "budget", "threads", "which", "format",
-                    "kind", "timeout"):
+                    "kind", "timeout", "limit"):
             if key not in ignored and getattr(args, key, None) not in (None, ""):
                 config[key] = getattr(args, key)
-        # flags and limits that change the result, echoed when set
-        for key in ("stabilizing", "limit", "include_extended",
+        # flags and options that change the result, echoed when set
+        for key in ("stabilizing", "include_extended",
                     "all_subgroups", "thresholds", "cross_check", "full",
                     "checkpoint"):
             if getattr(args, key, None):

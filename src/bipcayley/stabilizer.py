@@ -1,9 +1,8 @@
 """Exact automorphism-group computation for Cayley digraphs.
 
 Only the stabilizer of vertex 0 is ever searched: right translations act
-regularly, so |Aut(Cay(A,S))| = |A| * |Aut(Cay(A,S))_v| and the Cayley index
-|Aut : A| equals the stabilizer order; the stabilizer of v is that of 0
-moved by the translation by v.
+regularly, so |Aut(Cay(A,S))| = |A| * |Aut(Cay(A,S))_0| and the Cayley index
+|Aut : A| equals the stabilizer order.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ class AutReport:
     """Result of a vertex-stabilizer search."""
 
     stabilizer_order: int
-    full_order: int
     cayley_index: int
     stabilizer_generators: tuple[Perm, ...] = field(default=())
 
@@ -109,39 +107,33 @@ class _Quotient:
             while self.m > 1 and least - lo > 1:
                 mid = (lo + least) // 2
                 lo, least = (lo, mid) if mid ** self.m >= r else (mid, least)
-        return AutomorphismSearch(self.out, self.inn, root=0,
-                                  seed_gens=self.seeds, abort_order=least,
-                                  timeout=timeout).run()
+        return AutomorphismSearch(self.out, self.inn, seed_gens=self.seeds,
+                                  abort_order=least, timeout=timeout).run()
 
-    def generators(self, q_gens, v: int) -> list[Perm]:
-        """Generators of the stabilizer of ``v``.  Those of the stabilizer
-        of 0 in Y, on copy 0: Q's, lifted class by class, and Sym of each
-        class, Sym(P - 0) for class 0.  With the translations by S they
-        generate Aut(Y), put on copy 1; and translations permute the copies
-        1..m-1 as Sym.  All are then moved from 0 to ``v`` by translation."""
+    def generators(self, q_gens) -> list[Perm]:
+        """Generators of the stabilizer of 0.  Those of the stabilizer of 0
+        in Y, on copy 0: Q's, lifted class by class, and Sym of each class,
+        Sym(P - 0) for class 0.  With the translations by S they generate
+        Aut(Y), put on copy 1; and translations permute the copies 1..m-1
+        as Sym."""
         group, classes = self.digraph.group, self.classes
-
-        def shift(move, a):
-            return [(group.add(x, a), group.add(y, a)) for x, y in move]
+        if classes is None:  # Q's generators are already permutations of A
+            return list(q_gens)
 
         def onto(a, b):  # the copy of a onto the copy of b, by translation
             return [(group.add(a, c), group.add(b, c)) for c in self.members]
 
-        if classes is None:  # Q's generators are already permutations of A
-            if not v:
-                return list(q_gens)
-            moves = [list(enumerate(gen)) for gen in q_gens]
-        else:
-            moves = [[(x, y) for c, h in zip(classes, gen)
-                      for x, y in zip(c, classes[h])] for gen in q_gens]
-            moves += _symmetric(classes[0][1:])
-            for c in classes[1:]:
-                moves += _symmetric(c)
+        moves = [[(x, y) for c, h in zip(classes, gen)
+                  for x, y in zip(c, classes[h])] for gen in q_gens]
+        moves += _symmetric(classes[0][1:])
+        for c in classes[1:]:
+            moves += _symmetric(c)
         if self.m > 1:
             reps = [a for a, coset in enumerate(group.translates(self.comp))
                     if coset & -coset == 1 << a]  # least of its coset
             a = reps[1]
-            moves += [shift(move, a) for move in moves]
+            moves += [[(group.add(x, a), group.add(y, a)) for x, y in move]
+                      for move in moves]
             moves += [onto(a, group.add(a, s))
                       for s in bits_of(self.digraph.conn.bits & ~1)]
             moves += [[p for x, y in move for p in onto(x, y)]
@@ -149,23 +141,24 @@ class _Quotient:
         gens = []
         for move in moves:
             g = list(range(self.digraph.n))
-            for x, y in shift(move, v):
+            for x, y in move:
                 g[x] = y
             gens.append(tuple(g))
         return gens
 
 
-def vertex_stabilizer(digraph: CayleyDigraph, v: int = 0,
+def vertex_stabilizer(digraph: CayleyDigraph, *,
                       timeout: float | None = None) -> AutReport:
-    """Exact order and generators of the stabilizer of ``v`` in Aut(digraph)."""
+    """Exact order and generators of the stabilizer of vertex 0 in
+    Aut(digraph).  That of vertex v is its conjugate by the translation by
+    v, and |Aut(digraph)| is n times its order."""
     quotient = _Quotient(digraph)
     search = quotient.search(None, timeout)
     order = quotient.lift(search.order())
     return AutReport(stabilizer_order=order,
-                     full_order=digraph.n * order,
                      cayley_index=order,
                      stabilizer_generators=tuple(
-                         quotient.generators(search.gens, v)))
+                         quotient.generators(search.gens)))
 
 
 def stabilizer_order_bounded(digraph: CayleyDigraph,
@@ -209,15 +202,15 @@ def is_minimal_graph_index(group: AbelianGroup, conn) -> bool:
     return idx == minimal_graph_index_target(group)
 
 
-def brute_force_stabilizer_order(digraph: CayleyDigraph, v: int = 0) -> int:
-    """Count all vertex permutations fixing ``v`` that preserve arcs.
+def brute_force_stabilizer_order(digraph: CayleyDigraph) -> int:
+    """Count all vertex permutations fixing vertex 0 that preserve arcs.
 
     Independent oracle for the backtracking search; factorial cost, meant
     for digraphs on <= 10 vertices.
     """
     n = digraph.n
     out = digraph.out_neighbors
-    others = [u for u in range(n) if u != v]
+    others = range(1, n)
     count = 0
     g = list(range(n))
     for per in permutations(others):

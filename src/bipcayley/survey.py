@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import random
 import sys
 from concurrent import futures
@@ -72,6 +73,8 @@ DEFAULT_TABLE_BUDGET = 1 << 13
 SEARCH_CAP = 1 << 12   # default of BIPCAYLEY_SEARCH_CAP
 DEFAULT_SAMPLES = 10_000
 C26_BLOCK = 50_000
+SQRT_SCALE = 10 ** 12  # _sqrt_upper rounds up to a multiple of 1/SQRT_SCALE
+Z2 = Fraction(38416, 10000)  # 1.96^2: the Wilson interval is 95%
 
 
 # -- admissible sets -----------------------------------------------------------
@@ -225,10 +228,11 @@ def sweep(group: AbelianGroup, masks: Sequence[int],
     starting ``best``.  ``progress(done, total)`` counts masks.
 
     With more than one thread and more than 64 masks the sweep runs on
-    ``threads`` worker processes, with the same result.  Without a starting
-    bound the first 32 masks are swept here to find one.  The rest are dealt
-    round-robin into 4 * threads shards, each swept from the same bound; the
-    merge keeps the lowest index, then the earliest stream position.
+    ``threads`` worker processes, at most one per CPU, with the same result.
+    Without a starting bound the first 32 masks are swept here to find one.
+    The rest are dealt round-robin into 4 * threads shards, each swept from
+    the same bound; the merge keeps the lowest index, then the earliest
+    stream position.
     """
     if threads > 1 and len(masks) > 64:
         head = 32 if best is None else 0
@@ -238,7 +242,8 @@ def sweep(group: AbelianGroup, masks: Sequence[int],
                   for i in range(head, min(head + width, len(masks)))]
         args = [(group.orders, shard, best, timeout) for shard in shards]
         found = []  # (index, stream position) of each shard's argmin
-        with futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        workers = min(threads, os.cpu_count() or 1)
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             for i, (local, pos) in enumerate(pool.map(_shard_worker, args)):
                 if pos is not None:
                     found.append((local, head + i + pos * width))
@@ -271,6 +276,14 @@ def _decode_set(group: AbelianGroup, mask: int) -> list:
     return sorted(list(group.decode(a)) for a in bits_of(mask))
 
 
+def _recheck(group: AbelianGroup, best: int, argmin: int) -> None:
+    """A full stabilizer search on the argmin must give the minimum."""
+    recheck = vertex_stabilizer(
+        build_cayley(group, connection_set(group, argmin))).cayley_index
+    if recheck != best:
+        raise FalsificationError("argmin re-check disagrees with the minimum")
+
+
 def _survey(group: AbelianGroup, sub: Subgroup, mode: str,
             masks: Sequence[int], threads: int, timeout: float | None,
             progress, **fields) -> IndexSurveyResult:
@@ -278,10 +291,7 @@ def _survey(group: AbelianGroup, sub: Subgroup, mode: str,
     by a full stabilizer search."""
     best, argmin = sweep(group, masks, threads=threads, timeout=timeout,
                          progress=progress)
-    recheck = vertex_stabilizer(
-        build_cayley(group, connection_set(group, argmin))).cayley_index
-    if recheck != best:
-        raise FalsificationError("argmin re-check disagrees with the minimum")
+    _recheck(group, best, argmin)
     return IndexSurveyResult(
         group=format_group_spec(group.orders),
         subgroup=[list(group.decode(g)) for g in sub.generators],
@@ -522,23 +532,21 @@ class ProportionEstimate:
         }
 
 
-def _sqrt_upper(value: Fraction, scale: int = 10 ** 12) -> Fraction:
+def _sqrt_upper(value: Fraction) -> Fraction:
     """A rational upper bound on sqrt(value)."""
     if value <= 0:
         return Fraction(0)
-    num = value.numerator * scale * scale
-    return Fraction(math.isqrt(num // value.denominator) + 1, scale)
+    num = value.numerator * SQRT_SCALE * SQRT_SCALE
+    return Fraction(math.isqrt(num // value.denominator) + 1, SQRT_SCALE)
 
 
-def wilson_interval(hits: int, samples: int,
-                    z_squared: Fraction = Fraction(38416, 10000)
-                    ) -> tuple[Fraction, Fraction]:
+def wilson_interval(hits: int, samples: int) -> tuple[Fraction, Fraction]:
     """95% Wilson interval with outward (conservative) rational rounding."""
     n = samples
     phat = Fraction(hits, n)
-    denom = 1 + z_squared / n
-    center = phat + z_squared / (2 * n)
-    radicand = z_squared * (phat * (1 - phat) / n + z_squared / (4 * n * n))
+    denom = 1 + Z2 / n
+    center = phat + Z2 / (2 * n)
+    radicand = Z2 * (phat * (1 - phat) / n + Z2 / (4 * n * n))
     rad = _sqrt_upper(radicand)
     low = (center - rad) / denom
     high = (center + rad) / denom
@@ -743,7 +751,9 @@ def c26_reduced_search(budget: int | None = None,
     reps_searched, best_index, best_set, best_mask}, which makes long runs
     resumable; ``budget`` and ``cursor`` count stream positions.  The
     ``reps_searched`` field is informational: a resume recounts it over
-    the skipped prefix.
+    the skipped prefix.  A line out of range, or with only one of
+    ``best_index`` and ``best_mask``, is refused.  The final ``best_set``
+    is re-checked by a full stabilizer search, as a survey's argmin is.
     """
     report = c26_subclaims()
     group, basis, b_bits, rep3, rep5 = _c26_group_and_parts()
@@ -761,9 +771,12 @@ def c26_reduced_search(budget: int | None = None,
                 last = json.loads(lines[-1])
                 start, best = last["cursor"], last["best_index"]
                 best_mask = last.get("best_mask")
-                if not (isinstance(start, int) and start >= 0 and all(
-                        v is None or isinstance(v, int)
-                        for v in (best, best_mask))):
+                if not (isinstance(start, int)
+                        and 0 <= start <= report.candidate_count
+                        and (best is None) == (best_mask is None)
+                        and all(v is None or isinstance(v, int)
+                                for v in (best, best_mask))
+                        and 0 <= (best_mask or 0) < 1 << group.size):
                     raise ValueError("bad cursor, best_index or best_mask")
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise BadParameter(f"checkpoint {checkpoint!r} is unusable: "
@@ -794,6 +807,8 @@ def c26_reduced_search(budget: int | None = None,
                                      "best_mask": best_mask}) + "\n")
         if progress is not None:
             progress(searched, limit)
+    if best_mask is not None:
+        _recheck(group, best, best_mask)
     report.searched = searched
     report.reps_searched = reps_searched
     report.best_index = best

@@ -232,7 +232,7 @@ def test_threshold_scan_values():
     assert directed.computed_value == 744
     assert directed.largest_failing == 742
 
-    undirected = threshold_scan("undirected", scan_limit=9000)
+    undirected = threshold_scan("undirected")
     assert undirected.paper_value == 8214
     assert undirected.computed_value == 8214
 

@@ -47,26 +47,25 @@ except ImportError:
 def test_directed_cycle_stabilizer():
     g = build_group([6])
     d = build_cayley(g, connection_set(g, [1]))
-    rep = vertex_stabilizer(d, 0)
+    rep = vertex_stabilizer(d)
     assert rep.stabilizer_order == 1
-    assert rep.full_order == 6
     assert rep.cayley_index == 1
 
 
 def test_k33_stabilizer():
     g = build_group([6])
     d = build_cayley(g, connection_set(g, [1, 3, 5]))
-    rep = vertex_stabilizer(d, 0)
+    rep = vertex_stabilizer(d)
     assert rep.stabilizer_order == 12          # |Sym(3) wr Sym(2)| / 6
-    assert rep.stabilizer_order == brute_force_stabilizer_order(d, 0)
+    assert rep.stabilizer_order == brute_force_stabilizer_order(d)
 
 
 def test_four_cycle_stabilizer():
     g = build_group([2, 2])
     d = build_cayley(g, connection_set(g, [(0, 1), (1, 0)]))
-    rep = vertex_stabilizer(d, 0)
+    rep = vertex_stabilizer(d)
     assert rep.stabilizer_order == 2           # dihedral of order 8 over |A|=4
-    assert brute_force_stabilizer_order(d, 0) == 2
+    assert brute_force_stabilizer_order(d) == 2
 
 
 def test_cayley_index_examples():
@@ -84,7 +83,7 @@ def test_inversion_forces_index_two():
     conn = connection_set(g, [1, 5])
     assert conn.inverse_closed
     d = build_cayley(g, conn)
-    rep = vertex_stabilizer(d, 0)
+    rep = vertex_stabilizer(d)
     assert rep.cayley_index >= 2
     iota = tuple(g.neg(a) for a in g.elements())
     assert any(gen == iota for gen in rep.stabilizer_generators) \
@@ -103,7 +102,7 @@ def test_is_minimal_graph_index():
 def test_generators_preserve_arcs():
     g = build_group([6])
     d = build_cayley(g, connection_set(g, [1, 3, 5]))
-    rep = vertex_stabilizer(d, 0)
+    rep = vertex_stabilizer(d)
     for gen in rep.stabilizer_generators:
         assert gen[0] == 0
         for a in range(d.n):
@@ -134,26 +133,29 @@ def test_brute_force_cross_validation():
 
 
 def test_nonidentity_base_vertex():
-    """Vertex-transitive, so the stabilizer order is the same at any vertex.
-    K33 is periodic; the other two digraphs are connected and aperiodic, one
-    directed and one a graph seeded by inversion, and their generators at 3
-    are those at 0 moved by translation."""
+    """Vertex-transitive, so the stabilizer of any vertex is that of 0
+    moved by translation.  K33 is periodic; the other two digraphs are
+    connected and aperiodic, one directed and one a graph seeded by
+    inversion.  The generators at 0, moved to 3, fix 3, preserve arcs and
+    generate a group of the same order."""
     for orders, conn, order in (([6], [1, 3, 5], 12),
                                 ([4, 2], [(0, 1), (1, 0), (3, 0)], 6),
                                 ([8], [1, 2, 6, 7], 2)):
         g = build_group(orders)
         d = build_cayley(g, connection_set(g, conn))
-        rep = vertex_stabilizer(d, 3)
+        rep = vertex_stabilizer(d)
         assert rep.stabilizer_order == order
-        _assert_stabilizer_generators(d, 3, rep.stabilizer_generators)
-        assert _closure_order(rep.stabilizer_generators) == order
+        _assert_stabilizer_generators(d, 0, rep.stabilizer_generators)
+        moved = _moved(g, rep.stabilizer_generators, 3)
+        _assert_stabilizer_generators(d, 3, moved)
+        assert _closure_order(moved) == order
 
 
 def test_chain_order_against_sympy_on_search_output():
     sympy = pytest.importorskip("sympy.combinatorics")
     g = build_group([2, 2, 3])
     d = build_cayley(g, connection_set(g, [(0, 1, 0), (1, 0, 0)]))
-    rep = vertex_stabilizer(d, 0)
+    rep = vertex_stabilizer(d)
     if rep.stabilizer_generators:
         ref = sympy.PermutationGroup(
             [sympy.Permutation(list(p)) for p in rep.stabilizer_generators])
@@ -188,7 +190,7 @@ def test_search_timeout():
     g = build_group([2, 2, 2, 2])
     d = build_cayley(g, connection_set(g, []))
     with pytest.raises(Timeout):
-        vertex_stabilizer(d, 0, timeout=0.0)
+        vertex_stabilizer(d, timeout=0.0)
 
 
 def test_report_json_shape():
@@ -269,12 +271,11 @@ def _fuzz_digraphs():
 def test_search_order_fuzz_against_closure():
     """A completed search's first-path order equals the order of the group
     its kept generators generate, on random digraphs (directed and
-    symmetric, whole group and root stabilizer)."""
+    symmetric)."""
     for out, inn in _fuzz_digraphs():
-        for root in (None, 0):
-            search = AutomorphismSearch(out, inn, root=root).run()
-            truth = _closure_order(search.gens) if search.gens else 1
-            assert search.order() == truth
+        search = AutomorphismSearch(out, inn).run()
+        truth = _closure_order(search.gens) if search.gens else 1
+        assert search.order() == truth
 
 
 def _assert_one_automorphism_per_branch(search, seeds=0):
@@ -296,14 +297,12 @@ def test_backjump_finds_one_automorphism_per_first_path_branch():
     for k in range(1, 7):  # Cay(C2^k, {e1}): a perfect matching
         g = build_group([2] * k)
         d = build_cayley(g, connection_set(g, [(1,) + (0,) * (k - 1)]))
-        search = AutomorphismSearch(d.out_neighbors, d.in_neighbors,
-                                    root=0).run()
+        search = AutomorphismSearch(d.out_neighbors, d.in_neighbors).run()
         _assert_one_automorphism_per_branch(search)
         assert len(search.found) == 2 ** (k - 1) - 1
     for out, inn in _fuzz_digraphs():
-        for root in (None, 0):
-            _assert_one_automorphism_per_branch(
-                AutomorphismSearch(out, inn, root=root).run())
+        _assert_one_automorphism_per_branch(
+            AutomorphismSearch(out, inn).run())
 
 
 def test_perfect_matching_stabilizer_is_exact_and_quick():
@@ -313,9 +312,16 @@ def test_perfect_matching_stabilizer_is_exact_and_quick():
     digraph, which ``vertex_stabilizer`` would reduce to one edge."""
     g = build_group([2] * 6)
     d = build_cayley(g, connection_set(g, [(1, 0, 0, 0, 0, 0)]))
-    search = AutomorphismSearch(d.out_neighbors, d.in_neighbors, root=0).run()
+    search = AutomorphismSearch(d.out_neighbors, d.in_neighbors).run()
     assert search.order() == 2 ** 31 * factorial(31)
     assert len(search.found) == 31
+
+
+def _moved(g, gens, v):
+    """``gens`` conjugated by the translation by ``v``: x -> gen(x - v) + v,
+    which fixes v when gen fixes 0."""
+    return [tuple(g.add(gen[g.add(x, g.neg(v))], v) for x in g.elements())
+            for gen in gens]
 
 
 def _assert_stabilizer_generators(d, v, gens):
@@ -341,10 +347,10 @@ def test_closed_form_of_the_empty_set():
     for orders in ([2, 2, 2], [3, 4]):
         g = build_group(orders)
         d = build_cayley(g, connection_set(g, []))
-        rep = vertex_stabilizer(d, 5)
+        rep = vertex_stabilizer(d)
         assert rep.stabilizer_order == factorial(g.size - 1)
         assert len(rep.stabilizer_generators) == 2
-        _assert_stabilizer_generators(d, 5, rep.stabilizer_generators)
+        _assert_stabilizer_generators(d, 0, rep.stabilizer_generators)
 
 
 def test_closed_form_needs_the_full_period():
@@ -358,8 +364,7 @@ def test_closed_form_needs_the_full_period():
     d = build_cayley(g, connection_set(g, [
         g.add(c, p) for c in map(g.encode, ((0, 0, 1), (1, 0, 0), (1, 0, 1)))
         for p in period]))
-    truth = AutomorphismSearch(d.out_neighbors, d.in_neighbors,
-                               root=0).run().order()
+    truth = AutomorphismSearch(d.out_neighbors, d.in_neighbors).run().order()
     assert truth == 497664 == closed_form_order(6, 16, 1, 4)
     rep = vertex_stabilizer(d)
     assert rep.stabilizer_order == truth
@@ -369,7 +374,7 @@ def test_closed_form_needs_the_full_period():
     label = [reps.index(h) for h in half]
     rows = [perm_on_set(label, d.out_neighbors[r]) for r in reps]
     assert len(set(rows)) < len(rows)
-    partial = AutomorphismSearch(rows, rows, root=0).run().order()
+    partial = AutomorphismSearch(rows, rows).run().order()
     assert closed_form_order(partial, 16, 1, 2) == 6144
 
 
@@ -410,19 +415,21 @@ def _structured_sets():
 
 def test_closed_forms_against_the_walker_on_structured_sets():
     """On periodic, disconnected and mixed sets: the order is the walker's
-    on the whole digraph; the generators fix the base vertex, preserve
-    arcs, and on at most 16 vertices generate a group of that order, by
-    closure or, past 50,000 elements, by sympy when it is installed; and a
-    bounded call is exact or a bound in [threshold, order], at thresholds
-    around the least order the closed form gives."""
+    on the whole digraph; the generators fix 0 and preserve arcs, and so
+    do they moved to the base vertex; on at most 16 vertices they generate
+    a group of that order, by closure or, past 50,000 elements, by sympy
+    when it is installed; and a bounded call is exact or a bound in
+    [threshold, order], at thresholds around the least order the closed
+    form gives."""
     for g, conn, v in _structured_sets():
         d = build_cayley(g, connection_set(g, conn))
-        truth = AutomorphismSearch(d.out_neighbors, d.in_neighbors,
-                                   root=0).run().order()
-        rep = vertex_stabilizer(d, v)
+        truth = AutomorphismSearch(d.out_neighbors,
+                                   d.in_neighbors).run().order()
+        rep = vertex_stabilizer(d)
         assert rep.stabilizer_order == truth
         gens = rep.stabilizer_generators
-        _assert_stabilizer_generators(d, v, gens)
+        _assert_stabilizer_generators(d, 0, gens)
+        _assert_stabilizer_generators(d, v, _moved(g, gens, v))
         if g.size <= 16 and truth <= 50_000:
             assert (_closure_order(gens) if gens else 1) == truth
         elif g.size <= 16 and combinatorics is not None:
@@ -511,7 +518,7 @@ def test_first_path_order_needs_every_found_automorphism():
     first-path prefix fixers, give orbits whose product is 8, not 16."""
     g = build_group([2, 12])
     d = build_cayley(g, connection_set(g, 15007582))
-    assert vertex_stabilizer(d, 0).stabilizer_order == 16
+    assert vertex_stabilizer(d).stabilizer_order == 16
 
 
 @pytest.mark.parametrize("orders, mask, order", [

@@ -363,6 +363,36 @@ def test_sweep_argmin_is_first_achiever_in_stream_order():
     assert sweep(g, masks, best=low, threads=2) == (low, None)
 
 
+def test_sharded_sweep_asks_for_at_most_one_worker_per_cpu(monkeypatch):
+    """A huge ``threads`` forks no more processes than there are CPUs: the
+    pool is asked for at most ``os.cpu_count()`` workers, and the shards,
+    still 4 * threads of them, give the serial answer.  The pool is an
+    in-process fake, so no process starts."""
+    import os
+    from bipcayley import survey
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(survey.futures, "ProcessPoolExecutor", FakePool)
+    g = build_group([4, 2, 2])
+    masks = list(iter_admissible_sets(g, index2_subgroups(g)[0], "directed"))
+    assert len(masks) > 64
+    assert sweep(g, masks, threads=10 ** 6) == sweep(g, masks)
+    assert len(asked) == 1 and 1 <= asked[0] <= (os.cpu_count() or 1)
+
+
 def test_random_survey_threads_keep_the_answer():
     g = build_group([4, 2, 2])
     b = index2_subgroups(g)[0]
