@@ -4,7 +4,8 @@ One backtrack over the images of the standard generators (one unit per
 cyclic factor) streams Aut(A), or the automorphisms fixing given bitsets (B;
 B and S), and finds a generating set of that group with its exact order.  A
 partial map is cut off once it breaks injectivity or a bitset's membership
-on the span placed so far (Leon's partition backtrack in miniature).
+on the span placed so far (Leon's partition backtrack in miniature).  It
+is one iterative walk over a table of levels built once per group.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class Automorphism:
 
     @property
     def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.image))
+        return self.image == tuple(range(len(self.image)))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """Map x -> self(other(x))."""
@@ -96,66 +97,67 @@ def automorphism_from_generator_images(
 
 
 @functools.lru_cache(maxsize=64)
-def _elements_by_order(group: AbelianGroup) -> dict[int, list[int]]:
+def _levels(group: AbelianGroup) -> tuple:
+    """Per level i: the candidate images of g_i (the elements of order n_i,
+    by index) and the (source, position) steps that extend the image array
+    from <g_0..g_{i-1}> to <g_0..g_i>: position (q*n_i + c)*w_i, for
+    c = 1..n_i - 1 and q < |<g_0..g_{i-1}>|, takes img[position - w_i] + t."""
     by_order: dict[int, list[int]] = {}
     for a in group.elements():
         by_order.setdefault(group.element_order(a), []).append(a)
-    return by_order
+    levels = []
+    span = 1
+    for n, w in zip(group.orders, group._weights):
+        levels.append((tuple(by_order.get(n, ())),
+                       tuple(((q * n + c) * w - w, (q * n + c) * w)
+                             for c in range(1, n) for q in range(span))))
+        span *= n
+    return tuple(levels)
 
 
 def _automorphisms(group: AbelianGroup, fixing: Sequence[int],
                    prefix: Sequence[int] = ()) -> Iterator[Automorphism]:
     """The backtrack behind every automorphism search of this module.
 
-    Level i tries each element t of order n_i, by index (only ``prefix[i]``
-    while i < len(prefix)), as the image of g_i.  Position p of the image
-    array of <g_0..g_i> holds the image of ``p * weights[i]``, so t
-    interleaves the columns arr + c*t (0 < c < n_i).  t is dropped at the
-    first image that repeats or changes membership of a ``fixing`` bitset,
-    checking t itself (row 0 of column 1) first, then each column as built.
+    One iterative walk over ``_levels``; its stack holds, per level, the
+    candidate iterator and the mask of the images placed above it.  img[a]
+    is the image of element a.  Level i tries each candidate t (only
+    ``prefix[i]`` while i < len(prefix)) as the image of g_i and writes
+    img[source] + t at each position of its steps, t itself first.  t is
+    dropped at the first image that repeats or whose membership of the
+    ``fixing`` bitsets (sig) differs from that of its position.
     """
-    table = group._add
-    # sig[a] has bit j set iff a lies in fixing[j]; want[i][c-1][q] is the
-    # sig of the preimage at position q*n_i + c of level i
-    sig = [0] * group.size
+    table, add = group._add, group.add
+    sig = [0] * group.size  # bit j set iff the element lies in fixing[j]
     for j, mask in enumerate(fixing):
         for a in bits_of(mask):
             sig[a] |= 1 << j
-    want = []
-    span = 1
-    for n, w in zip(group.orders, group._weights):
-        want.append([[sig[(q * n + c) * w] for q in range(span)]
-                     for c in range(1, n)])
-        span *= n
-    by_order = _elements_by_order(group)
-
-    def extend(arr, used, t, wanted_cols):
-        cols = [arr]
-        for wanted in wanted_cols:
-            col = []
-            for y, s in zip(cols[-1], wanted):
-                y = table[y][t] if table is not None else group.add(y, t)
-                if (used >> y) & 1 or sig[y] != s:
-                    return None
-                used |= 1 << y
-                col.append(y)
-            cols.append(col)
-        return [y for row in zip(*cols) for y in row], used
-
-    def rec(i: int, arr: list[int], used: int) -> Iterator[Automorphism]:
-        if i == len(want):
-            yield Automorphism(group, tuple(arr))
-            return
-        first = want[i][0][0]
-        for t in (prefix[i:i + 1] if i < len(prefix)
-                  else by_order.get(group.orders[i], ())):
-            if (used >> t) & 1 or sig[t] != first:
-                continue
-            grown = extend(arr, used, t, want[i])
-            if grown is not None:
-                yield from rec(i + 1, *grown)
-
-    yield from rec(0, [0], 1)
+    levels = _levels(group)
+    img = [0] * group.size
+    used = [1] * len(levels)
+    choices = [prefix[i:i + 1] if i < len(prefix) else cands
+               for i, (cands, _) in enumerate(levels)]
+    todo = [iter(c) for c in choices]
+    i = 0
+    while i >= 0:
+        for t in todo[i]:
+            row = table[t] if table is not None else None
+            u = used[i]
+            for src, pos in levels[i][1]:
+                y = row[img[src]] if row is not None else add(img[src], t)
+                if (u >> y) & 1 or sig[y] != sig[pos]:
+                    break
+                u |= 1 << y
+                img[pos] = y
+            else:
+                if i + 1 < len(levels):
+                    used[i + 1] = u
+                    i += 1
+                    break
+                yield Automorphism(group, tuple(img))
+        else:  # level i is exhausted: rewind it and backtrack
+            todo[i] = iter(choices[i])
+            i -= 1
 
 
 def enumerate_automorphisms(group: AbelianGroup, fixing: Sequence[int] = ()
@@ -182,7 +184,7 @@ def automorphism_generators(group: AbelianGroup, fixing: Sequence[int] = ()
     order = 1
     for i in reversed(range(len(base))):
         orbit = _orbit([alpha.image for alpha in gens], base[i])
-        for t in _elements_by_order(group).get(group.orders[i], ()):
+        for t in _levels(group)[i][0]:
             if not (orbit >> t) & 1:
                 alpha = next(_automorphisms(group, fixing, base[:i] + [t]),
                              None)

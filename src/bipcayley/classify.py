@@ -17,7 +17,10 @@ matching class:
         case, index 2 -- or 1 at exponent 2 -- in the undirected case).
 
 Every verdict carries a machine-checkable witness that re-verifies
-independently of the search that produced it.  The A2 witness is the first
+independently of the search that produced it.  <S> is proper iff S lies
+in a maximal subgroup, one of prime index in an abelian group, so A1 is
+one subset test per prime-index subgroup; the span of S and its generators
+are built only for an A1 set, as its witness.  The A2 witness is the first
 automorphism, in ``enumerate_automorphisms`` order, of the backtrack
 constrained to fix both B and S.  ``group_candidates`` builds, once per
 group, the prime-order and prime-index subgroups and the (C, Z) pairs that
@@ -244,9 +247,9 @@ def _classify(group: AbelianGroup, sub: Subgroup, s_bits: int,
     if undirected and ctx.exceptional:
         raise ExceptionalPair(
             "no inverse-closed set over this pair reaches the minimal index")
-    # A1: generators are built only for a proper span, as its witness
-    span = _closure(group, bits_of(s_bits))
-    if span != (1 << group.size) - 1:
+    # A1: S lies in a maximal (prime-index) subgroup; the span is the witness
+    if any(not s_bits & ~m.bits for m in group_candidates(group)[1]):
+        span = _closure(group, bits_of(s_bits))
         return Classification(VERDICT_A1, Subgroup(
             group, span, span.bit_count(), _greedy_generators(group, span)))
     for alpha in enumerate_automorphisms(group, (sub.bits, s_bits)):

@@ -144,6 +144,8 @@ class AbelianGroup:
         return out
 
     def negate_set(self, mask: int) -> int:
+        if self.exponent == 2:
+            return mask
         out = 0
         for b in bits_of(mask):
             out |= 1 << self.neg(b)

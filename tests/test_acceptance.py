@@ -5,7 +5,10 @@ results are reused for the brute-force oracle equivalence check
 (criterion 10) through a session fixture.
 """
 
+import hashlib
+import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -166,6 +169,21 @@ def test_criterion_04_classifier_soundness(classifier_sweep):
     assert checked > 100
     print(f"ACCEPTANCE 4: PASS - {checked} GOOD sets all reach the minimal "
           f"index ({len(classifier_sweep)} classifications)")
+
+
+def test_criterion_04_sweep_verdicts_and_witnesses_are_pinned(
+        classifier_sweep):
+    """Every triple of the sweep keeps its verdict and its witness: the
+    counts, and a SHA-256 over one line per triple, in sweep order."""
+    digest = hashlib.sha256()
+    for group, sub, s_bits, mode, res, _ in classifier_sweep:
+        witness = json.dumps(res.witness_json(group), sort_keys=True)
+        digest.update(f"{group.orders} {sub.bits} {mode} {s_bits} "
+                      f"{res.verdict} {witness}\n".encode())
+    assert Counter(r[4].verdict for r in classifier_sweep) == {
+        "A1": 2111, "A2": 2656, "A3": 53, "A4": 4, "GOOD": 202}
+    assert digest.hexdigest() == ("d13a35d8fdc3da5040ccc8d5530d0205"
+                                  "573d25d49ba6a997b2c91deee4905261")
 
 
 def test_criterion_05_lemma_bounds_hold():

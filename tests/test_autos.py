@@ -398,3 +398,22 @@ def test_automorphism_from_generator_images_validation():
         # x -> order-2 element cannot be a bijection on C4 x C2
         automorphism_from_generator_images(
             g, [g.encode((2, 0)), g.encode((0, 1))])
+
+
+@pytest.mark.parametrize("orders", [[2, 2, 2, 2], [4, 2, 2], [2, 6]])
+def test_stream_without_addition_table_equals_table_stream(monkeypatch,
+                                                           orders):
+    """Groups above the addition-table cap add by coordinates: the full
+    stream and a (B, S)-constrained stream are the same without the table."""
+    g = build_group(orders)
+    b = index2_subgroups(g)[0]
+    a = (b.complement_bits() & -b.complement_bits()).bit_length() - 1
+    s_bits = (1 << a) | (1 << g.neg(a))
+    fixings = [(), (b.bits, s_bits)]
+    want = [[alpha.image for alpha in enumerate_automorphisms(g, fixing)]
+            for fixing in fixings]
+    monkeypatch.setattr(g, "_add", None)
+    got = [[alpha.image for alpha in enumerate_automorphisms(g, fixing)]
+           for fixing in fixings]
+    assert got == want
+    assert len(want[0]) == count_automorphisms(g) and want[1]

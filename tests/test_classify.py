@@ -8,6 +8,7 @@ from bipcayley.autos import (
     index2_subgroups,
     inversion_automorphism,
     is_exceptional_pair,
+    prime_index_subgroups,
 )
 from bipcayley.classify import (
     VERDICT_A1,
@@ -27,7 +28,9 @@ from bipcayley.errors import (
     SetNotAvoidingB,
 )
 from bipcayley.groups import (
+    _closure,
     all_subgroups,
+    bits_of,
     build_group,
     factor_multisets,
     generated_subgroup,
@@ -237,3 +240,16 @@ def test_cached_candidates_do_not_change_verdicts(monkeypatch, orders, index):
             for s in iter_admissible_sets(g, other, "directed"):
                 classify_directed(g, other, s)
     assert classify_all() == cold
+
+
+def test_a1_iff_inside_a_prime_index_subgroup(small_groups):
+    """<S> is proper iff S lies in a maximal subgroup, and the maximal
+    subgroups of a finite abelian group are those of prime index."""
+    for g in small_groups:
+        maximal = prime_index_subgroups(g)
+        full = (1 << g.size) - 1
+        for b in index2_subgroups(g):
+            for s in iter_admissible_sets(g, b, "directed"):
+                inside = any(not s & ~m.bits for m in maximal)
+                assert inside == (_closure(g, bits_of(s)) != full), \
+                    (g.orders, b.bits, s)
