@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from ._search import AutomorphismSearch, Perm, perm_on_set
-from .autos import inversion_automorphism
 from .cayley import CayleyDigraph, build_cayley, root_component
 from .errors import NotInverseClosed
 from .groups import AbelianGroup, bits_of
@@ -90,9 +89,7 @@ class _Quotient:
                 perm_on_set(label, inn[r]) for r in reps]
         self.seeds = []
         if digraph.is_graph and digraph.group.exponent > 2:
-            iota = (inversion_automorphism(digraph.group).image
-                    if self.classes is None
-                    else tuple(label[digraph.group.neg(r)] for r in reps))
+            iota = tuple(label[digraph.group.neg(r)] for r in reps)
             if iota != tuple(range(len(reps))):
                 self.seeds.append(iota)
 
