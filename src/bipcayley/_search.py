@@ -12,10 +12,12 @@ rows (a few big-int operations per splitter member; one row is one plane),
 branch on the first smallest non-singleton cell (smallest vertex first),
 detect automorphisms by comparing discrete leaves against the first leaf
 reached, and prune sibling branches lying in the same orbit under the
-automorphisms found so far.  A split queues every part but the first
-largest (Hopcroft's rule, as in nauty/Traces and bliss): counts into that
-part are counts into the old cell, equitable or queued, minus counts into
-its siblings.  A splitter scans only the cells it reaches that can still
+automorphisms found so far.  Splitters are taken from a stack, so the parts
+of a split are used before older splitters; any order that does not depend
+on vertex labels gives the same cells.  A split stacks every part but the
+first largest (Hopcroft's rule, as in nauty/Traces and bliss): counts into
+that part are counts into the old cell, equitable or stacked, minus counts
+into its siblings.  A splitter scans only the cells it reaches that can still
 split: not singletons, nor at the root the orbits of the seed
 automorphisms.  A completed search's group order is the product of the
 first-path orbit lengths: the orbit of the vertex individualized at depth
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import time
-from collections import deque
 
 from .errors import Timeout
 from .groups import bits_of
@@ -228,28 +229,31 @@ def refine_partition(out_adj, in_adj, cells, splitters=None,
     ``cells`` is a list of int bitsets, already equitable wrt every cell not
     in ``splitters`` (``None`` passes them all); the result is the coarsest
     equitable refinement, with the cells and order of the sequential Hopcroft
-    refinement (FIFO splitters, cells scanned left to right).  Parts of a
-    split are ordered by (out, in) signature, so the result is deterministic
-    and equivariant under relabeling: the counts into a splitter are bit
-    planes (``_planes``), and a cell splits by them, most significant first.
+    refinement that pops splitters from a stack (the given ones first, in
+    their order; a split's parts on top) and scans cells left to right.
+    Parts of a split are ordered by (out, in) signature, so the result is
+    deterministic and equivariant under relabeling: the counts into a
+    splitter are bit planes (``_planes``), and a cell splits by them, most
+    significant first.
 
     Work that cannot split is skipped.  Cells in ``final`` stay whole:
     callers pass orbits of automorphisms fixing every cell and splitter, so
     by equivariance each later cell is a union of orbits.  A regular
-    digraph's last cell is not queued by ``splitters=None``: popped after
-    the other initial cells, its counts are the degree minus theirs.  And
-    a cell that no row of a splitter reaches is not scanned.
+    digraph's last cell is not stacked by ``splitters=None``: at the bottom
+    of the stack it would be popped after everything else, when its counts
+    are the degree minus those into the other initial cells.  And a cell
+    that no row of a splitter reaches is not scanned.
     """
     cells = list(cells)
     if splitters is None:
         regular = all(len(set(map(int.bit_count, rows))) < 2
                       for rows in (out_adj, in_adj))
         splitters = cells[:-1] if regular else cells
-    queue = deque(splitters)
+    stack = list(splitters)[::-1]  # the first splitter on top
     live = [i for i, cell in enumerate(cells)
             if cell & (cell - 1) and cell not in final]
-    while queue and live:  # live: the positions of cells that may split
-        w = queue.popleft()
+    while stack and live:  # live: the positions of cells that may split
+        w = stack.pop()
         planes = _planes(in_adj, w)  # out-counts
         if out_adj is not in_adj:  # else the in-counts are the same
             planes += _planes(out_adj, w)  # in-counts rank below
@@ -290,7 +294,7 @@ def refine_partition(out_adj, in_adj, cells, splitters=None,
                     live.append(i)
                 i += 1
             parts.remove(big)
-            queue.extend(parts)
+            stack += parts
     return cells
 
 
@@ -375,7 +379,7 @@ class AutomorphismSearch:
                 self._register(g)
         except AbortSearch:
             self.aborted = True
-        self.ref_leaf: list[int] | None = None
+        self.position: Perm | None = None  # vertex -> its reference leaf cell
         self.prefix: list[int] = []
         self.jump = self.n  # the depth a backjump unwinds to; n: none
 
@@ -459,11 +463,11 @@ class AutomorphismSearch:
 
     def _leaf(self, cells) -> None:
         sigma = [cell.bit_length() - 1 for cell in cells]
-        if self.ref_leaf is None:
-            self.ref_leaf = sigma
+        if self.position is None:
+            self.position = perm_invert(sigma)
             self.first_path = list(self.prefix)
             return
-        g = tuple(b for _, b in sorted(zip(self.ref_leaf, sigma)))
+        g = tuple(map(sigma.__getitem__, self.position))
         if is_digraph_automorphism(self.out_adj, self.in_adj, g):
             self._register(g)
             self.jump = _branch_depth(self.prefix, self.first_path)
@@ -504,10 +508,10 @@ class CanonicalSearch(AutomorphismSearch):
         sigma = [cell.bit_length() - 1 for cell in cells]
         s = _leaf_string(self.out_adj, sigma, self.n)
         if self.best is None or s < self.best:
-            self.best, self.ref_leaf = s, sigma
+            self.best, self.position = s, perm_invert(sigma)
             self.first_path = list(self.prefix)
         elif s == self.best:
-            g = tuple(b for _, b in sorted(zip(self.ref_leaf, sigma)))
+            g = tuple(map(sigma.__getitem__, self.position))
             if is_digraph_automorphism(self.out_adj, self.in_adj, g):
                 self.gens.append(g)
                 self.jump = _branch_depth(self.prefix, self.first_path)

@@ -155,13 +155,19 @@ class AbelianGroup:
         """``[translate_set(mask, g) for g in elements()]``, by rotations:
         adding e_i shifts by w_i the bits whose digit i is below n_i - 1 and
         wraps the rest down by (n_i - 1) * w_i.  Each coordinate, from the
-        last, rotates the rows built so far n_i - 1 times."""
+        last, rotates the rows built so far n_i - 1 times; the last one has
+        only ``mask`` to rotate, and rotates it in a plain loop."""
         full = (1 << self.size) - 1
         rows = [mask]
         for n, w in zip(reversed(self.orders), reversed(self._weights)):
             wrap = (n - 1) * w
             high = ((1 << w) - 1 << wrap) * (full // ((1 << n * w) - 1))
             low = full ^ high
+            if w == 1:  # the last coordinate: one row so far
+                for _ in range(n - 1):
+                    mask = (mask & low) << 1 | (mask & high) >> wrap
+                    rows.append(mask)
+                continue
             block = rows
             for _ in range(n - 1):
                 block = [(x & low) << w | (x & high) >> wrap for x in block]

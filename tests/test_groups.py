@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from bipcayley.errors import (
     SizeCapExceeded,
 )
 from bipcayley.groups import (
+    _ADD_TABLE_CAP,
     abelian_isomorphism_classes,
     bits_of,
     build_group,
@@ -214,10 +216,23 @@ def test_translate_and_negate_set():
 
 
 def test_translates_are_translate_set_in_index_order(small_groups):
-    for g in small_groups + [build_group([3, 4, 5])]:
-        mask = sum(1 << a for a in g.elements() if a % 3 == 1)
-        assert g.translates(mask) == [g.translate_set(mask, a)
-                                      for a in g.elements()]
+    """Every abelian group of order <= 64, with its factors in both orders,
+    so that the last factor, which ``translates`` rotates on its own, is
+    sometimes the smallest and sometimes the largest; other factor orders;
+    and two groups past the addition table, whose ``translate_set`` adds
+    coordinatewise."""
+    rng = random.Random(41)
+    shapes = [shape for n in range(2, 65)
+              for inv in abelian_isomorphism_classes(n)
+              for shape in dict.fromkeys((inv, inv[::-1]))]
+    larger = [build_group(orders) for orders in ([1024], [2, 512])]
+    assert all(g.size > _ADD_TABLE_CAP for g in larger)
+    for g in (small_groups + [build_group(o) for o in shapes + [(3, 4, 5)]]
+              + larger):
+        sparse = sum(1 << a for a in rng.sample(range(g.size), g.size // 8))
+        for mask in (0, 1, sparse, rng.getrandbits(g.size)):
+            assert g.translates(mask) == [g.translate_set(mask, a)
+                                          for a in g.elements()]
 
 
 def test_bits_of():
