@@ -326,7 +326,7 @@ def _cmd_index(args, caps, group) -> tuple[object, int]:
         "subgroup": (sorted(group.decode(g) for g in sub.generators)
                      if sub is not None else None),
         "connection_set": sorted(conn.element_tuples()),
-        "stabilizer_order": rep.stabilizer_order,
+        "stabilizer_order": rep.cayley_index,
         "cayley_index": rep.cayley_index,
         "is_drr": rep.cayley_index == 1,
         "generators": [format_cycles(g) for g in rep.stabilizer_generators],

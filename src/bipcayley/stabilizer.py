@@ -19,9 +19,9 @@ from .groups import AbelianGroup, bits_of
 
 @dataclass(frozen=True)
 class AutReport:
-    """Result of a vertex-stabilizer search."""
+    """Result of a vertex-stabilizer search.  ``cayley_index`` is the order
+    of the stabilizer of vertex 0 (see the module docstring)."""
 
-    stabilizer_order: int
     cayley_index: int
     stabilizer_generators: tuple[Perm, ...] = field(default=())
 
@@ -155,8 +155,7 @@ def vertex_stabilizer(digraph: CayleyDigraph, *,
     quotient = _Quotient(digraph)
     search = quotient.search(None, timeout)
     order = quotient.lift(search.order())
-    return AutReport(stabilizer_order=order,
-                     cayley_index=order,
+    return AutReport(cayley_index=order,
                      stabilizer_generators=tuple(
                          quotient.generators(search.gens)))
 

@@ -1,12 +1,16 @@
 """Brute-force and randomized campaigns over connection sets.
 
 Exhaustive minimization of the Cayley index over all admissible connection
-sets uses two sound accelerations:
+sets uses three sound accelerations:
 
   * orbit reduction -- conjugate sets alpha(S) for alpha in Aut(A) with
     alpha(B) = B give isomorphic digraphs, so only orbit representatives are
     searched (every admissible set still counts as examined); the orbits of
     sets of more than half the free choices are read off their complements;
+  * orbit floors -- the automorphisms of A fixing S fix 0 in Aut(Cay(A, S))
+    (Godsil, Combinatorica 1, 1981), so the index of S is a multiple of
+    |Stab_Aut(A)(B)| / |orbit of S|; a set whose floor reaches the current
+    best index is not searched;
   * early abort -- once a set's partial automorphism group reaches the
     current best index, its exact index cannot improve the minimum, so the
     search is cut off.
@@ -23,7 +27,6 @@ import math
 import os
 import random
 import sys
-from concurrent import futures
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -94,16 +97,17 @@ def iter_admissible_sets(group: AbelianGroup, sub: Subgroup, mode: str):
 # -- orbit reduction -----------------------------------------------------------
 
 
-def _orbit_generators(group: AbelianGroup, sub: Subgroup,
-                      units: list[int]) -> list[tuple[int, ...]]:
+def _orbit_generators(group: AbelianGroup, sub: Subgroup, units: list[int]
+                      ) -> tuple[list[tuple[int, ...]], int]:
     """Permutations of the unit indices induced by inversion and by a
-    generating set of Stab_Aut(A)(B).
+    generating set of Stab_Aut(A)(B), and the exact order of that group,
+    which holds inversion.
 
     An automorphism fixing B commutes with inversion, so it maps every unit
     onto a unit; one that does not is a ``FalsificationError``.  Identity
     and repeated unit permutations (inversion, when undirected) are dropped.
     """
-    gens = automorphism_generators(group, (sub.bits,))[0]
+    gens, order = automorphism_generators(group, (sub.bits,))
     images = [inversion_automorphism(group).image] + [a.image for a in gens]
     position = {unit: i for i, unit in enumerate(units)}
     identity = tuple(range(len(units)))
@@ -116,7 +120,7 @@ def _orbit_generators(group: AbelianGroup, sub: Subgroup,
         perm = tuple(position[unit] for unit in moved)
         if perm != identity and perm not in perms:
             perms.append(perm)
-    return perms
+    return perms, order
 
 
 def _image_table(block: Sequence[int]) -> list[int]:
@@ -129,18 +133,18 @@ def _image_table(block: Sequence[int]) -> list[int]:
     return table
 
 
-def orbit_representatives(choices: range,
-                          perms: Sequence[tuple[int, ...]]) -> list[int]:
+def orbit_representatives(choices: range, perms: Sequence[tuple[int, ...]]
+                          ) -> dict[int, int]:
     """The first choice of each orbit of the group generated by the unit
-    permutations ``perms``, in increasing order.
+    permutations ``perms``, in increasing order, mapped to its orbit length.
 
     ``choices`` is ``range(1 << k)`` for k units; choice c picks unit i when
     bit i of c is set.  Orbits are marked in a bytearray of 2^k entries.
     A unit permutation commutes with complementation, so an orbit of more
-    than k/2 units is the complement of one of fewer than k/2 units, and its
-    first choice is the complement of that orbit's last one: only choices of
-    at most k/2 units are walked.  An image is two lookups, one per half of
-    the choice's bits.
+    than k/2 units is the complement of one of fewer than k/2 units, of the
+    same length, and its first choice is the complement of that orbit's last
+    one: only choices of at most k/2 units are walked.  An image is two
+    lookups, one per half of the choice's bits.
     """
     k = len(choices).bit_length() - 1
     full, width = len(choices) - 1, (k + 1) // 2
@@ -148,26 +152,23 @@ def orbit_representatives(choices: range,
     tables = [(_image_table(perm[:width]), _image_table(perm[width:]))
               for perm in perms]
     seen = bytearray(len(choices))
-    reps = []
+    reps = {}
     for choice in choices:
         if seen[choice] or 2 * choice.bit_count() > k:
             continue
         seen[choice] = 1
-        top, frontier = choice, [choice]
-        while frontier:
-            member = frontier.pop()
+        orbit = [choice]
+        for member in orbit:
             lo, hi = member & mask, member >> width
             for lo_table, hi_table in tables:
                 im = lo_table[lo] | hi_table[hi]
                 if not seen[im]:
                     seen[im] = 1
-                    frontier.append(im)
-                    if im > top:
-                        top = im
-        reps.append(choice)
+                    orbit.append(im)
+        reps[choice] = len(orbit)
         if 2 * choice.bit_count() < k:
-            reps.append(full ^ top)
-    return sorted(reps)
+            reps[full ^ max(orbit)] = len(orbit)
+    return dict(sorted(reps.items()))
 
 
 # -- exhaustive / random index minimization ---------------------------------------
@@ -215,8 +216,8 @@ def _generic_first(masks: Iterable[int], half: float) -> list[int]:
 
 def sweep(group: AbelianGroup, masks: Sequence[int],
           best: int | None = None, threads: int = 1,
-          timeout: float | None = None,
-          progress=None) -> tuple[int | None, int | None]:
+          timeout: float | None = None, progress=None,
+          floors=None) -> tuple[int | None, int | None]:
     """Minimum Cayley index of Cay(A, S) over the connection sets ``masks``,
     and its argmin, as ``(best, argmin)``.
 
@@ -225,22 +226,29 @@ def sweep(group: AbelianGroup, masks: Sequence[int],
     the argmin is the first mask in stream order whose exact index equals
     the minimum: until that mask the running minimum is above it, so it is
     searched exactly.  ``argmin`` is ``None`` when no mask goes below the
-    starting ``best``.  ``progress(done, total)`` counts masks.
+    starting ``best``.  ``floors[i]``, when given, is a lower bound on the
+    index of ``masks[i]``: a mask whose floor reaches the running minimum
+    cannot go below it, so it is skipped unbuilt, with the same result.
+    ``progress(done, total)`` counts masks, skipped ones included.
 
     With more than one thread and more than 64 masks the sweep runs on
     ``threads`` worker processes, at most one per CPU, with the same result.
     Without a starting bound the first 32 masks are swept here to find one.
-    The rest are dealt round-robin into 4 * threads shards, each swept from
-    the same bound; the merge keeps the lowest index, then the earliest
-    stream position.
+    The rest, and their floors, are dealt round-robin into 4 * threads
+    shards, each swept from the same bound; the merge keeps the lowest
+    index, then the earliest stream position.
     """
+    floors = [0] * len(masks) if floors is None else floors
     if threads > 1 and len(masks) > 64:
+        from concurrent import futures
         head = 32 if best is None else 0
-        best, argmin = sweep(group, masks[:head], best, timeout=timeout)
+        best, argmin = sweep(group, masks[:head], best, timeout=timeout,
+                             floors=floors[:head])
         width = 4 * threads
         shards = [masks[i::width]
                   for i in range(head, min(head + width, len(masks)))]
-        args = [(group.orders, shard, best, timeout) for shard in shards]
+        args = [(group.orders, shard, floors[head + i::width], best, timeout)
+                for i, shard in enumerate(shards)]
         found = []  # (index, stream position) of each shard's argmin
         workers = min(threads, os.cpu_count() or 1)
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -254,21 +262,22 @@ def sweep(group: AbelianGroup, masks: Sequence[int],
             argmin = masks[pos]
         return best, argmin
     argmin = None
-    for done, mask in enumerate(masks, 1):
-        digraph = build_cayley(group, connection_set(group, mask))
-        order, exact = stabilizer_order_bounded(digraph, abort_order=best,
-                                                timeout=timeout)
-        if exact and (best is None or order < best):
-            best, argmin = order, mask
+    for done, (mask, floor) in enumerate(zip(masks, floors), 1):
+        if best is None or floor < best:
+            digraph = build_cayley(group, connection_set(group, mask))
+            order, exact = stabilizer_order_bounded(digraph, abort_order=best,
+                                                    timeout=timeout)
+            if exact and (best is None or order < best):
+                best, argmin = order, mask
         if progress is not None and done % 64 == 0:
             progress(done, len(masks))
     return best, argmin
 
 
 def _shard_worker(args) -> tuple[int | None, int | None]:
-    orders, shard, best, timeout = args
+    orders, shard, floors, best, timeout = args
     best, argmin = sweep(build_group(list(orders)), shard, best=best,
-                         timeout=timeout)
+                         timeout=timeout, floors=floors)
     return best, None if argmin is None else shard.index(argmin)
 
 
@@ -286,11 +295,11 @@ def _recheck(group: AbelianGroup, best: int, argmin: int) -> None:
 
 def _survey(group: AbelianGroup, sub: Subgroup, mode: str,
             masks: Sequence[int], threads: int, timeout: float | None,
-            progress, **fields) -> IndexSurveyResult:
+            progress, floors=None, **fields) -> IndexSurveyResult:
     """The survey result of ``sweep`` over ``masks``, its argmin re-checked
     by a full stabilizer search."""
     best, argmin = sweep(group, masks, threads=threads, timeout=timeout,
-                         progress=progress)
+                         progress=progress, floors=floors)
     _recheck(group, best, argmin)
     return IndexSurveyResult(
         group=format_group_spec(group.orders),
@@ -307,7 +316,9 @@ def exhaustive_bipartite_index(group: AbelianGroup, sub: Subgroup, mode: str,
                                threads: int = 1,
                                timeout: float | None = None,
                                progress=None) -> IndexSurveyResult:
-    """Exact minimum Cayley index over every admissible connection set."""
+    """Exact minimum Cayley index over every admissible connection set,
+    each orbit representative swept with its floor |Stab_Aut(A)(B)| /
+    |orbit| (a length not dividing the order is a ``FalsificationError``)."""
     total = admissible_set_count(group, sub, mode)
     limit = min(budget, sys.maxsize)  # the orbit work space: a byte per set
     if total > limit:
@@ -317,12 +328,15 @@ def exhaustive_bipartite_index(group: AbelianGroup, sub: Subgroup, mode: str,
     if 1 << len(units) != total:
         raise FalsificationError(
             "admissible-set enumeration disagrees with the counting formula")
-    perms = _orbit_generators(group, sub, units)
-    reps = [unit_union(units, choice) for choice
-            in orbit_representatives(range(1 << len(units)), perms)]
-    ordered = _generic_first(reps, group.size / 4)  # |A \ B| / 2
+    perms, order = _orbit_generators(group, sub, units)
+    reps = orbit_representatives(range(1 << len(units)), perms)
+    if any(order % length for length in reps.values()):
+        raise FalsificationError("an orbit length does not divide the order")
+    floors = {unit_union(units, c): order // n for c, n in reps.items()}
+    ordered = _generic_first(floors, group.size / 4)  # |A \ B| / 2
     return _survey(group, sub, mode, ordered, threads, timeout, progress,
-                   sets_examined=total, reps_searched=len(reps),
+                   floors=[floors[mask] for mask in ordered],
+                   sets_examined=total, reps_searched=len(floors),
                    method="exhaustive",
                    details={"orbit_generators": len(perms), "recheck": True})
 

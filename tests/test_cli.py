@@ -223,6 +223,36 @@ def test_classify_output_is_pinned():
         assert (res, list(res)) == (want, list(want)), (group, conn, mode)
 
 
+def test_survey_and_table_outputs_are_pinned():
+    """SHA-256 of the ``--no-timing`` output of both tables, serial and on
+    two workers, and of two surveys, whose argmin sets they fix.  Table 1
+    runs at the benchmark's budget with the extended rows, so the C2^5 and
+    C4xC2^3 rows are searched."""
+    import hashlib
+    table1 = ["table", "--which", "1", "--budget", "131072",
+              "--include-extended", "--threads"]
+    table2 = ["table", "--which", "2", "--threads"]
+    survey = ["survey", "--threads", "1", "--group"]
+    for argv, digest in (
+            (table1 + ["1"], "1caf46c14b8c8a1810da0bdf182a887f"
+                             "460fa5a5d2c975dfd6370bae2758d58e"),
+            (table1 + ["2"], "99be86f2e6a5060f472ab8eefd020653"
+                             "bf0dfb799c7cd3e4fd5ec8d41825d7bc"),
+            (table2 + ["1"], "1856f6a887afec1cf16e32d2df8ba0c2"
+                             "52c6b10891e3f3b6ca1609a7c7ff4ca9"),
+            (table2 + ["2"], "6da95fd31ba64d11c78904e2adf77fee"
+                             "4e13833f8c477d5f8878fdbc84e8dd41"),
+            (survey + ["C4xC2^3", "--subgroup", "index:0", "--mode",
+                       "directed"], "e8a7f0a42a2dc220eb3d7b38a9e2cea0"
+                                    "07f5bd12161e8c159891f04b5b4acd2e"),
+            (survey + ["C2xC4^2", "--subgroup", "index:1", "--mode",
+                       "undirected"], "719dc38275b58e2b109231abc1534e8f"
+                                      "8a7084e26d879ae655e1775312cc9817")):
+        code, text = run_cli(argv + ["--no-timing"])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
+
+
 def test_byte_identical_repeat():
     argv = ["index", "--group", "C6", "--subgroup", "index:0",
             "--set", "1,3,5", "--mode", "undirected", "--no-timing"]

@@ -23,6 +23,7 @@ from bipcayley.groups import (
 from bipcayley.survey import (
     TABLE1_ROWS,
     TABLE2_ROWS,
+    _generic_first,
     _orbit_generators,
     _units,
     admissible_set_count,
@@ -363,13 +364,11 @@ def test_sweep_argmin_is_first_achiever_in_stream_order():
     assert sweep(g, masks, best=low, threads=2) == (low, None)
 
 
-def test_sharded_sweep_asks_for_at_most_one_worker_per_cpu(monkeypatch):
-    """A huge ``threads`` forks no more processes than there are CPUs: the
-    pool is asked for at most ``os.cpu_count()`` workers, and the shards,
-    still 4 * threads of them, give the serial answer.  The pool is an
-    in-process fake, so no process starts."""
-    import os
-    from bipcayley import survey
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """``concurrent.futures.ProcessPoolExecutor`` replaced by an in-process
+    fake, so no process starts; returns the ``max_workers`` of each pool."""
+    import concurrent.futures
     asked = []
 
     class FakePool:
@@ -385,12 +384,135 @@ def test_sharded_sweep_asks_for_at_most_one_worker_per_cpu(monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(survey.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return asked
+
+
+def test_sharded_sweep_asks_for_at_most_one_worker_per_cpu(fake_pool):
+    """A huge ``threads`` forks no more processes than there are CPUs: the
+    pool is asked for at most ``os.cpu_count()`` workers, and the shards,
+    still 4 * threads of them, give the serial answer."""
+    import os
     g = build_group([4, 2, 2])
     masks = list(iter_admissible_sets(g, index2_subgroups(g)[0], "directed"))
     assert len(masks) > 64
     assert sweep(g, masks, threads=10 ** 6) == sweep(g, masks)
-    assert len(asked) == 1 and 1 <= asked[0] <= (os.cpu_count() or 1)
+    assert len(fake_pool) == 1 and 1 <= fake_pool[0] <= (os.cpu_count() or 1)
+
+
+def _floored_reps(g, b, mode):
+    """The orbit representatives of an exhaustive survey in sweep order,
+    their orbit floors and their exact indices."""
+    from bipcayley.cayley import build_cayley, connection_set
+    from bipcayley.stabilizer import vertex_stabilizer
+    units = _units(g, b, mode)
+    perms, order = _orbit_generators(g, b, units)
+    floor = {unit_union(units, c): order // length for c, length
+             in orbit_representatives(range(1 << len(units)), perms).items()}
+    masks = _generic_first(floor, g.size / 4)
+    index = {m: vertex_stabilizer(
+        build_cayley(g, connection_set(g, m))).cayley_index for m in masks}
+    return masks, floor, index
+
+
+def test_sweep_with_floors_keeps_the_minimum_and_argmin(fake_pool):
+    """Orbit floors, and the exact indices as the tightest floors, leave
+    (best, argmin) of serial and sharded sweeps as they are without floors:
+    on the 76 representatives of (C4xC2^3, index:0) in sweep order, reversed,
+    and rotated so that the argmin lies past the first 32 masks."""
+    g = build_group([4, 2, 2, 2])
+    masks, floor, index = _floored_reps(g, index2_subgroups(g)[0],
+                                        "directed")
+    assert len(masks) == 76
+    low = min(index.values())
+    streams = [masks, masks[::-1], masks[40:] + masks[:40]]
+    assert any(next(i for i, m in enumerate(stream) if index[m] == low) > 32
+               for stream in streams)
+    for stream in streams:
+        want = sweep(g, stream)
+        for bound in (floor, index):
+            floors = [bound[m] for m in stream]
+            assert sweep(g, stream, floors=floors) == want
+            assert sweep(g, stream, threads=2, floors=floors) == want
+    assert len(fake_pool) == 3 * 2
+
+
+def test_sweep_settles_masks_at_the_floor_without_a_search(monkeypatch,
+                                                           fake_pool):
+    """A floor at or above the starting best builds and searches no mask,
+    serial or sharded, and still reports every mask to ``progress``; a
+    floor one below it is searched."""
+    from bipcayley import survey
+    from bipcayley.cayley import build_cayley, connection_set
+    from bipcayley.stabilizer import vertex_stabilizer
+    g = build_group([4, 2, 2])
+    masks = list(iter_admissible_sets(g, index2_subgroups(g)[0], "directed"))
+    mask = masks[100]
+    low = vertex_stabilizer(build_cayley(g, connection_set(g, mask))
+                            ).cayley_index
+    assert sweep(g, [mask], best=low + 1, floors=[low]) == (low, mask)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a mask at its floor was searched")
+
+    monkeypatch.setattr(survey, "build_cayley", refuse)
+    monkeypatch.setattr(survey, "stabilizer_order_bounded", refuse)
+    for threads in (1, 2):
+        seen = []
+        assert sweep(g, masks, best=4, threads=threads,
+                     floors=[4] * len(masks),
+                     progress=lambda *p: seen.append(p)) == (4, None)
+        assert seen[-1] == (len(masks), len(masks))
+
+
+def test_sweep_progress_does_not_depend_on_floors(fake_pool):
+    """The same ``progress(done, total)`` calls with and without floors,
+    serial and sharded, also when most masks are skipped."""
+    g = build_group([4, 2, 2, 2])
+    masks, floor, _ = _floored_reps(g, index2_subgroups(g)[0], "directed")
+    for threads in (1, 2):
+        calls = []
+        for floors in (None, [floor[m] for m in masks]):
+            seen = []
+            sweep(g, masks, threads=threads, floors=floors,
+                  progress=lambda *p: seen.append(p))
+            calls.append(seen)
+        assert calls[0] == calls[1] and calls[0], threads
+
+
+@pytest.mark.parametrize("which,budget,calls", [(1, 1 << 17, 19),
+                                                (2, 1 << 11, 115)])
+def test_table_sweeps_search_only_sets_below_their_floor(monkeypatch, which,
+                                                         budget, calls):
+    """Work guard: the bounded stabilizer searches of the benchmark's table
+    passes.  Without orbit floors they were 189 (Table 1) and 327
+    (Table 2)."""
+    from bipcayley import survey
+    count = [0]
+    bounded = survey.stabilizer_order_bounded
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return bounded(*args, **kwargs)
+
+    monkeypatch.setattr(survey, "stabilizer_order_bounded", counting)
+    assert all(row.matches is not False
+               for row in verify_table(which, budget=budget))
+    assert count[0] == calls
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    """The process pool module (and the ``logging`` it pulls in) is
+    imported only when a sweep is sharded."""
+    import os
+    import subprocess
+    import sys
+    import bipcayley
+    src = os.path.dirname(os.path.dirname(bipcayley.__file__))
+    code = ("import sys, bipcayley\n"
+            "assert 'concurrent.futures' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_random_survey_threads_keep_the_answer():
@@ -471,28 +593,26 @@ def test_exhaustive_timeout_propagates():
 
 def _orbit_reps_reference(masks, perms):
     """Reference orbit reduction on element masks: the first mask of each
-    orbit of <perms> (element permutations) in stream order."""
+    orbit of <perms> (element permutations) in stream order, mapped to the
+    length of its orbit."""
     universe = set(masks)
     seen = set()
-    reps = []
+    reps = {}
     for mask in masks:
         if mask in seen:
             continue
-        reps.append(mask)
         seen.add(mask)
-        frontier = [mask]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in perms:
-                    im = 0
-                    for b in bits_of(m):
-                        im |= 1 << g[b]
-                    if im not in seen:
-                        assert im in universe
-                        seen.add(im)
-                        nxt.append(im)
-            frontier = nxt
+        orbit = [mask]
+        for m in orbit:
+            for g in perms:
+                im = 0
+                for b in bits_of(m):
+                    im |= 1 << g[b]
+                if im not in seen:
+                    assert im in universe
+                    seen.add(im)
+                    orbit.append(im)
+        reps[mask] = len(orbit)
     return reps
 
 
@@ -507,16 +627,19 @@ def _harvested_images(g, b):
 
 def _check_reps_against_reference(g, b, mode):
     units = _units(g, b, mode)
-    perms = _orbit_generators(g, b, units)
-    reps = [unit_union(units, c) for c in
-            orbit_representatives(range(1 << len(units)), perms)]
+    perms, _ = _orbit_generators(g, b, units)
+    reps = orbit_representatives(range(1 << len(units)), perms)
     masks = list(iter_admissible_sets(g, b, mode))
-    assert reps == _orbit_reps_reference(masks, _harvested_images(g, b))
+    assert sum(reps.values()) == len(masks)
+    assert ([(unit_union(units, c), length) for c, length in reps.items()]
+            == list(_orbit_reps_reference(masks,
+                                          _harvested_images(g, b)).items()))
 
 
 def test_orbit_representatives_match_reference(small_groups):
-    """Same representatives in the same order as the mask-domain loop, for
-    every index-2 subgroup of every small group, in both modes."""
+    """Same representatives in the same order, with the same orbit lengths,
+    as the mask-domain loop, for every index-2 subgroup of every small
+    group, in both modes."""
     for g in small_groups:
         for b in index2_subgroups(g):
             for mode in ("directed", "undirected"):
@@ -534,22 +657,21 @@ def test_orbit_representatives_match_reference_on_table1_rows():
 
 
 def _choice_orbit_reps_reference(k, perms):
-    """The least choice of each orbit of <perms> on range(2^k), by a plain
-    set-based BFS from every choice."""
-    seen, reps = set(), []
+    """The least choice of each orbit of <perms> on range(2^k), mapped to
+    the length of its orbit, by a plain set-based BFS from every choice."""
+    seen, reps = set(), {}
     for choice in range(1 << k):
         if choice in seen:
             continue
-        reps.append(choice)
         seen.add(choice)
-        frontier = [choice]
-        while frontier:
-            member = frontier.pop()
+        orbit = [choice]
+        for member in orbit:
             for p in perms:
                 im = sum(1 << p[i] for i in bits_of(member))
                 if im not in seen:
                     seen.add(im)
-                    frontier.append(im)
+                    orbit.append(im)
+        reps[choice] = len(orbit)
     return reps
 
 
@@ -574,21 +696,65 @@ def test_orbit_representatives_match_set_bfs_on_synthetic_unit_groups():
     rng = random.Random(19)
     for k in range(1, 19):
         perms = _synthetic_unit_perms(rng, k)
-        assert (orbit_representatives(range(1 << k), perms)
-                == _choice_orbit_reps_reference(k, perms)), (k, perms)
+        reps = orbit_representatives(range(1 << k), perms)
+        assert sum(reps.values()) == 1 << k
+        assert (list(reps.items()) == list(
+            _choice_orbit_reps_reference(k, perms).items())), (k, perms)
 
 
 def test_orbit_representatives_edge_groups():
     """No generators (every choice is its own orbit), and a transposition
     with a cycle on a subset, whose orbits are not all of one size."""
     for k in (0, 1, 4, 7):
-        assert orbit_representatives(range(1 << k), []) == list(range(1 << k))
+        reps = orbit_representatives(range(1 << k), [])
+        assert list(reps.items()) == [(c, 1) for c in range(1 << k)]
     for k in (5, 6, 9, 10):
         cycle = tuple(list(range(1, k - 1)) + [0, k - 1])
         swap = tuple([k - 1] + list(range(1, k - 1)) + [0])
         for perms in ([cycle], [swap], [cycle, swap]):
             reps = orbit_representatives(range(1 << k), perms)
-            assert reps == _choice_orbit_reps_reference(k, perms), (k, perms)
+            assert list(reps.items()) == list(
+                _choice_orbit_reps_reference(k, perms).items()), (k, perms)
+
+
+def test_orbit_floors_divide_the_exact_index():
+    """Every orbit length divides |Stab_Aut(A)(B)|, and the floor
+    |Stab_Aut(A)(B)| / |orbit| divides the exact index of its
+    representative: the automorphisms of A fixing S are automorphisms of
+    Cay(A, S) fixing 0.  Every index-2 B of every abelian group of even
+    order <= 24, in both modes, up to 2^12 admissible sets."""
+    from bipcayley.cayley import build_cayley, connection_set
+    from bipcayley.groups import abelian_isomorphism_classes
+    from bipcayley.stabilizer import vertex_stabilizer
+    checked = 0
+    for n in range(2, 25, 2):
+        for orders in abelian_isomorphism_classes(n):
+            g = build_group(list(orders))
+            for b in index2_subgroups(g):
+                for mode in ("directed", "undirected"):
+                    units = _units(g, b, mode)
+                    if len(units) > 12:
+                        continue
+                    perms, order = _orbit_generators(g, b, units)
+                    for choice, length in orbit_representatives(
+                            range(1 << len(units)), perms).items():
+                        assert order % length == 0
+                        digraph = build_cayley(g, connection_set(
+                            g, unit_union(units, choice)))
+                        index = vertex_stabilizer(digraph).cayley_index
+                        assert index % (order // length) == 0, (orders, mode)
+                        checked += 1
+    assert checked == 6609
+
+
+def test_orbit_length_not_dividing_the_order_is_refused(monkeypatch):
+    """|Stab_Aut(C2^2)(B)| = 2, so an orbit of 3 choices cannot occur."""
+    from bipcayley import survey
+    g = build_group([2, 2])
+    monkeypatch.setattr(survey, "orbit_representatives",
+                        lambda choices, perms: {0: 3})
+    with pytest.raises(FalsificationError):
+        exhaustive_bipartite_index(g, index2_subgroups(g)[0], "directed")
 
 
 def test_subgroup_of_type_is_first_index2_subgroup_of_that_type():

@@ -51,7 +51,7 @@ def test_tracer_installs_and_fills_the_search_metrics():
     out = _traced("""
 digraph = cayley.build_cayley(
     g, cayley.connection_set(g, [(0, 1), (1, 0), (3, 0)]))
-assert stabilizer.vertex_stabilizer(digraph).stabilizer_order == 6
+assert stabilizer.vertex_stabilizer(digraph).cayley_index == 6
 stabilizer.stabilizer_order_bounded(digraph, abort_order=2)
 cayley.canonical_form(digraph)
 """)
@@ -89,7 +89,7 @@ def test_tracer_counts_leaf_checks_on_a_directed_digraph():
 digraph = cayley.build_cayley(
     g, cayley.connection_set(g, [(0, 1), (1, 0), (2, 1)]))
 assert digraph.out_neighbors != digraph.in_neighbors
-assert stabilizer.vertex_stabilizer(digraph).stabilizer_order == 2
+assert stabilizer.vertex_stabilizer(digraph).cayley_index == 2
 """)
     metrics = out["metrics"]
     assert metrics["stabilizer.exact.calls"] == 1
