@@ -3,9 +3,10 @@
 One backtrack over the images of the standard generators (one unit per
 cyclic factor) streams Aut(A), or the automorphisms fixing given bitsets (B;
 B and S), and finds a generating set of that group with its exact order.  A
-partial map is cut off once it breaks injectivity or a bitset's membership
-on the span placed so far (Leon's partition backtrack in miniature).  It
-is one iterative walk over a table of levels built once per group.
+generator's images are the elements of its type (order and membership of
+each dA); a partial map is cut off once it breaks injectivity or a bitset's
+membership on the span placed so far (Leon's partition backtrack in
+miniature), in one iterative walk over level tables built once per group.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import BadParameter
 from .groups import (
     AbelianGroup,
     Subgroup,
+    _closure,
     _prime_factorization,
     bits_of,
     build_group,
@@ -98,17 +100,24 @@ def automorphism_from_generator_images(
 
 @functools.lru_cache(maxsize=64)
 def _levels(group: AbelianGroup) -> tuple:
-    """Per level i: the candidate images of g_i (the elements of order n_i,
-    by index) and the (source, position) steps that extend the image array
-    from <g_0..g_{i-1}> to <g_0..g_i>: position (q*n_i + c)*w_i, for
-    c = 1..n_i - 1 and q < |<g_0..g_{i-1}>|, takes img[position - w_i] + t."""
-    by_order: dict[int, list[int]] = {}
-    for a in group.elements():
-        by_order.setdefault(group.element_order(a), []).append(a)
+    """Per level i: the candidate images of g_i (by index, the elements of
+    g_i's type: its order and its membership of each dA for d | exp(A),
+    which every automorphism keeps) and the (source, position) steps that
+    extend the image array from <g_0..g_{i-1}> to <g_0..g_i>: position
+    (q*n_i + c)*w_i, for c = 1..n_i - 1 and q < |<g_0..g_{i-1}>|, takes
+    img[position - w_i] + t."""
+    gens, exp = group.generators(), group.exponent
+    multiples = [_closure(group, [group.scalar_mul(d, g) for g in gens])
+                 for d in range(2, exp) if exp % d == 0]
+    types = [(group.element_order(a), tuple(m >> a & 1 for m in multiples))
+             for a in group.elements()]
+    by_type: dict[tuple, list[int]] = {}
+    for a, key in enumerate(types):
+        by_type.setdefault(key, []).append(a)
     levels = []
     span = 1
     for n, w in zip(group.orders, group._weights):
-        levels.append((tuple(by_order.get(n, ())),
+        levels.append((tuple(by_type[types[w]]),
                        tuple(((q * n + c) * w - w, (q * n + c) * w)
                              for c in range(1, n) for q in range(span))))
         span *= n

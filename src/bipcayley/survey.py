@@ -37,7 +37,6 @@ from .autos import (
     index2_subgroup,
     index2_subgroup_count,
     index2_subgroups,
-    inversion_automorphism,
 )
 from .bounds import (
     admissible_set_count,
@@ -99,21 +98,21 @@ def iter_admissible_sets(group: AbelianGroup, sub: Subgroup, mode: str):
 
 def _orbit_generators(group: AbelianGroup, sub: Subgroup, units: list[int]
                       ) -> tuple[list[tuple[int, ...]], int]:
-    """Permutations of the unit indices induced by inversion and by a
-    generating set of Stab_Aut(A)(B), and the exact order of that group,
-    which holds inversion.
+    """Permutations of the unit indices induced by a generating set of
+    Stab_Aut(A)(B), and the exact order of that group.
 
-    An automorphism fixing B commutes with inversion, so it maps every unit
-    onto a unit; one that does not is a ``FalsificationError``.  Identity
-    and repeated unit permutations (inversion, when undirected) are dropped.
+    Inversion fixes every subgroup, so it lies in the group these generate
+    and needs no permutation of its own.  An automorphism fixing B commutes
+    with inversion, so it maps every unit onto a unit; one that does not is
+    a ``FalsificationError``.  Identity and repeated unit permutations are
+    dropped.
     """
     gens, order = automorphism_generators(group, (sub.bits,))
-    images = [inversion_automorphism(group).image] + [a.image for a in gens]
     position = {unit: i for i, unit in enumerate(units)}
     identity = tuple(range(len(units)))
     perms = []
-    for image in images:
-        moved = [perm_on_set(image, unit) for unit in units]
+    for alpha in gens:
+        moved = [perm_on_set(alpha.image, unit) for unit in units]
         if not all(unit in position for unit in moved):
             raise FalsificationError(
                 "automorphism left the admissible set space")
@@ -143,7 +142,8 @@ def orbit_representatives(choices: range, perms: Sequence[tuple[int, ...]]
     A unit permutation commutes with complementation, so an orbit of more
     than k/2 units is the complement of one of fewer than k/2 units, of the
     same length, and its first choice is the complement of that orbit's last
-    one: only choices of at most k/2 units are walked.  An image is two
+    one: only choices of at most k/2 units are walked, and the scan stops
+    once the orbit lengths counted so far reach 2^k.  An image is two
     lookups, one per half of the choice's bits.
     """
     k = len(choices).bit_length() - 1
@@ -152,7 +152,7 @@ def orbit_representatives(choices: range, perms: Sequence[tuple[int, ...]]
     tables = [(_image_table(perm[:width]), _image_table(perm[width:]))
               for perm in perms]
     seen = bytearray(len(choices))
-    reps = {}
+    reps, counted = {}, 0
     for choice in choices:
         if seen[choice] or 2 * choice.bit_count() > k:
             continue
@@ -166,8 +166,12 @@ def orbit_representatives(choices: range, perms: Sequence[tuple[int, ...]]
                     seen[im] = 1
                     orbit.append(im)
         reps[choice] = len(orbit)
+        counted += len(orbit)
         if 2 * choice.bit_count() < k:
             reps[full ^ max(orbit)] = len(orbit)
+            counted += len(orbit)
+        if counted == len(choices):
+            break
     return dict(sorted(reps.items()))
 
 

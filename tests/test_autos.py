@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -417,3 +418,96 @@ def test_stream_without_addition_table_equals_table_stream(monkeypatch,
            for fixing in fixings]
     assert got == want
     assert len(want[0]) == count_automorphisms(g) and want[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _order_only_levels(group):
+    """The backtrack's levels as they were before typing: the candidates of
+    g_i are all the elements of order n_i."""
+    by_order = {}
+    for a in group.elements():
+        by_order.setdefault(group.element_order(a), []).append(a)
+    levels = []
+    span = 1
+    for n, w in zip(group.orders, group._weights):
+        levels.append((tuple(by_order.get(n, ())),
+                       tuple(((q * n + c) * w - w, (q * n + c) * w)
+                             for c in range(1, n) for q in range(span))))
+        span *= n
+    return tuple(levels)
+
+
+def _streams_and_generators(g, fixings):
+    out = []
+    for fixing in fixings:
+        gens, order = automorphism_generators(g, fixing)
+        stream = enumerate_automorphisms(g, fixing)
+        out.append(([alpha.image for alpha in stream],
+                    [alpha.image for alpha in gens], order))
+    return out
+
+
+def test_typed_levels_keep_the_order_only_stream_and_generators(monkeypatch):
+    """Typing the candidates (order and membership of every dA) drops only
+    images no automorphism takes: the streams fixing (), each index-2 B and
+    seeded (B, S), the generating sets and the orders are those of the
+    order-only levels, on every abelian group of order <= 32, in invariant
+    factor order and reversed (the layout of the table groups).  Where
+    typing leaves the levels as they were (elementary abelian and cyclic
+    groups among others) the walk is the same, so only the 20 layouts whose
+    levels it prunes are walked twice."""
+    from bipcayley import autos
+    from bipcayley.groups import abelian_isomorphism_classes
+    rng = random.Random(33)
+    pruned = 0
+    for n in range(2, 33):
+        for factors in abelian_isomorphism_classes(n):
+            for orders in {factors, factors[::-1]}:
+                g = build_group(list(orders))
+                if autos._levels(g) == _order_only_levels(g):
+                    continue
+                pruned += 1
+                fixings = [()]
+                for b in index2_subgroups(g):
+                    units = admissible_units(g, b.complement_bits(),
+                                             "directed")
+                    s_bits = 0
+                    for unit in rng.sample(units, rng.randint(1, len(units))):
+                        s_bits |= unit
+                    fixings += [(b.bits,), (b.bits, s_bits)]
+                got = _streams_and_generators(g, fixings)
+                with monkeypatch.context() as patch:
+                    patch.setattr(autos, "_levels", _order_only_levels)
+                    assert _streams_and_generators(g, fixings) == got, orders
+    assert pruned == 20
+
+
+def test_typed_level_candidates_hold_every_image_of_the_generator():
+    """By brute force over every homomorphism, on every abelian group of
+    order <= 16: each bijective one maps g_i into level i's candidates."""
+    from bipcayley.autos import _levels
+    from bipcayley.groups import abelian_isomorphism_classes
+    for n in range(2, 17):
+        for factors in abelian_isomorphism_classes(n):
+            for orders in {factors, factors[::-1]}:
+                g = build_group(list(orders))
+                gens = g.generators()
+                images = [set() for _ in gens]
+                # img: the image of the span of the generators placed so far
+                stack = [((), [0])]
+                while stack:
+                    ts, img = stack.pop()
+                    if len(ts) == len(gens):
+                        if len(set(img)) == g.size:
+                            for i, t in enumerate(ts):
+                                images[i].add(t)
+                        continue
+                    m = g.orders[len(ts)]
+                    for t in g.elements():
+                        if g.scalar_mul(m, t) == 0:
+                            stack.append((ts + (t,), [
+                                g.add(y, g.scalar_mul(c, t))
+                                for c in range(m) for y in img]))
+                levels = _levels(g)
+                for i, seen in enumerate(images):
+                    assert seen <= set(levels[i][0]), (orders, i)

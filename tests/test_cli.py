@@ -243,8 +243,8 @@ def test_survey_and_table_outputs_are_pinned():
             (table2 + ["2"], "6da95fd31ba64d11c78904e2adf77fee"
                              "4e13833f8c477d5f8878fdbc84e8dd41"),
             (survey + ["C4xC2^3", "--subgroup", "index:0", "--mode",
-                       "directed"], "e8a7f0a42a2dc220eb3d7b38a9e2cea0"
-                                    "07f5bd12161e8c159891f04b5b4acd2e"),
+                       "directed"], "fa11612bde2cbaeaba4a5febef9942c4"
+                                    "3be8d0e4efbca09d5a76618c353b7de9"),
             (survey + ["C2xC4^2", "--subgroup", "index:1", "--mode",
                        "undirected"], "719dc38275b58e2b109231abc1534e8f"
                                       "8a7084e26d879ae655e1775312cc9817")):

@@ -717,6 +717,63 @@ def test_orbit_representatives_edge_groups():
                 _choice_orbit_reps_reference(k, perms).items()), (k, perms)
 
 
+def test_inversion_lies_in_the_group_the_orbit_generators_generate():
+    """The walk needs no permutation for inversion: it fixes every
+    subgroup, so it lies in Stab_Aut(A)(B), which the generators generate.
+    Every index-2 B of every abelian group of even order <= 24."""
+    from bipcayley.groups import abelian_isomorphism_classes
+    checked = 0
+    for n in range(2, 25, 2):
+        for orders in abelian_isomorphism_classes(n):
+            g = build_group(list(orders))
+            iota = inversion_automorphism(g).image
+            for b in index2_subgroups(g):
+                gens = [alpha.image for alpha
+                        in automorphism_generators(g, (b.bits,))[0]]
+                seen, frontier = {iota}, [iota]
+                while frontier and tuple(range(g.size)) not in seen:
+                    img = frontier.pop()
+                    for gen in gens:
+                        prod = tuple(img[x] for x in gen)
+                        if prod not in seen:
+                            seen.add(prod)
+                            frontier.append(prod)
+                assert tuple(range(g.size)) in seen, (orders, b)
+                checked += 1
+    assert checked == 70
+
+
+class _CountingRange:
+    """``range(n)`` that counts the choices read from it."""
+
+    def __init__(self, n):
+        self.n, self.read = n, 0
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        for choice in range(self.n):
+            self.read += 1
+            yield choice
+
+
+def test_orbit_scan_stops_at_the_last_orbit():
+    """Work guard: on the directed (C4xC2^3, C2^4) row the scan stops once
+    the counted orbit lengths reach 2^16, after choice 5,911, and reads none
+    of the 59,624 choices after it; the representatives and lengths are the
+    reference's."""
+    g = build_group([4, 2, 2, 2])
+    b = subgroup_of_type(g, "C2^4")
+    units = _units(g, b, "directed")
+    perms, _ = _orbit_generators(g, b, units)
+    choices = _CountingRange(1 << len(units))
+    reps = orbit_representatives(choices, perms)
+    assert choices.read == 5912 and len(reps) == 76
+    assert reps == orbit_representatives(range(1 << len(units)), perms)
+    _check_reps_against_reference(g, b, "directed")
+
+
 def test_orbit_floors_divide_the_exact_index():
     """Every orbit length divides |Stab_Aut(A)(B)|, and the floor
     |Stab_Aut(A)(B)| / |orbit| divides the exact index of its
