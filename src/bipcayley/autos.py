@@ -3,10 +3,10 @@
 One backtrack over the images of the standard generators (one unit per
 cyclic factor) streams Aut(A), or the automorphisms fixing given bitsets (B;
 B and S), and finds a generating set of that group with its exact order.  A
-generator's images are the elements of its type (order and membership of
-each dA); a partial map is cut off once it breaks injectivity or a bitset's
-membership on the span placed so far (Leon's partition backtrack in
-miniature), in one iterative walk over level tables built once per group.
+generator's images are its Aut(A)-orbit (the elements whose multiples have
+its heights); a partial map is cut off once it breaks injectivity or a
+bitset's membership on the span placed so far (Leon's partition backtrack
+in miniature), in one iterative walk over level tables built once per group.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import BadParameter
 from .groups import (
     AbelianGroup,
     Subgroup,
-    _closure,
     _prime_factorization,
     bits_of,
     build_group,
@@ -101,17 +100,23 @@ def automorphism_from_generator_images(
 @functools.lru_cache(maxsize=64)
 def _levels(group: AbelianGroup) -> tuple:
     """Per level i: the candidate images of g_i (by index, the elements of
-    g_i's type: its order and its membership of each dA for d | exp(A),
-    which every automorphism keeps) and the (source, position) steps that
-    extend the image array from <g_0..g_{i-1}> to <g_0..g_i>: position
-    (q*n_i + c)*w_i, for c = 1..n_i - 1 and q < |<g_0..g_{i-1}>|, takes
-    img[position - w_i] + t."""
-    gens, exp = group.generators(), group.exponent
-    multiples = [_closure(group, [group.scalar_mul(d, g) for g in gens])
-                 for d in range(2, exp) if exp % d == 0]
-    types = [(group.element_order(a), tuple(m >> a & 1 for m in multiples))
-             for a in group.elements()]
-    by_type: dict[tuple, list[int]] = {}
+    g_i's type) and the (source, position) steps that extend the image
+    array from <g_0..g_{i-1}> to <g_0..g_i>: position (q*n_i + c)*w_i, for
+    c = 1..n_i - 1 and q < |<g_0..g_{i-1}>|, takes img[position - w_i] + t.
+    An element's type is whether p^k*a lies in p^hA, one bit per prime
+    p | exp(A) and 0 <= k < h <= v_p(exp(A)) (d*a in eA for every d, e
+    follows): the heights of its multiples, its order among them, which
+    part A into its Aut(A)-orbits.  A digit passes iff p^k*a_i is a
+    multiple of gcd(p^h, n_i), so the types are ANDed factor by factor."""
+    pairs = [(p ** k, p ** h)
+             for p, v in _prime_factorization(group.exponent).items()
+             for h in range(1, v + 1) for k in range(h)]
+    types = [-1]
+    for n in group.orders:
+        digits = [sum(1 << j for j, (d, e) in enumerate(pairs)
+                      if d * x % math.gcd(e, n) == 0) for x in range(n)]
+        types = [t & u for t in types for u in digits]
+    by_type: dict[int, list[int]] = {}
     for a, key in enumerate(types):
         by_type.setdefault(key, []).append(a)
     levels = []
@@ -220,13 +225,19 @@ def stabilizing_automorphisms(group: AbelianGroup, sub: Subgroup
 def _character_kernel(group: AbelianGroup, positions: list[int],
                       coeffs: list[int], p: int) -> Subgroup:
     """Kernel of the character a -> sum(c * a[q]) mod p over the pairs
-    (c, q) of ``coeffs`` and ``positions``."""
-    bits = 0
-    for a in group.elements():
-        coords = group.decode(a)
-        if sum(c * coords[q] for c, q in zip(coeffs, positions)) % p == 0:
-            bits |= 1 << a
-    return subgroup_from_bits(group, bits)
+    (c, q) of ``coeffs`` and ``positions``, built factor by factor from the
+    last: rows[r] is the bitset of the elements so far of residue r, and
+    digit x of the next factor (more significant) shifts it by x*w into
+    residue r + c*x."""
+    coef = dict(zip(positions, coeffs))
+    rows, w = [1] + [0] * (p - 1), 1
+    for q in reversed(range(len(group.orders))):
+        n, c, new = group.orders[q], coef.get(q, 0), [0] * p
+        for x in range(n):
+            for r in range(p):
+                new[(r + c * x) % p] |= rows[r] << x * w
+        rows, w = new, w * n
+    return subgroup_from_bits(group, rows[0])
 
 
 def index2_subgroup_count(group: AbelianGroup) -> int:
@@ -247,6 +258,20 @@ def index2_subgroups(group: AbelianGroup) -> list[Subgroup]:
     """Every index-2 subgroup, in character order (see ``index2_subgroup``)."""
     return [index2_subgroup(group, k)
             for k in range(index2_subgroup_count(group))]
+
+
+def index2_type(group: AbelianGroup, k: int) -> tuple[int, ...]:
+    """Invariant factors of ``index2_subgroup(group, k)``, without building
+    it.  Of the factors J whose g_i the character maps to 1, let j be the
+    first whose n_j has the least 2-adic valuation.  The kernel is A with
+    n_j halved: for m the odd part of n_j, the g_i + m*g_j (i in J - {j})
+    have order n_i, and with 2*g_j and the g_i outside J span the kernel."""
+    orders = list(group.orders)
+    even_pos = [i for i, n in enumerate(orders) if n % 2 == 0]
+    j = min((q for b, q in enumerate(even_pos) if (k + 1) >> b & 1),
+            key=lambda i: orders[i] & -orders[i])
+    orders[j] //= 2
+    return invariant_factors_of_orders(orders)
 
 
 def prime_order_subgroups(group: AbelianGroup) -> list[Subgroup]:
@@ -362,10 +387,13 @@ def _check_exceptional_automorphism(group: AbelianGroup, sub: Subgroup,
 
 def is_exceptional_pair(group: AbelianGroup, sub: Subgroup) -> bool:
     """True iff (A, B) is C4 x C2^ell with B of type C2^(ell+1) (ell >= 1),
-    or C4^2 x C2^ell with B of type C4 x C2^(ell+1) (ell >= 0)."""
+    or C4^2 x C2^ell with B of type C4 x C2^(ell+1) (ell >= 0).  B's type
+    is ``index2_type`` of its character, read off the g_i outside B."""
     check_index2(sub)
     fa = invariant_factors_of_orders(group.orders)
-    fb = sub.invariant_factors()
+    evens = [g for g, n in zip(group.generators(), group.orders) if n % 2 == 0]
+    fb = index2_type(group, sum(1 << j for j, g in enumerate(evens)
+                                if not sub.contains(g)) - 1)
     if fa and fa[-1] == 4 and all(f == 2 for f in fa[:-1]):
         ell = len(fa) - 1
         if ell >= 1 and fb == (2,) * (ell + 1):

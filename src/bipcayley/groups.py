@@ -5,7 +5,9 @@ factor orders (not necessarily in invariant-factor form).  Elements are
 integers in [0, size) under a mixed-radix codec: the first factor is the most
 significant digit and the identity is index 0.  Subsets of the group are
 plain Python ints used as bitsets over element indices, which keeps subgroup
-and connection-set manipulation at native speed.
+and connection-set manipulation at native speed.  The addition table of a
+small group is built factor by factor, the last first: row (0, a) is row a so
+far shifted by y into each block y, and row (x, a) is it rotated by x blocks.
 """
 
 from __future__ import annotations
@@ -59,13 +61,12 @@ class AbelianGroup:
         else:
             self._neg = None
         if self.size <= _ADD_TABLE_CAP:
-            # Mixed radix, last factor first: row x*w + a of the table is
-            # row a of the table so far, shifted by x + y in each block y.
             add = [[0]]
             for n in reversed(self.orders):
                 w = len(add)
-                add = [[(x + y) % n * w + c for y in range(n) for c in row]
-                       for x in range(n) for row in add]
+                flat = [[y * w + c for y in range(n) for c in row]
+                        for row in add]
+                add = [f[x * w:] + f[:x * w] for x in range(n) for f in flat]
             self._add = add
         else:
             self._add = None

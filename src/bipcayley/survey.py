@@ -37,6 +37,7 @@ from .autos import (
     index2_subgroup,
     index2_subgroup_count,
     index2_subgroups,
+    index2_type,
 )
 from .bounds import (
     admissible_set_count,
@@ -471,12 +472,12 @@ class TableRowResult:
 
 
 def subgroup_of_type(group: AbelianGroup, iso_spec: str) -> Subgroup:
-    """First index-2 subgroup (in character order) with the given type."""
+    """First index-2 subgroup (in character order) with the given type.
+    Each character is typed by ``index2_type``; only the match is built."""
     want = invariant_factors_of_orders(parse_group_spec(iso_spec))
     for k in range(index2_subgroup_count(group)):
-        sub = index2_subgroup(group, k)
-        if sub.invariant_factors() == want:
-            return sub
+        if index2_type(group, k) == want:
+            return index2_subgroup(group, k)
     raise ValueError(f"no index-2 subgroup of type {iso_spec} in "
                      f"{format_group_spec(group.orders)}")
 

@@ -511,3 +511,104 @@ def test_typed_level_candidates_hold_every_image_of_the_generator():
                 levels = _levels(g)
                 for i, seen in enumerate(images):
                     assert seen <= set(levels[i][0]), (orders, i)
+
+
+def _layouts(largest):
+    """Every abelian group of order <= ``largest``, in invariant factor
+    order and reversed (the layout of the table groups)."""
+    from bipcayley.groups import abelian_isomorphism_classes
+    for n in range(2, largest + 1):
+        for factors in abelian_isomorphism_classes(n):
+            for orders in sorted({factors, factors[::-1]}):
+                yield build_group(list(orders))
+
+
+def _kernel_by_decoding(group, positions, coeffs, p):
+    """``_character_kernel`` as it was: decode every element."""
+    from bipcayley.groups import subgroup_from_bits
+    bits = 0
+    for a in group.elements():
+        coords = group.decode(a)
+        if sum(c * coords[q] for c, q in zip(coeffs, positions)) % p == 0:
+            bits |= 1 << a
+    return subgroup_from_bits(group, bits)
+
+
+def _exceptional_by_counting(group, sub):
+    """``is_exceptional_pair`` as it was: B typed by counting elements."""
+    from bipcayley.groups import invariant_factors_of_orders
+    fa = invariant_factors_of_orders(group.orders)
+    fb = sub.invariant_factors()
+    if fa and fa[-1] == 4 and all(f == 2 for f in fa[:-1]):
+        ell = len(fa) - 1
+        if ell >= 1 and fb == (2,) * (ell + 1):
+            return True
+    if len(fa) >= 2 and fa[-1] == 4 and fa[-2] == 4 \
+            and all(f == 2 for f in fa[:-2]):
+        ell = len(fa) - 2
+        if fb == (2,) * (ell + 1) + (4,):
+            return True
+    return False
+
+
+def test_index2_type_is_the_counted_type_of_the_kernel():
+    """The formula (n_j halved) types every index-2 subgroup of every
+    layout of even order <= 128 as counting its p^k-torsion does, and
+    ``is_exceptional_pair`` answers as it did by counting: 1,587 pairs."""
+    from bipcayley.autos import index2_type
+    from bipcayley.groups import subgroup_invariant_factors
+    pairs = exceptional = 0
+    for g in _layouts(128):
+        for k, b in enumerate(index2_subgroups(g)):
+            assert index2_type(g, k) == subgroup_invariant_factors(g, b), \
+                (g.orders, k)
+            assert is_exceptional_pair(g, b) == _exceptional_by_counting(g, b)
+            pairs += 1
+            exceptional += is_exceptional_pair(g, b)
+    assert pairs == 1587 and exceptional > 0
+
+
+def test_character_kernels_equal_the_decoded_kernels(monkeypatch):
+    """Every index-2 and prime-index kernel of every layout of order <= 96,
+    built from residue bitsets, has the bits and generators that decoding
+    every element gave."""
+    from bipcayley import autos
+    for g in _layouts(96):
+        got = [(s.bits, s.generators) for s in
+               index2_subgroups(g) + prime_index_subgroups(g)]
+        with monkeypatch.context() as patch:
+            patch.setattr(autos, "_character_kernel", _kernel_by_decoding)
+            want = [(s.bits, s.generators) for s in
+                    index2_subgroups(g) + prime_index_subgroups(g)]
+        assert got == want, g.orders
+
+
+def test_level_candidates_are_the_orbits_of_the_generators(monkeypatch):
+    """Level i offers exactly {alpha(g_i) : alpha in Aut(A)}, on every
+    layout of order <= 64 with at most 30,000 automorphisms.  Aut(A) is
+    walked over the order-only levels, which hold every image, so the
+    check does not lean on the levels it checks.  The candidates also lie
+    in those of the earlier types (order and membership of each dA)."""
+    from bipcayley import autos
+    from bipcayley.groups import _closure
+    walked = 0
+    for g in _layouts(64):
+        gens, exp = g.generators(), g.exponent
+        multiples = [_closure(g, [g.scalar_mul(d, x) for x in gens])
+                     for d in range(2, exp) if exp % d == 0]
+        old = [(g.element_order(a), [m >> a & 1 for m in multiples])
+               for a in g.elements()]
+        levels = autos._levels(g)
+        for i, x in enumerate(gens):
+            assert all(old[t] == old[x] for t in levels[i][0]), g.orders
+        if count_automorphisms(g) > 30_000:
+            continue
+        walked += 1
+        images = [set() for _ in gens]
+        with monkeypatch.context() as patch:
+            patch.setattr(autos, "_levels", _order_only_levels)
+            for alpha in enumerate_automorphisms(g):
+                for i, x in enumerate(gens):
+                    images[i].add(alpha(x))
+        assert [set(cands) for cands, _ in levels] == images, g.orders
+    assert walked == 145

@@ -767,6 +767,22 @@ def test_config_echoes_the_options_that_change_the_result(tmp_path):
     assert not {"stabilizing", "limit"} & set(payload["config"])
 
 
+def test_module_entry_point_runs_the_cli():
+    """``python -m bipcayley`` prints what ``cli.main`` prints and exits
+    with its code, 2 on a usage error."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["group-info", "--group", "C6"]
+    proc = subprocess.run([sys.executable, "-m", "bipcayley", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == run_cli(argv)[1]
+    bad = subprocess.run([sys.executable, "-m", "bipcayley", "group-info",
+                          "--no-such-option"], capture_output=True, env=env,
+                         timeout=120)
+    assert bad.returncode == 2
+
+
 def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr():
     # 276,794 bytes of output: more than a pipe holds, so the write fails
     env = dict(os.environ,

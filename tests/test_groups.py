@@ -262,3 +262,15 @@ def test_incremental_greedy_generators_match_reference(small_groups):
             want = _greedy_generators_reference(g, sub.bits)
             assert subgroup_from_bits(g, sub.bits).generators == want
             assert generated_subgroup(g, bits_of(sub.bits)).generators == want
+
+
+def test_rotated_addition_table_matches_coordinatewise_addition():
+    """Every layout of order <= 64, in invariant factor order and reversed,
+    and the largest tables, where one factor has 256 or 512 elements."""
+    layouts = [orders for n in range(2, 65)
+               for factors in abelian_isomorphism_classes(n)
+               for orders in {factors, factors[::-1]}]
+    for orders in layouts + [(512,), (2, 256), (256, 2)]:
+        g = build_group(list(orders))
+        assert g._add == [[g._add_slow(a, b) for b in g.elements()]
+                          for a in g.elements()], orders
