@@ -4,9 +4,10 @@ One backtrack over the images of the standard generators (one unit per
 cyclic factor) streams Aut(A), or the automorphisms fixing given bitsets (B;
 B and S), and finds a generating set of that group with its exact order.  A
 generator's images are its Aut(A)-orbit (the elements whose multiples have
-its heights); a partial map is cut off once it breaks injectivity or a
-bitset's membership on the span placed so far (Leon's partition backtrack
-in miniature), in one iterative walk over level tables built once per group.
+its heights) with the generator's membership of the bitsets; a partial map
+is cut off once it breaks injectivity or a bitset's membership on the span
+placed so far (Leon's partition backtrack in miniature), in one iterative
+walk over level tables built once per group.
 """
 
 from __future__ import annotations
@@ -139,7 +140,8 @@ def _automorphisms(group: AbelianGroup, fixing: Sequence[int],
     ``prefix[i]`` while i < len(prefix)) as the image of g_i and writes
     img[source] + t at each position of its steps, t itself first.  t is
     dropped at the first image that repeats or whose membership of the
-    ``fixing`` bitsets (sig) differs from that of its position.
+    ``fixing`` bitsets (sig) differs from that of its position.  Past the
+    prefix, no t is offered whose sig is not g_i's (its first position).
     """
     table, add = group._add, group.add
     sig = [0] * group.size  # bit j set iff the element lies in fixing[j]
@@ -149,8 +151,9 @@ def _automorphisms(group: AbelianGroup, fixing: Sequence[int],
     levels = _levels(group)
     img = [0] * group.size
     used = [1] * len(levels)
-    choices = [prefix[i:i + 1] if i < len(prefix) else cands
-               for i, (cands, _) in enumerate(levels)]
+    choices = [prefix[i:i + 1] if i < len(prefix)
+               else [t for t in levels[i][0] if sig[t] == sig[w]]
+               for i, w in enumerate(group._weights)]
     todo = [iter(c) for c in choices]
     i = 0
     while i >= 0:

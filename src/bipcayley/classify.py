@@ -19,13 +19,14 @@ matching class:
 Every verdict carries a machine-checkable witness that re-verifies
 independently of the search that produced it.  <S> is proper iff S lies
 in a maximal subgroup, one of prime index in an abelian group, so A1 is
-one subset test per prime-index subgroup; the span of S and its generators
-are built only for an A1 set, as its witness.  The A2 witness is the first
-automorphism, in ``enumerate_automorphisms`` order, of the backtrack
-constrained to fix both B and S.  ``group_candidates`` builds, once per
-group, the prime-order and prime-index subgroups and the (C, Z) pairs that
-the A4 search and ``bounds.count_product_triples`` read; a per-(A, B)
-``ClassifyContext`` keeps the (H, K) pairs with H inside B.
+one subset test per prime-index subgroup; the span of S is built only for
+an A1 set, as its witness, its generators kept per (A, span).  The A2
+witness is the first automorphism, in ``enumerate_automorphisms`` order,
+fixing B and S; S, -S and their rests in A \\ B share it.  Once per group,
+``group_candidates`` builds the prime-order and prime-index subgroups and
+the (C, Z) pairs the A4 search and ``bounds.count_product_triples`` read;
+a per-(A, B) ``ClassifyContext`` keeps the (H, K) pairs with H inside B
+and one A2 decision per such class of S.
 ``_product_set`` is the one place the A4 product S' x S'' is built: the A4
 search, its witness check and ``bounds.count_product_triples`` use it.
 """
@@ -108,6 +109,7 @@ class Classification:
 
 
 _CANDIDATES: dict[tuple, tuple] = {}
+_SPAN_GENERATORS: dict[tuple, tuple[int, ...]] = {}  # (orders, span) -> gens
 
 
 def group_candidates(group: AbelianGroup) -> tuple:
@@ -121,13 +123,14 @@ def group_candidates(group: AbelianGroup) -> tuple:
 
 
 class ClassifyContext:
-    """Precomputed data for classifying many sets over one (A, B) pair."""
+    """One (A, B) pair's (H, K) pairs and A2 decisions, kept across sets."""
 
     def __init__(self, group: AbelianGroup, sub: Subgroup):
         check_index2(sub)
         self.group = group
         self.sub = sub
         self.iota_image = inversion_automorphism(group).image
+        self.outside = sub.complement_bits()
         self.exceptional = is_exceptional_pair(group, sub)
         self.is_two_group = group.size & (group.size - 1) == 0
         # candidate (H, K) pairs, H of prime order inside B, K of prime index
@@ -135,6 +138,19 @@ class ClassifyContext:
         self.hk_pairs = tuple((small, big) for small in smalls
                               if not small.bits & ~sub.bits
                               for big in bigs if not small.bits & ~big.bits)
+        self.a2: tuple[dict[int, Automorphism | None], ...] = ({}, {})
+
+    def a2_witness(self, s_bits: int, undirected: bool) -> Automorphism | None:
+        """The first non-identity automorphism (undirected: nor inversion)
+        fixing B and S, or None; kept under the least of S, -S, (A \\ B) \\ S
+        and its negation, since one fixing B fixes all four or none."""
+        neg, kept = self.group.negate_set(s_bits), self.a2[undirected]
+        key = min(s_bits, neg, self.outside ^ s_bits, self.outside ^ neg)
+        if key not in kept:
+            kept[key] = next((alpha for alpha in enumerate_automorphisms(
+                self.group, (self.sub.bits, s_bits)) if not alpha.is_identity
+                and not (undirected and alpha.image == self.iota_image)), None)
+        return kept[key]
 
 
 _CONTEXTS: dict[tuple, ClassifyContext] = {}
@@ -250,12 +266,14 @@ def _classify(group: AbelianGroup, sub: Subgroup, s_bits: int,
     # A1: S lies in a maximal (prime-index) subgroup; the span is the witness
     if any(not s_bits & ~m.bits for m in group_candidates(group)[1]):
         span = _closure(group, bits_of(s_bits))
+        key = (group.orders, span)
+        if key not in _SPAN_GENERATORS:
+            _SPAN_GENERATORS[key] = _greedy_generators(group, span)
         return Classification(VERDICT_A1, Subgroup(
-            group, span, span.bit_count(), _greedy_generators(group, span)))
-    for alpha in enumerate_automorphisms(group, (sub.bits, s_bits)):
-        if not alpha.is_identity \
-                and not (undirected and alpha.image == ctx.iota_image):
-            return Classification(VERDICT_A2, alpha)
+            group, span, span.bit_count(), _SPAN_GENERATORS[key]))
+    alpha = ctx.a2_witness(s_bits, undirected)
+    if alpha is not None:
+        return Classification(VERDICT_A2, alpha)
     if not (undirected and ctx.is_two_group):
         hk = _a3_witness(ctx, s_bits)
         if hk is not None:

@@ -8,6 +8,7 @@ plain Python ints used as bitsets over element indices, which keeps subgroup
 and connection-set manipulation at native speed.  The addition table of a
 small group is built factor by factor, the last first: row (0, a) is row a so
 far shifted by y into each block y, and row (x, a) is it rotated by x blocks.
+The inverse table is built the same way: -(x, a) is ((-x) mod n, -a).
 """
 
 from __future__ import annotations
@@ -56,10 +57,12 @@ class AbelianGroup:
         for i in range(len(self.orders) - 2, -1, -1):
             weights[i] = weights[i + 1] * self.orders[i + 1]
         self._weights = tuple(weights)
+        self._neg = None
         if self.size <= _NEG_TABLE_CAP:
-            self._neg = [self._neg_slow(a) for a in range(self.size)]
-        else:
-            self._neg = None
+            self._neg = [0]
+            for n in reversed(self.orders):  # digit x -> (-x) mod n
+                w = len(self._neg)
+                self._neg = [-x % n * w + c for x in range(n) for c in self._neg]
         if self.size <= _ADD_TABLE_CAP:
             add = [[0]]
             for n in reversed(self.orders):

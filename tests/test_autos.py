@@ -437,14 +437,28 @@ def _order_only_levels(group):
     return tuple(levels)
 
 
-def _streams_and_generators(g, fixings):
+def _streams_and_generators(g, fixings, cap=None):
+    """Per fixing: the stream (its first ``cap`` automorphisms), the
+    generating set and the order."""
     out = []
     for fixing in fixings:
         gens, order = automorphism_generators(g, fixing)
-        stream = enumerate_automorphisms(g, fixing)
+        stream = itertools.islice(enumerate_automorphisms(g, fixing), cap)
         out.append(([alpha.image for alpha in stream],
                     [alpha.image for alpha in gens], order))
     return out
+
+
+def _seeded_fixings(g, rng):
+    """(), and per index-2 B: (B,) and (B, S) for a random directed S."""
+    fixings = [()]
+    for b in index2_subgroups(g):
+        units = admissible_units(g, b.complement_bits(), "directed")
+        s_bits = 0
+        for unit in rng.sample(units, rng.randint(1, len(units))):
+            s_bits |= unit
+        fixings += [(b.bits,), (b.bits, s_bits)]
+    return fixings
 
 
 def test_typed_levels_keep_the_order_only_stream_and_generators(monkeypatch):
@@ -467,14 +481,7 @@ def test_typed_levels_keep_the_order_only_stream_and_generators(monkeypatch):
                 if autos._levels(g) == _order_only_levels(g):
                     continue
                 pruned += 1
-                fixings = [()]
-                for b in index2_subgroups(g):
-                    units = admissible_units(g, b.complement_bits(),
-                                             "directed")
-                    s_bits = 0
-                    for unit in rng.sample(units, rng.randint(1, len(units))):
-                        s_bits |= unit
-                    fixings += [(b.bits,), (b.bits, s_bits)]
+                fixings = _seeded_fixings(g, rng)
                 got = _streams_and_generators(g, fixings)
                 with monkeypatch.context() as patch:
                     patch.setattr(autos, "_levels", _order_only_levels)
@@ -612,3 +619,66 @@ def test_level_candidates_are_the_orbits_of_the_generators(monkeypatch):
                     images[i].add(alpha(x))
         assert [set(cands) for cands, _ in levels] == images, g.orders
     assert walked == 145
+
+
+def _unfiltered_automorphisms(group, fixing, prefix=()):
+    """``autos._automorphisms`` as it was before its candidates were
+    filtered by membership: every candidate of a level is tried."""
+    from bipcayley.autos import _levels
+    table, add = group._add, group.add
+    sig = [0] * group.size
+    for j, mask in enumerate(fixing):
+        for a in bits_of(mask):
+            sig[a] |= 1 << j
+    levels = _levels(group)
+    img = [0] * group.size
+    used = [1] * len(levels)
+    choices = [prefix[i:i + 1] if i < len(prefix) else cands
+               for i, (cands, _) in enumerate(levels)]
+    todo = [iter(c) for c in choices]
+    i = 0
+    while i >= 0:
+        for t in todo[i]:
+            row = table[t] if table is not None else None
+            u = used[i]
+            for src, pos in levels[i][1]:
+                y = row[img[src]] if row is not None else add(img[src], t)
+                if (u >> y) & 1 or sig[y] != sig[pos]:
+                    break
+                u |= 1 << y
+                img[pos] = y
+            else:
+                if i + 1 < len(levels):
+                    used[i + 1] = u
+                    i += 1
+                    break
+                yield Automorphism(group, tuple(img))
+        else:
+            todo[i] = iter(choices[i])
+            i -= 1
+
+
+def test_membership_filter_keeps_the_unfiltered_stream_and_generators(
+        monkeypatch):
+    """Offering a level only the candidates with g_i's membership drops
+    only candidates the first step would drop: the streams (their first
+    500 automorphisms) fixing (), each index-2 B and a seeded (B, S), the
+    generating sets and the orders are those of the unfiltered walk, on
+    every layout of order <= 32; and on C2xC300, above the addition-table
+    cap, the streams under each prefix (an image of g_0) are the same."""
+    from bipcayley import autos
+    rng = random.Random(35)
+    for g in _layouts(32):
+        fixings = _seeded_fixings(g, rng)
+        got = _streams_and_generators(g, fixings, 500)
+        with monkeypatch.context() as patch:
+            patch.setattr(autos, "_automorphisms", _unfiltered_automorphisms)
+            assert _streams_and_generators(g, fixings, 500) == got, g.orders
+    g = build_group([2, 300])
+    assert g._add is None
+    for fixing in _seeded_fixings(g, rng):
+        for t in autos._levels(g)[0][0]:
+            want = [alpha.image for alpha in
+                    _unfiltered_automorphisms(g, fixing, [t])]
+            assert [alpha.image for alpha in autos._automorphisms(
+                g, fixing, [t])] == want, (fixing, t)

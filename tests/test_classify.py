@@ -253,3 +253,88 @@ def test_a1_iff_inside_a_prime_index_subgroup(small_groups):
                 inside = any(not s & ~m.bits for m in maximal)
                 assert inside == (_closure(g, bits_of(s)) != full), \
                     (g.orders, b.bits, s)
+
+
+def _criterion_4_triples():
+    """The (A, B, S, mode) of criterion 4's sweep, in its order: directed
+    on |A| <= 12, undirected on |A| <= 16, exceptional pairs left out."""
+    from bipcayley.groups import abelian_isomorphism_classes
+    for n in range(2, 17, 2):
+        for invfac in abelian_isomorphism_classes(n):
+            g = build_group(list(invfac))
+            for b in index2_subgroups(g):
+                if is_exceptional_pair(g, b):
+                    continue
+                for mode in ("directed",) * (n <= 12) + ("undirected",):
+                    for s in iter_admissible_sets(g, b, mode):
+                        yield g, b, s, mode
+
+
+def _fresh_a2(g, b, s, undirected):
+    """The A2 decision by its own backtrack, with no cache."""
+    from bipcayley.autos import enumerate_automorphisms
+    iota = inversion_automorphism(g).image
+    return next((alpha.image for alpha in enumerate_automorphisms(
+        g, (b.bits, s)) if not alpha.is_identity
+        and not (undirected and alpha.image == iota)), None)
+
+
+def test_a2_decision_is_shared_by_s_its_negation_and_complements(
+        monkeypatch):
+    """S, -S, (A \\ B) \\ S and its negation have the same set stabilizer
+    in Stab_Aut(A)(B), so each one's own backtrack finds the same A2
+    witness or none, and the classifier's kept decision is that one: on
+    criterion 4's sweep and on seeded directed sets of C2xC30, C4xC2^3 and
+    C2^2xC6.  A1 witnesses keep the generators ``_greedy_generators``
+    gives their span, when built and when read back."""
+    import random
+    from bipcayley.groups import _greedy_generators
+    rng = random.Random(35)
+    cases = list(_criterion_4_triples())
+    for orders in ([2, 30], [4, 2, 2, 2], [2, 2, 6]):
+        g = build_group(orders)
+        for b in index2_subgroups(g):
+            outside = b.complement_bits()
+            cases += [(g, b, rng.getrandbits(g.size) & outside, "directed")
+                      for _ in range(20)]
+    monkeypatch.setattr(classify, "_CONTEXTS", {})
+    monkeypatch.setattr(classify, "_SPAN_GENERATORS", {})
+    shared = 0
+    for g, b, s, mode in cases:
+        undirected = mode == "undirected"
+        neg = g.negate_set(s)
+        outside = b.complement_bits()
+        members = [s, neg, outside ^ s, outside ^ neg]
+        want = _fresh_a2(g, b, s, undirected)
+        ctx = classify.classify_context(g, b)
+        for x in members:
+            assert _fresh_a2(g, b, x, undirected) == want, (g.orders, s, x)
+            got = ctx.a2_witness(x, undirected)
+            assert (got and got.image) == want, (g.orders, s, x)
+        shared += want is not None
+        for _ in range(2):
+            res = (classify_undirected if undirected
+                   else classify_directed)(g, b, s)
+            if res.verdict == VERDICT_A1:
+                span = res.witness.bits
+                assert res.witness.generators == _greedy_generators(g, span)
+    assert len(cases) == 5026 + 20 * (3 + 15 + 7) and shared > 2000
+
+
+def test_classify_runs_one_a2_backtrack_per_class(monkeypatch):
+    """Work guard: criterion 4's sweep starts one A2 backtrack per
+    {S, -S, (A \\ B) \\ S, its negation} class and mode that reaches A2,
+    2,268 of them (2,915 with one per set reaching A2)."""
+    from bipcayley.autos import enumerate_automorphisms
+    monkeypatch.setattr(classify, "_CONTEXTS", {})
+    calls = []
+
+    def counted(group, fixing=()):
+        calls.append(fixing)
+        return enumerate_automorphisms(group, fixing)
+
+    monkeypatch.setattr(classify, "enumerate_automorphisms", counted)
+    for g, b, s, mode in _criterion_4_triples():
+        (classify_undirected if mode == "undirected"
+         else classify_directed)(g, b, s)
+    assert len(calls) == 2268

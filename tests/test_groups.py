@@ -264,13 +264,23 @@ def test_incremental_greedy_generators_match_reference(small_groups):
             assert generated_subgroup(g, bits_of(sub.bits)).generators == want
 
 
-def test_rotated_addition_table_matches_coordinatewise_addition():
+def _table_layouts():
     """Every layout of order <= 64, in invariant factor order and reversed,
-    and the largest tables, where one factor has 256 or 512 elements."""
+    and the largest addition tables, where one factor has 256 or 512
+    elements."""
     layouts = [orders for n in range(2, 65)
                for factors in abelian_isomorphism_classes(n)
                for orders in {factors, factors[::-1]}]
-    for orders in layouts + [(512,), (2, 256), (256, 2)]:
-        g = build_group(list(orders))
+    return [build_group(list(orders))
+            for orders in layouts + [(512,), (2, 256), (256, 2)]]
+
+
+def test_rotated_addition_table_matches_coordinatewise_addition():
+    for g in _table_layouts():
         assert g._add == [[g._add_slow(a, b) for b in g.elements()]
-                          for a in g.elements()], orders
+                          for a in g.elements()], g.orders
+
+
+def test_inverse_table_built_per_factor_matches_coordinatewise_negation():
+    for g in _table_layouts():
+        assert g._neg == [g._neg_slow(a) for a in g.elements()], g.orders
