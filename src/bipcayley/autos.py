@@ -32,7 +32,7 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Automorphism:
     """A group automorphism as a permutation of element indices."""
 

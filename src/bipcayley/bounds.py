@@ -264,7 +264,7 @@ def _orbit_count(images: list[tuple[int, ...]], domain_bits: int) -> int:
 def _proper_span_count(group: AbelianGroup, sub: Subgroup, mode: str) -> int:
     """Exact |{S admissible in ``mode`` : <S> < A}|, as the union of the
     admissible sets inside each maximal subgroup."""
-    return len({bits for big in prime_index_subgroups(group)
+    return len({bits for big in group_candidates(group)[1]
                 for bits in iter_unit_subsets(admissible_units(
                     group, big.bits & ~sub.bits, mode))})
 
@@ -454,7 +454,7 @@ def bounds_suite(group: AbelianGroup, sub: Subgroup) -> list[BoundReport]:
 
     ctx = classify_context(group, sub)
     iota = inversion_automorphism(group)
-    undirected = group.exponent > 2 and not is_exceptional_pair(group, sub)
+    undirected = group.exponent > 2 and not ctx.exceptional
     outside = sub.complement_bits()
     most = {}  # family -> (orbits on A \ B, first alpha with that many)
     for alpha in stabilizing_automorphisms(group, sub):

@@ -20,19 +20,20 @@ Every verdict carries a machine-checkable witness that re-verifies
 independently of the search that produced it.  <S> is proper iff S lies
 in a maximal subgroup, one of prime index in an abelian group, so A1 is
 one subset test per prime-index subgroup; the span of S is built only for
-an A1 set, as its witness, its generators kept per (A, span).  The A2
-witness is the first automorphism, in ``enumerate_automorphisms`` order,
-fixing B and S; S, -S and their rests in A \\ B share it.  Once per group,
-``group_candidates`` builds the prime-order and prime-index subgroups and
-the (C, Z) pairs the A4 search and ``bounds.count_product_triples`` read;
-a per-(A, B) ``ClassifyContext`` keeps the (H, K) pairs with H inside B
-and one A2 decision per such class of S.
+an A1 set, as its witness.  The A2 witness is the first automorphism, in
+``enumerate_automorphisms`` order, fixing B and S; S, -S and their rests
+in A \\ B share it.  Once per group, ``group_candidates`` builds the
+prime-order and prime-index subgroups and the (C, Z) pairs the A4 search
+and ``bounds.count_product_triples`` read; a per-(A, B) ``ClassifyContext``
+keeps the (H, K) pairs with H inside B and one A2 decision per such class
+of S.  These, and the A1 spans, live in 64-entry ``lru_cache``s.
 ``_product_set`` is the one place the A4 product S' x S'' is built: the A4
 search, its witness check and ``bounds.count_product_triples`` use it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .autos import (
@@ -108,18 +109,18 @@ class Classification:
 # -- per-group candidates and per-(A, B) contexts ------------------------------
 
 
-_CANDIDATES: dict[tuple, tuple] = {}
-_SPAN_GENERATORS: dict[tuple, tuple[int, ...]] = {}  # (orders, span) -> gens
-
-
+@functools.lru_cache(maxsize=64)
 def group_candidates(group: AbelianGroup) -> tuple:
     """(prime-order subgroups, prime-index subgroups, (C, Z) decompositions)
     of A: what the A3 and A4 tests need of A alone, built once per group."""
-    if group.orders not in _CANDIDATES:
-        _CANDIDATES[group.orders] = (
-            prime_order_subgroups(group), prime_index_subgroups(group),
+    return (prime_order_subgroups(group), prime_index_subgroups(group),
             _direct_decompositions(group))
-    return _CANDIDATES[group.orders]
+
+
+@functools.lru_cache(maxsize=64)
+def _span_subgroup(group: AbelianGroup, span: int) -> Subgroup:
+    return Subgroup(group, span, span.bit_count(),
+                    _greedy_generators(group, span))
 
 
 class ClassifyContext:
@@ -133,11 +134,11 @@ class ClassifyContext:
         self.outside = sub.complement_bits()
         self.exceptional = is_exceptional_pair(group, sub)
         self.is_two_group = group.size & (group.size - 1) == 0
-        # candidate (H, K) pairs, H of prime order inside B, K of prime index
-        smalls, bigs, _ = group_candidates(group)
-        self.hk_pairs = tuple((small, big) for small in smalls
-                              if not small.bits & ~sub.bits
-                              for big in bigs if not small.bits & ~big.bits)
+        # the maximal subgroups, and the (H, K) pairs: H of prime order
+        # inside B, K maximal (of prime index)
+        smalls, self.maximal, _ = group_candidates(group)
+        self.hk_pairs = tuple((h, k) for h in smalls if not h.bits & ~sub.bits
+                              for k in self.maximal if not h.bits & ~k.bits)
         self.a2: tuple[dict[int, Automorphism | None], ...] = ({}, {})
 
     def a2_witness(self, s_bits: int, undirected: bool) -> Automorphism | None:
@@ -153,16 +154,9 @@ class ClassifyContext:
         return kept[key]
 
 
-_CONTEXTS: dict[tuple, ClassifyContext] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def classify_context(group: AbelianGroup, sub: Subgroup) -> ClassifyContext:
-    key = (group.orders, sub.bits)
-    ctx = _CONTEXTS.get(key)
-    if ctx is None:
-        ctx = ClassifyContext(group, sub)
-        _CONTEXTS[key] = ctx
-    return ctx
+    return ClassifyContext(group, sub)
 
 
 def _direct_decompositions(group: AbelianGroup) -> list[tuple[Subgroup, Subgroup]]:
@@ -264,13 +258,9 @@ def _classify(group: AbelianGroup, sub: Subgroup, s_bits: int,
         raise ExceptionalPair(
             "no inverse-closed set over this pair reaches the minimal index")
     # A1: S lies in a maximal (prime-index) subgroup; the span is the witness
-    if any(not s_bits & ~m.bits for m in group_candidates(group)[1]):
-        span = _closure(group, bits_of(s_bits))
-        key = (group.orders, span)
-        if key not in _SPAN_GENERATORS:
-            _SPAN_GENERATORS[key] = _greedy_generators(group, span)
-        return Classification(VERDICT_A1, Subgroup(
-            group, span, span.bit_count(), _SPAN_GENERATORS[key]))
+    if any(not s_bits & ~m.bits for m in ctx.maximal):
+        return Classification(VERDICT_A1, _span_subgroup(
+            group, _closure(group, bits_of(s_bits))))
     alpha = ctx.a2_witness(s_bits, undirected)
     if alpha is not None:
         return Classification(VERDICT_A2, alpha)

@@ -16,7 +16,7 @@ sets uses three sound accelerations:
     search is cut off.
 
 The reported minimum is always re-checked by a full stabilizer search on the
-winning set.
+winning set.  ``unlabeled_count`` reads the same orbits (``_pair_orbits``).
 """
 
 from __future__ import annotations
@@ -176,6 +176,23 @@ def orbit_representatives(choices: range, perms: Sequence[tuple[int, ...]]
     return dict(sorted(reps.items()))
 
 
+def _pair_orbits(group: AbelianGroup, sub: Subgroup, mode: str,
+                 total: int) -> tuple[list, int, dict[int, int]]:
+    """The one path from (A, B, mode) to its orbits: the unit permutations,
+    |Stab_Aut(A)(B)| and each orbit's first set mapped to its length.  Units
+    not matching ``total`` sets, or a length not dividing the order, are a
+    ``FalsificationError``."""
+    units = _units(group, sub, mode)
+    if 1 << len(units) != total:
+        raise FalsificationError(
+            "admissible-set enumeration disagrees with the counting formula")
+    perms, order = _orbit_generators(group, sub, units)
+    reps = orbit_representatives(range(1 << len(units)), perms)
+    if any(order % length for length in reps.values()):
+        raise FalsificationError("an orbit length does not divide the order")
+    return perms, order, {unit_union(units, c): n for c, n in reps.items()}
+
+
 # -- exhaustive / random index minimization ---------------------------------------
 
 
@@ -329,15 +346,8 @@ def exhaustive_bipartite_index(group: AbelianGroup, sub: Subgroup, mode: str,
     if total > limit:
         raise BudgetExceeded(
             f"{total} admissible sets exceed the budget of {limit} searches")
-    units = _units(group, sub, mode)
-    if 1 << len(units) != total:
-        raise FalsificationError(
-            "admissible-set enumeration disagrees with the counting formula")
-    perms, order = _orbit_generators(group, sub, units)
-    reps = orbit_representatives(range(1 << len(units)), perms)
-    if any(order % length for length in reps.values()):
-        raise FalsificationError("an orbit length does not divide the order")
-    floors = {unit_union(units, c): order // n for c, n in reps.items()}
+    perms, order, reps = _pair_orbits(group, sub, mode, total)
+    floors = {mask: order // n for mask, n in reps.items()}
     ordered = _generic_first(floors, group.size / 4)  # |A \ B| / 2
     return _survey(group, sub, mode, ordered, threads, timeout, progress,
                    floors=[floors[mask] for mask in ordered],
@@ -610,32 +620,31 @@ class UnlabeledReport:
 
 def unlabeled_count(group: AbelianGroup, sub: Subgroup,
                     mode: str) -> UnlabeledReport:
-    """Isomorphism classes among admissible Cay(A, S), via canonical forms.
-    Refused before any search when the sets exceed the exhaustive budget."""
+    """Isomorphism classes among admissible Cay(A, S), via canonical forms:
+    one form and one exact search per Stab_Aut(A)(B)-orbit, whose sets give
+    isomorphic digraphs, and a class's size is the sum of its orbits'
+    lengths.  Refused before any search past the exhaustive budget."""
     total = admissible_set_count(group, sub, mode)
     if total > DEFAULT_EXHAUSTIVE_BUDGET:
         raise BudgetExceeded(f"{total} admissible sets exceed the budget of "
                              f"{DEFAULT_EXHAUSTIVE_BUDGET} searches")
     target = 1 if mode == "directed" else minimal_graph_index_target(group)
-    classes: dict[bytes, list[tuple[int, int]]] = {}
-    for mask in iter_admissible_sets(group, sub, mode):
+    classes: dict[bytes, list[int]] = {}  # form -> [index, size]
+    for mask, length in _pair_orbits(group, sub, mode, total)[2].items():
         digraph = build_cayley(group, connection_set(group, mask))
         form = canonical_form(digraph)
         idx = vertex_stabilizer(digraph).cayley_index
-        classes.setdefault(form, []).append((mask, idx))
-    for members in classes.values():
-        indices = {idx for _, idx in members}
-        if len(indices) != 1:
+        kept = classes.setdefault(form, [idx, 0])
+        if kept[0] != idx:
             raise FalsificationError(
                 "one isomorphism class mixes different Cayley indices")
-    target_classes = sum(1 for members in classes.values()
-                         if members[0][1] == target)
+        kept[1] += length
     return UnlabeledReport(
         total_sets=total,
         total_classes=len(classes),
-        target_classes=target_classes,
+        target_classes=sum(idx == target for idx, _ in classes.values()),
         target_index=target,
-        class_sizes=sorted((len(m) for m in classes.values()), reverse=True),
+        class_sizes=sorted((n for _, n in classes.values()), reverse=True),
     )
 
 

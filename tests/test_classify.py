@@ -212,7 +212,7 @@ def test_direct_decompositions_match_brute_force():
 
 @pytest.mark.parametrize("orders, index", [([2, 2, 2, 2], 0), ([2, 2, 4], 1),
                                            ([2, 6], 0), ([4, 2], 1)])
-def test_cached_candidates_do_not_change_verdicts(monkeypatch, orders, index):
+def test_cached_candidates_do_not_change_verdicts(orders, index):
     """Classifying from cold caches, and after the caches were filled by the
     other index-2 subgroups of the same group, gives the same verdicts and
     witnesses on every admissible set (C4xC2 adds A4 verdicts)."""
@@ -230,11 +230,11 @@ def test_cached_candidates_do_not_change_verdicts(monkeypatch, orders, index):
                 out.append((res.verdict, res.witness_json(g)))
         return out
 
-    monkeypatch.setattr(classify, "_CONTEXTS", {})
-    monkeypatch.setattr(classify, "_CANDIDATES", {})
+    classify.classify_context.cache_clear()
+    classify.group_candidates.cache_clear()
     cold = classify_all()
-    monkeypatch.setattr(classify, "_CONTEXTS", {})
-    monkeypatch.setattr(classify, "_CANDIDATES", {})
+    classify.classify_context.cache_clear()
+    classify.group_candidates.cache_clear()
     for other in index2_subgroups(g):
         if other.bits != b.bits:
             for s in iter_admissible_sets(g, other, "directed"):
@@ -279,8 +279,7 @@ def _fresh_a2(g, b, s, undirected):
         and not (undirected and alpha.image == iota)), None)
 
 
-def test_a2_decision_is_shared_by_s_its_negation_and_complements(
-        monkeypatch):
+def test_a2_decision_is_shared_by_s_its_negation_and_complements():
     """S, -S, (A \\ B) \\ S and its negation have the same set stabilizer
     in Stab_Aut(A)(B), so each one's own backtrack finds the same A2
     witness or none, and the classifier's kept decision is that one: on
@@ -297,8 +296,8 @@ def test_a2_decision_is_shared_by_s_its_negation_and_complements(
             outside = b.complement_bits()
             cases += [(g, b, rng.getrandbits(g.size) & outside, "directed")
                       for _ in range(20)]
-    monkeypatch.setattr(classify, "_CONTEXTS", {})
-    monkeypatch.setattr(classify, "_SPAN_GENERATORS", {})
+    classify.classify_context.cache_clear()
+    classify._span_subgroup.cache_clear()
     shared = 0
     for g, b, s, mode in cases:
         undirected = mode == "undirected"
@@ -326,7 +325,7 @@ def test_classify_runs_one_a2_backtrack_per_class(monkeypatch):
     {S, -S, (A \\ B) \\ S, its negation} class and mode that reaches A2,
     2,268 of them (2,915 with one per set reaching A2)."""
     from bipcayley.autos import enumerate_automorphisms
-    monkeypatch.setattr(classify, "_CONTEXTS", {})
+    classify.classify_context.cache_clear()
     calls = []
 
     def counted(group, fixing=()):

@@ -23,8 +23,10 @@ from bipcayley.groups import (
 from bipcayley.survey import (
     TABLE1_ROWS,
     TABLE2_ROWS,
+    UnlabeledReport,
     _generic_first,
     _orbit_generators,
+    _pair_orbits,
     _units,
     admissible_set_count,
     bipartite_index,
@@ -205,6 +207,76 @@ def test_unlabeled_orbit_bound():
             for mode in ("directed", "undirected"):
                 rep = unlabeled_count(g, b, mode)
                 assert rep.total_classes * aut >= rep.total_sets
+
+
+def _unlabeled_per_set(g, b, mode):
+    """``unlabeled_count`` as it was: a canonical form and an exact search
+    for every admissible set, one class per canonical form."""
+    from bipcayley.cayley import build_cayley, canonical_form, connection_set
+    from bipcayley.stabilizer import (
+        minimal_graph_index_target,
+        vertex_stabilizer,
+    )
+    target = 1 if mode == "directed" else minimal_graph_index_target(g)
+    classes = {}
+    for mask in iter_admissible_sets(g, b, mode):
+        digraph = build_cayley(g, connection_set(g, mask))
+        form = canonical_form(digraph)
+        idx = vertex_stabilizer(digraph).cayley_index
+        classes.setdefault(form, []).append((mask, idx))
+    for members in classes.values():
+        assert len({idx for _, idx in members}) == 1
+    return UnlabeledReport(
+        total_sets=admissible_set_count(g, b, mode),
+        total_classes=len(classes),
+        target_classes=sum(1 for members in classes.values()
+                           if members[0][1] == target),
+        target_index=target,
+        class_sizes=sorted((len(m) for m in classes.values()), reverse=True))
+
+
+def test_unlabeled_orbit_walk_matches_the_per_set_count():
+    """One canonical form and one search per Stab_Aut(A)(B)-orbit give the
+    per-set report: every (A, B, mode) with |A| <= 24 and at most 2^7
+    admissible sets, 71 triples over 22 groups."""
+    from bipcayley.groups import abelian_isomorphism_classes
+    triples, groups = 0, set()
+    for n in range(2, 25, 2):
+        for orders in abelian_isomorphism_classes(n):
+            g = build_group(list(orders))
+            for b in index2_subgroups(g):
+                for mode in ("directed", "undirected"):
+                    if admissible_set_count(g, b, mode) > 1 << 7:
+                        continue
+                    assert (unlabeled_count(g, b, mode)
+                            == _unlabeled_per_set(g, b, mode)), \
+                        (orders, b.bits, mode)
+                    triples += 1
+                    groups.add(tuple(orders))
+    assert (triples, len(groups)) == (71, 22)
+
+
+def test_unlabeled_c2_5_undirected_keeps_the_per_set_report():
+    """(C2^5, index:0, undirected) as the per-set route gave it (about 5
+    minutes there): 65,536 sets in 32 classes, none at index 1."""
+    g = build_group([2] * 5)
+    rep = unlabeled_count(g, index2_subgroups(g)[0], "undirected")
+    assert (rep.total_sets, rep.total_classes, rep.target_classes,
+            rep.target_index) == (65536, 32, 0, 1)
+    assert rep.class_sizes == [
+        10080, 6720, 6720, 6720, 6720, 4480, 4480, 2688, 2688, 1920, 1680,
+        1680, 1680, 1680, 840, 840, 840, 560, 560, 448, 448, 240, 240, 140,
+        140, 120, 120, 30, 16, 16, 1, 1]
+
+
+def test_unlabeled_class_mixing_indices_is_refused(monkeypatch):
+    """One canonical form for every set puts the empty set (index 6) and
+    a perfect matching of C2^2 (index 2) in one class: refused."""
+    from bipcayley import survey
+    g = build_group([2, 2])
+    monkeypatch.setattr(survey, "canonical_form", lambda digraph: b"")
+    with pytest.raises(FalsificationError):
+        unlabeled_count(g, index2_subgroups(g)[0], "directed")
 
 
 def test_babai_drr_classes_are_stabilizer_orbits():
@@ -405,10 +477,8 @@ def _floored_reps(g, b, mode):
     their orbit floors and their exact indices."""
     from bipcayley.cayley import build_cayley, connection_set
     from bipcayley.stabilizer import vertex_stabilizer
-    units = _units(g, b, mode)
-    perms, order = _orbit_generators(g, b, units)
-    floor = {unit_union(units, c): order // length for c, length
-             in orbit_representatives(range(1 << len(units)), perms).items()}
+    _, order, reps = _pair_orbits(g, b, mode, admissible_set_count(g, b, mode))
+    floor = {mask: order // length for mask, length in reps.items()}
     masks = _generic_first(floor, g.size / 4)
     index = {m: vertex_stabilizer(
         build_cayley(g, connection_set(g, m))).cayley_index for m in masks}
@@ -626,14 +696,11 @@ def _harvested_images(g, b):
 
 
 def _check_reps_against_reference(g, b, mode):
-    units = _units(g, b, mode)
-    perms, _ = _orbit_generators(g, b, units)
-    reps = orbit_representatives(range(1 << len(units)), perms)
     masks = list(iter_admissible_sets(g, b, mode))
+    reps = _pair_orbits(g, b, mode, len(masks))[2]
     assert sum(reps.values()) == len(masks)
-    assert ([(unit_union(units, c), length) for c, length in reps.items()]
-            == list(_orbit_reps_reference(masks,
-                                          _harvested_images(g, b)).items()))
+    assert list(reps.items()) == list(
+        _orbit_reps_reference(masks, _harvested_images(g, b)).items())
 
 
 def test_orbit_representatives_match_reference(small_groups):
@@ -766,11 +833,11 @@ def test_orbit_scan_stops_at_the_last_orbit():
     g = build_group([4, 2, 2, 2])
     b = subgroup_of_type(g, "C2^4")
     units = _units(g, b, "directed")
-    perms, _ = _orbit_generators(g, b, units)
+    perms, _, want = _pair_orbits(g, b, "directed", 1 << len(units))
     choices = _CountingRange(1 << len(units))
     reps = orbit_representatives(choices, perms)
     assert choices.read == 5912 and len(reps) == 76
-    assert reps == orbit_representatives(range(1 << len(units)), perms)
+    assert {unit_union(units, c): n for c, n in reps.items()} == want
     _check_reps_against_reference(g, b, "directed")
 
 
@@ -789,15 +856,13 @@ def test_orbit_floors_divide_the_exact_index():
             g = build_group(list(orders))
             for b in index2_subgroups(g):
                 for mode in ("directed", "undirected"):
-                    units = _units(g, b, mode)
-                    if len(units) > 12:
+                    total = admissible_set_count(g, b, mode)
+                    if total > 1 << 12:
                         continue
-                    perms, order = _orbit_generators(g, b, units)
-                    for choice, length in orbit_representatives(
-                            range(1 << len(units)), perms).items():
+                    _, order, reps = _pair_orbits(g, b, mode, total)
+                    for mask, length in reps.items():
                         assert order % length == 0
-                        digraph = build_cayley(g, connection_set(
-                            g, unit_union(units, choice)))
+                        digraph = build_cayley(g, connection_set(g, mask))
                         index = vertex_stabilizer(digraph).cayley_index
                         assert index % (order // length) == 0, (orders, mode)
                         checked += 1
