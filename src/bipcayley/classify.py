@@ -154,9 +154,16 @@ class ClassifyContext:
         return kept[key]
 
 
-@functools.lru_cache(maxsize=64)
 def classify_context(group: AbelianGroup, sub: Subgroup) -> ClassifyContext:
-    return ClassifyContext(group, sub)
+    kept = _context_slot(group.orders, sub.bits)  # a key hashed in C
+    if not kept:
+        kept.append(ClassifyContext(group, sub))
+    return kept[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _context_slot(orders: tuple[int, ...], bits: int) -> list:
+    return []
 
 
 def _direct_decompositions(group: AbelianGroup) -> list[tuple[Subgroup, Subgroup]]:

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from ._search import AutomorphismSearch, Perm, perm_on_set
+from .autos import inversion_automorphism
 from .cayley import CayleyDigraph, build_cayley, root_component
-from .errors import NotInverseClosed
+from .errors import FalsificationError, NotInverseClosed
 from .groups import AbelianGroup, bits_of
 
 
@@ -57,10 +58,11 @@ class _Quotient:
     the quotient Q by its twin classes, each class one vertex of Q.  Class 0
     is the full period P of S and holds 0 first.  A connected, aperiodic
     digraph (m = t = 1) is its own quotient and keeps its rows.  Only Q is
-    searched, at 0, with inversion as its seed when S = -S; ``lift`` and
-    ``generators`` answer for Cay(A, S) (see ``closed_form_order``)."""
+    searched, at 0, seeded with the ``known`` automorphisms of A fixing S
+    (element permutations) and with inversion when S = -S, each put on Q's
+    labels; ``lift`` and ``generators`` answer for Cay(A, S)."""
 
-    def __init__(self, digraph: CayleyDigraph):
+    def __init__(self, digraph: CayleyDigraph, known=()):
         out, inn = digraph.out_neighbors, digraph.in_neighbors
         n = digraph.n
         self.digraph = digraph
@@ -87,11 +89,16 @@ class _Quotient:
             self.out = [perm_on_set(label, out[r]) for r in reps]
             self.inn = self.out if inn is out else [
                 perm_on_set(label, inn[r]) for r in reps]
+        group, conn = digraph.group, digraph.conn.bits
+        if digraph.is_graph and group.exponent > 2:
+            known = (*known, inversion_automorphism(group).image)
         self.seeds = []
-        if digraph.is_graph and digraph.group.exponent > 2:
-            iota = tuple(label[digraph.group.neg(r)] for r in reps)
-            if iota != tuple(range(len(reps))):
-                self.seeds.append(iota)
+        for g in known:
+            if g[0] or perm_on_set(g, conn) != conn:
+                raise FalsificationError("a known automorphism moves 0 or S")
+            seed = tuple(label[g[r]] for r in reps)
+            if seed != tuple(range(len(reps))):
+                self.seeds.append(seed)
 
     def lift(self, s_q: int) -> int:
         return closed_form_order(s_q, self.k, self.m, self.t)
@@ -162,15 +169,17 @@ def vertex_stabilizer(digraph: CayleyDigraph, *,
 
 def stabilizer_order_bounded(digraph: CayleyDigraph,
                              abort_order: int | None = None,
-                             timeout: float | None = None) -> tuple[int, bool]:
+                             timeout: float | None = None,
+                             known=()) -> tuple[int, bool]:
     """Order of the stabilizer of vertex 0, with early abort.
 
     Returns ``(order, exact)``.  When the search is aborted because the group
     found so far already has order >= ``abort_order``, the returned order is a
     lower bound and ``exact`` is False.  A digraph whose least closed form,
-    ``lift(1)``, already reaches ``abort_order`` is not searched.
+    ``lift(1)``, already reaches ``abort_order`` is not searched.  The search
+    starts from the ``known`` automorphisms of A fixing S (see ``_Quotient``).
     """
-    quotient = _Quotient(digraph)
+    quotient = _Quotient(digraph, known)
     least = quotient.lift(1)
     if abort_order is not None and least >= abort_order:
         return least, False

@@ -239,7 +239,7 @@ def _generic_first(masks: Iterable[int], half: float) -> list[int]:
 def sweep(group: AbelianGroup, masks: Sequence[int],
           best: int | None = None, threads: int = 1,
           timeout: float | None = None, progress=None,
-          floors=None) -> tuple[int | None, int | None]:
+          floors=None, known=None) -> tuple[int | None, int | None]:
     """Minimum Cayley index of Cay(A, S) over the connection sets ``masks``,
     and its argmin, as ``(best, argmin)``.
 
@@ -251,25 +251,29 @@ def sweep(group: AbelianGroup, masks: Sequence[int],
     starting ``best``.  ``floors[i]``, when given, is a lower bound on the
     index of ``masks[i]``: a mask whose floor reaches the running minimum
     cannot go below it, so it is skipped unbuilt, with the same result.
+    ``known[i]``, when given, holds automorphisms of A that fix ``masks[i]``,
+    as element permutations; its search starts from them.
     ``progress(done, total)`` counts masks, skipped ones included.
 
     With more than one thread and more than 64 masks the sweep runs on
     ``threads`` worker processes, at most one per CPU, with the same result.
     Without a starting bound the first 32 masks are swept here to find one.
-    The rest, and their floors, are dealt round-robin into 4 * threads
-    shards, each swept from the same bound; the merge keeps the lowest
-    index, then the earliest stream position.
+    The rest, their floors and their known maps, are dealt round-robin into
+    4 * threads shards, each swept from the same bound; the merge keeps the
+    lowest index, then the earliest stream position.
     """
     floors = [0] * len(masks) if floors is None else floors
+    known = [()] * len(masks) if known is None else known
     if threads > 1 and len(masks) > 64:
         from concurrent import futures
         head = 32 if best is None else 0
         best, argmin = sweep(group, masks[:head], best, timeout=timeout,
-                             floors=floors[:head])
+                             floors=floors[:head], known=known[:head])
         width = 4 * threads
         shards = [masks[i::width]
                   for i in range(head, min(head + width, len(masks)))]
-        args = [(group.orders, shard, floors[head + i::width], best, timeout)
+        args = [(group.orders, shard, floors[head + i::width],
+                 known[head + i::width], best, timeout)
                 for i, shard in enumerate(shards)]
         found = []  # (index, stream position) of each shard's argmin
         workers = min(threads, os.cpu_count() or 1)
@@ -284,11 +288,11 @@ def sweep(group: AbelianGroup, masks: Sequence[int],
             argmin = masks[pos]
         return best, argmin
     argmin = None
-    for done, (mask, floor) in enumerate(zip(masks, floors), 1):
+    for done, (mask, floor, maps) in enumerate(zip(masks, floors, known), 1):
         if best is None or floor < best:
             digraph = build_cayley(group, connection_set(group, mask))
-            order, exact = stabilizer_order_bounded(digraph, abort_order=best,
-                                                    timeout=timeout)
+            order, exact = stabilizer_order_bounded(digraph, best, timeout,
+                                                    maps)
             if exact and (best is None or order < best):
                 best, argmin = order, mask
         if progress is not None and done % 64 == 0:
@@ -297,9 +301,9 @@ def sweep(group: AbelianGroup, masks: Sequence[int],
 
 
 def _shard_worker(args) -> tuple[int | None, int | None]:
-    orders, shard, floors, best, timeout = args
+    orders, shard, floors, known, best, timeout = args
     best, argmin = sweep(build_group(list(orders)), shard, best=best,
-                         timeout=timeout, floors=floors)
+                         timeout=timeout, floors=floors, known=known)
     return best, None if argmin is None else shard.index(argmin)
 
 
@@ -679,20 +683,17 @@ class C26Report:
 def _c26_group_and_parts():
     group = build_group([2] * 6)
     basis = group.generators()  # e1..e6 (coordinate unit vectors)
-    b_bits = 0
-    for a in group.elements():
-        if bin(a).count("1") % 2 == 0:
-            b_bits |= 1 << a
-    rep3 = basis[0] | basis[1] | basis[2]
-    rep5 = basis[0] | basis[1] | basis[2] | basis[3] | basis[4]
-    return group, basis, b_bits, rep3, rep5
+    b_bits = sum(1 << a for a in group.elements() if a.bit_count() % 2 == 0)
+    return group, basis, b_bits, sum(basis[:3]), sum(basis[:5])
 
 
-def _permute_coordinates(group: AbelianGroup, p: Sequence[int],
-                         elements: Sequence[int]) -> list[int]:
-    """The images of ``elements`` when coordinate j takes coordinate p[j]."""
-    return [group.encode(tuple(group.decode(a)[j] for j in p))
-            for a in elements]
+def _permute_coordinates(group: AbelianGroup, perms, elements: Sequence[int]
+                         ) -> list[tuple[int, ...]]:
+    """For each p in ``perms``, the images of ``elements`` when coordinate j
+    takes coordinate p[j]."""
+    coords = [group.decode(a) for a in elements]
+    return [tuple(group.encode(tuple(c[j] for j in p)) for c in coords)
+            for p in perms]
 
 
 def _gl2_order(dim: int) -> int:
@@ -702,15 +703,16 @@ def _gl2_order(dim: int) -> int:
     return order
 
 
-def c26_subclaims() -> C26Report:
-    """The exactly-checkable sub-claims of the C2^6 reduction."""
-    group, basis, b_bits, rep3, rep5 = _c26_group_and_parts()
+def c26_subclaims(parts=None) -> C26Report:
+    """The exactly-checkable sub-claims of the C2^6 reduction, on ``parts``
+    (from ``_c26_group_and_parts``, built here when not given)."""
+    group, basis, b_bits, rep3, rep5 = parts or _c26_group_and_parts()
     candidate_count = 2 * sum(math.comb(25, k) for k in range(10))
     residual = sum(1 << a for a in group.elements()
                    if not (b_bits >> a) & 1 and a not in basis)
     # Sym(coordinates) is generated by a transposition and a 6-cycle
-    perms = [_permute_coordinates(group, p, group.elements())
-             for p in ((1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0))]
+    perms = _permute_coordinates(group, ((1, 0, 2, 3, 4, 5),
+                                         (1, 2, 3, 4, 5, 0)), group.elements())
     orbit3, orbit5 = _orbit(perms, rep3), _orbit(perms, rep5)
     sizes = [orbit3.bit_count(), orbit5.bit_count()]
     if orbit3 | orbit5 != residual or sizes != [20, 6]:
@@ -743,25 +745,32 @@ def _c26_candidates(group, basis, b_bits, rep):
     """The candidates e1..e6 + ``rep`` + ``comb`` in stream order (``comb``
     a k-subset of the 25-element pool, k < 10), with ``None`` for each one
     that some coordinate permutation fixing ``rep`` maps to a smaller sorted
-    pool-index tuple: only the first of each orbit is kept."""
+    tuple: only the first of each orbit is kept.  A kept one comes as
+    ``(mask, order, maps)``.  The coordinate permutations fixing ``rep`` and
+    ``comb`` are automorphisms of A fixing S, so they fix 0 in
+    Aut(Cay(A, S)), and they form a group H of that order.  ``maps`` holds,
+    as element permutations, one member of H per first coordinate it moves
+    and that coordinate's image: a strong generating set of H."""
     base = sum(1 << e for e in basis) | 1 << rep
     pool = [a for a in group.elements()
             if not (b_bits >> a) & 1 and not (base >> a) & 1]
     support = {i for i in range(6) if group.decode(rep)[i]}
-    position = {a: i for i, a in enumerate(pool)}
-    perms = [[position[a] for a in _permute_coordinates(group, p, pool)]
-             for p in itertools.permutations(range(6))
-             if {p[i] for i in support} == support]
+    coords = [p for p in itertools.permutations(range(6))
+              if {p[i] for i in support} == support]
+    maps = _permute_coordinates(group, coords, group.elements())
     for k in range(10):
-        for comb in itertools.combinations(range(len(pool)), k):
-            if any(tuple(sorted([img[i] for i in comb])) < comb
-                   for img in perms):
+        for comb in itertools.combinations(pool, k):
+            if any(tuple(sorted([m[a] for a in comb])) < comb for m in maps):
                 yield None
                 continue
-            bits = base
-            for i in comb:
-                bits |= 1 << pool[i]
-            yield bits
+            fixing = [(p, m) for p, m in zip(coords, maps)
+                      if {m[a] for a in comb} == set(comb)]
+            gens = {}
+            for p, m in fixing[1:]:  # the identity comes first
+                i = next(i for i in range(6) if p[i] != i)
+                gens.setdefault((i, p[i]), m)
+            yield base | sum(1 << a for a in comb), len(fixing), list(
+                gens.values())
 
 
 def c26_reduced_search(budget: int | None = None,
@@ -774,17 +783,19 @@ def c26_reduced_search(budget: int | None = None,
     when run to completion; the ordering of candidates is deterministic.
     Only orbit representatives are searched (see ``_c26_candidates``), and
     as each comes first in its orbit, every prefix keeps its minimum and
-    argmin.  The stream is swept in blocks of ``C26_BLOCK`` positions, and
-    after each block a checkpoint file gets one JSON line {cursor,
-    reps_searched, best_index, best_set, best_mask}, which makes long runs
-    resumable; ``budget`` and ``cursor`` count stream positions.  The
-    ``reps_searched`` field is informational: a resume recounts it over
-    the skipped prefix.  A line out of range, or with only one of
+    argmin.  Each search starts from its candidate's coordinate stabilizer,
+    whose order is the candidate's floor (see ``sweep``).  The stream is
+    swept in blocks of ``C26_BLOCK`` positions, and after each block a
+    checkpoint file gets one JSON line {cursor, reps_searched, best_index,
+    best_set, best_mask}, which makes long runs resumable; ``budget`` and
+    ``cursor`` count stream positions.  The ``reps_searched`` field is
+    informational: a resume recounts it over the skipped prefix.  A line out of range, or with only one of
     ``best_index`` and ``best_mask``, is refused.  The final ``best_set``
     is re-checked by a full stabilizer search, as a survey's argmin is.
     """
-    report = c26_subclaims()
-    group, basis, b_bits, rep3, rep5 = _c26_group_and_parts()
+    parts = _c26_group_and_parts()
+    report = c26_subclaims(parts)
+    group, basis, b_bits, rep3, rep5 = parts
     stream = itertools.chain(_c26_candidates(group, basis, b_bits, rep3),
                              _c26_candidates(group, basis, b_bits, rep5))
     start = 0
@@ -809,8 +820,8 @@ def c26_reduced_search(budget: int | None = None,
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise BadParameter(f"checkpoint {checkpoint!r} is unusable: "
                                f"{exc!r}") from None
-    reps_searched = sum(mask is not None
-                        for mask in itertools.islice(stream, start))
+    reps_searched = sum(item is not None
+                        for item in itertools.islice(stream, start))
 
     searched = start
     limit = report.candidate_count if budget is None else min(
@@ -818,8 +829,10 @@ def c26_reduced_search(budget: int | None = None,
     while searched < limit:
         block = list(itertools.islice(stream, min(C26_BLOCK,
                                                   limit - searched)))
-        reps = [mask for mask in block if mask is not None]
-        best, found = sweep(group, reps, best, threads=threads)
+        reps = [item for item in block if item is not None]
+        masks, floors, known = map(list, zip(*reps)) if reps else ([],) * 3
+        best, found = sweep(group, masks, best, threads=threads,
+                            floors=floors, known=known)
         if found is not None:
             best_mask = found
         searched += len(block)

@@ -230,10 +230,10 @@ def test_cached_candidates_do_not_change_verdicts(orders, index):
                 out.append((res.verdict, res.witness_json(g)))
         return out
 
-    classify.classify_context.cache_clear()
+    classify._context_slot.cache_clear()
     classify.group_candidates.cache_clear()
     cold = classify_all()
-    classify.classify_context.cache_clear()
+    classify._context_slot.cache_clear()
     classify.group_candidates.cache_clear()
     for other in index2_subgroups(g):
         if other.bits != b.bits:
@@ -296,7 +296,7 @@ def test_a2_decision_is_shared_by_s_its_negation_and_complements():
             outside = b.complement_bits()
             cases += [(g, b, rng.getrandbits(g.size) & outside, "directed")
                       for _ in range(20)]
-    classify.classify_context.cache_clear()
+    classify._context_slot.cache_clear()
     classify._span_subgroup.cache_clear()
     shared = 0
     for g, b, s, mode in cases:
@@ -325,7 +325,7 @@ def test_classify_runs_one_a2_backtrack_per_class(monkeypatch):
     {S, -S, (A \\ B) \\ S, its negation} class and mode that reaches A2,
     2,268 of them (2,915 with one per set reaching A2)."""
     from bipcayley.autos import enumerate_automorphisms
-    classify.classify_context.cache_clear()
+    classify._context_slot.cache_clear()
     calls = []
 
     def counted(group, fixing=()):

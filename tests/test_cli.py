@@ -253,6 +253,22 @@ def test_survey_and_table_outputs_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
 
 
+def test_c26_outputs_are_pinned():
+    """SHA-256 of ``c26 --budget 5000 --no-timing``, serial and on two
+    workers; 335 representatives, so the second runs the process pool.
+    The digests are those of the search seeded with inversion alone."""
+    import hashlib
+    for threads, digest in (
+            ("1", "f422ad91f368c81025d0ae9a0dbe295e"
+                  "9ee17d23679240c53d7045b9c82f3573"),
+            ("2", "80adf961268b431a019eaa60c0ef927d"
+                  "eb267b83e81d8c00d3810eef4a441ba1")):
+        code, text = run_cli(["c26", "--budget", "5000", "--threads", threads,
+                              "--no-timing"])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, threads
+
+
 def test_byte_identical_repeat():
     argv = ["index", "--group", "C6", "--subgroup", "index:0",
             "--set", "1,3,5", "--mode", "undirected", "--no-timing"]

@@ -24,7 +24,7 @@ from bipcayley._search import (
 from bipcayley.autos import enumerate_automorphisms, index2_subgroups
 from bipcayley.cayley import build_cayley, connection_set, is_connected
 from bipcayley.cli import main
-from bipcayley.errors import NotInverseClosed
+from bipcayley.errors import FalsificationError, NotInverseClosed
 from bipcayley.groups import bits_of, build_group, generated_subgroup
 from bipcayley.stabilizer import (
     _Quotient,
@@ -1055,3 +1055,24 @@ def test_leaf_check_matches_definition_on_cayley_digraphs():
                       for t in rng.sample(range(g.size), 3)]
             auts = shifts + list(vertex_stabilizer(d).stabilizer_generators)
             _assert_leaf_check(rng, d.out_neighbors, d.in_neighbors, auts)
+
+
+def test_known_maps_must_fix_zero_and_the_connection_set():
+    """A seed map is checked before the search: one that moves 0, or that
+    moves S, is refused.  On C2^4 the element indices are the coordinate
+    bits, so swapping two bits is an automorphism of A."""
+    g = build_group([2] * 4)
+    mask = sum(1 << a for a in (1, 2, 4, 8, 7))  # the basis and e1+e2+e3
+    d = build_cayley(g, mask)
+
+    def swap(i, j):  # exchange coordinate bits i and j of every element
+        return tuple(a ^ ((a >> i ^ a >> j) & 1) * (1 << i | 1 << j)
+                     for a in range(16))
+
+    index = vertex_stabilizer(d).cayley_index
+    assert stabilizer_order_bounded(d, known=[swap(0, 1)]) == (index, True)
+    moves_zero = list(range(16))
+    moves_zero[0], moves_zero[3] = 3, 0  # fixes S, 3 is not in it
+    for bad in (swap(0, 3), tuple(moves_zero)):  # swap(0, 3) moves 7 to 14
+        with pytest.raises(FalsificationError):
+            stabilizer_order_bounded(d, known=[bad])

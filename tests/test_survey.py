@@ -623,6 +623,87 @@ def test_c26_threaded_matches_serial(tmp_path, c26_serial_400):
             assert line["best_mask"] is not None
 
 
+def test_c26_sharded_sweep_matches_serial(tmp_path):
+    """Budget 1,000 keeps 124 representatives, more than ``sweep``'s 64, so
+    on two threads the block is swept by worker processes, which get each
+    mask's floor and known maps with it: the same answer and checkpoint."""
+    reports, lines = [], []
+    for threads in (1, 2):
+        ck = tmp_path / f"c26-{threads}.ckpt"
+        reports.append(c26_reduced_search(budget=1000, threads=threads,
+                                          checkpoint=str(ck)))
+        lines.append(ck.read_text().splitlines())
+    serial, sharded = reports
+    assert serial.reps_searched == sharded.reps_searched == 124
+    assert sharded.best_index == serial.best_index == 16
+    assert sharded.best_set == serial.best_set
+    assert lines[0] == lines[1] and len(lines[0]) == 1
+
+
+def _generated(perms) -> set:
+    """The group that the permutations ``perms`` generate, as tuples."""
+    group = {tuple(range(len(perms[0])))} if perms else {()}
+    frontier = list(group)
+    while frontier:
+        x = frontier.pop()
+        for g in perms:
+            y = tuple(g[v] for v in x)
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return group
+
+
+@pytest.mark.parametrize("rep", ["rep3", "rep5"])
+def test_c26_seeds_are_automorphisms_that_keep_each_index(rep):
+    """Each representative in the first 2,000 positions of a C2^6 block:
+    its maps are additive (XOR on element indices) and fix S, they
+    generate a group of the order given as its floor, and a search seeded
+    with them finds the index of an unseeded one."""
+    import itertools
+    from bipcayley._search import perm_on_set
+    from bipcayley.cayley import build_cayley, connection_set
+    from bipcayley.stabilizer import stabilizer_order_bounded, vertex_stabilizer
+    from bipcayley.survey import _c26_candidates, _c26_group_and_parts
+    group, basis, b_bits, rep3, rep5 = _c26_group_and_parts()
+    stream = _c26_candidates(group, basis, b_bits,
+                             {"rep3": rep3, "rep5": rep5}[rep])
+    kept = [item for item in itertools.islice(stream, 2000)
+            if item is not None]
+    seen, helped = set(), 0
+    for mask, order, maps in kept:
+        for m in maps:
+            if m not in seen:
+                seen.add(m)
+                assert all(m[a ^ b] == m[a] ^ m[b]
+                           for a in range(64) for b in range(a))
+            assert perm_on_set(m, mask) == mask
+        assert len(_generated(maps)) == order
+        helped += order > 1
+        d = build_cayley(group, connection_set(group, mask))
+        index = vertex_stabilizer(d).cayley_index
+        assert index % order == 0
+        assert stabilizer_order_bounded(d, known=maps) == (index, True)
+    assert 0 < helped < len(kept)
+
+
+def test_c26_prefix_refinements_are_pinned(monkeypatch):
+    """Work guard: the 500-position prefix refines 724 times.  Searched
+    from inversion alone, not from each candidate's coordinate stabilizer,
+    it took 1,093."""
+    from bipcayley import _search
+    calls = [0]
+    refine = _search.refine_partition
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(_search, "refine_partition", counting)
+    assert c26_reduced_search(budget=500).best_index == 16
+    assert calls[0] == 724
+
+
 def test_c26_threaded_resume_matches_straight(tmp_path, c26_serial_400):
     ck = tmp_path / "c26.ckpt"
     c26_reduced_search(budget=200, threads=2, checkpoint=str(ck))
@@ -952,8 +1033,9 @@ def test_c26_representatives_match_brute_force_orbits():
     group, basis, b_bits, rep3, rep5 = _c26_group_and_parts()
     for rep, coords in ((rep3, C26_REP3), (rep5, C26_REP5)):
         _, masks, first = _c26_block_reference(coords, 2000)
-        stream = list(itertools.islice(
-            _c26_candidates(group, basis, b_bits, rep), 2000))
+        stream = [None if item is None else item[0] for item in
+                  itertools.islice(_c26_candidates(group, basis, b_bits, rep),
+                                   2000)]
         assert stream == [m if keep else None
                           for m, keep in zip(masks, first)]
         assert 0 < sum(first) < 2000
