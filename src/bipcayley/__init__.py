@@ -10,13 +10,11 @@ from .autos import (
     enumerate_automorphisms,
     example1_automorphism,
     example2_automorphism,
-    fix_invert_decomposition,
     index2_subgroups,
     inversion_automorphism,
     is_exceptional_pair,
     prime_index_subgroups,
     prime_order_subgroups,
-    stabilizing_automorphisms,
 )
 from .bounds import (
     count_inverse_closed,
@@ -32,7 +30,6 @@ from .cayley import (
     build_cayley,
     canonical_form,
     connection_set,
-    is_connected,
 )
 from .classify import (
     Classification,
@@ -55,9 +52,6 @@ from .groups import (
 from .stabilizer import (
     AutReport,
     brute_force_stabilizer_order,
-    cayley_index,
-    is_drr,
-    is_minimal_graph_index,
     vertex_stabilizer,
 )
 from .survey import (

@@ -46,23 +46,6 @@ class Automorphism:
     def is_identity(self) -> bool:
         return self.image == tuple(range(len(self.image)))
 
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """Map x -> self(other(x))."""
-        return Automorphism(self.group,
-                            tuple(self.image[v] for v in other.image))
-
-    def order(self) -> int:
-        o = 1
-        for start in range(len(self.image)):
-            # cycle length of each point; lcm over a vertex orbit scan
-            length = 1
-            x = self.image[start]
-            while x != start:
-                x = self.image[x]
-                length += 1
-            o = math.lcm(o, length)
-        return o
-
     def apply_to_set(self, mask: int) -> int:
         return perm_on_set(self.image, mask)
 
@@ -212,16 +195,6 @@ def automorphism_generators(group: AbelianGroup, fixing: Sequence[int] = ()
     return gens, order
 
 
-def count_automorphisms(group: AbelianGroup) -> int:
-    return automorphism_generators(group)[1]
-
-
-def stabilizing_automorphisms(group: AbelianGroup, sub: Subgroup
-                              ) -> Iterator[Automorphism]:
-    """Stream the automorphisms mapping ``sub`` onto itself setwise."""
-    return enumerate_automorphisms(group, (sub.bits,))
-
-
 # -- distinguished subgroups --------------------------------------------------
 
 
@@ -314,31 +287,6 @@ def _normalized_vectors(p: int, r: int) -> Iterator[tuple[int, ...]]:
                 vec.append(x % p)
                 x //= p
             yield tuple(vec)
-
-
-# -- fixed / inverted decomposition -------------------------------------------
-
-
-@dataclass(frozen=True)
-class FixInvertDecomposition:
-    """Subgroups of elements fixed (T1) and inverted (T-1) by an automorphism."""
-
-    fixed: Subgroup
-    inverted: Subgroup
-
-
-def fix_invert_decomposition(group: AbelianGroup,
-                             alpha: Automorphism) -> FixInvertDecomposition:
-    fixed = 0
-    inverted = 0
-    for a in group.elements():
-        img = alpha(a)
-        if img == a:
-            fixed |= 1 << a
-        if img == group.neg(a):
-            inverted |= 1 << a
-    return FixInvertDecomposition(subgroup_from_bits(group, fixed),
-                                  subgroup_from_bits(group, inverted))
 
 
 # -- the two exceptional families ---------------------------------------------

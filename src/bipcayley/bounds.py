@@ -22,13 +22,13 @@ from fractions import Fraction
 from ._search import _orbit
 from .autos import (
     Automorphism,
-    count_automorphisms,
+    automorphism_generators,
+    enumerate_automorphisms,
     index2_subgroups,
     inversion_automorphism,
     is_exceptional_pair,
     prime_index_subgroups,
     prime_order_subgroups,
-    stabilizing_automorphisms,
 )
 from .classify import _product_set, classify_context, group_candidates
 from .errors import HypothesisViolated
@@ -40,7 +40,6 @@ from .groups import (
     check_index2,
     coset_decompose,
     involution_subgroup,
-    popcount,
 )
 
 EXACT_SUBSET_CAP = 20    # enumerate subsets exactly when |A| <= this
@@ -172,7 +171,7 @@ def count_inverse_closed(group: AbelianGroup, sub: Subgroup) -> int:
     """
     check_index2(sub)
     a2 = involution_subgroup(group)
-    a2_outside = popcount(a2.bits & ~sub.bits)
+    a2_outside = (a2.bits & ~sub.bits).bit_count()
     paired = group.size // 2 - a2_outside
     if paired % 2:
         raise AssertionError("non-involutions outside B must pair up")
@@ -190,7 +189,7 @@ def admissible_set_count(group: AbelianGroup, sub: Subgroup, mode: str) -> int:
 
 def inverse_closed_count_report(group: AbelianGroup, sub: Subgroup) -> dict:
     a2 = involution_subgroup(group)
-    a2_outside = popcount(a2.bits & ~sub.bits)
+    a2_outside = (a2.bits & ~sub.bits).bit_count()
     return {
         "count": count_inverse_closed(group, sub),
         "a2_contained_in_b": a2_outside == 0,
@@ -280,7 +279,7 @@ def lemma_bound(name: str, group: AbelianGroup, sub: Subgroup,
     """
     check_index2(sub)
     n = group.size
-    a2_outside = popcount(involution_subgroup(group).bits & ~sub.bits)
+    a2_outside = (involution_subgroup(group).bits & ~sub.bits).bit_count()
     within_cap = n <= EXACT_SUBSET_CAP
     outside_bits = sub.complement_bits()
 
@@ -317,7 +316,7 @@ def lemma_bound(name: str, group: AbelianGroup, sub: Subgroup,
     elif name == "HK-cosets":
         _check_hk(group, sub, small, big)
         bound = Bound(1, n, 0, Fraction(3 * n, 8))
-        free = popcount(big.bits & ~sub.bits)
+        free = (big.bits & ~sub.bits).bit_count()
         coset_area = n // 2 - free
         if coset_area % small.order:
             raise AssertionError("A \\ (K u B) must be a union of H-cosets")
@@ -384,7 +383,7 @@ def theorem_lower_bound(which: str, group: AbelianGroup, sub: Subgroup) -> int:
     if which == "directed":
         slack = 3 << ceil_exponent(Fraction(3 * n, 8), n, 1)
     elif which == "undirected":
-        a2_outside = popcount(involution_subgroup(group).bits & ~sub.bits)
+        a2_outside = (involution_subgroup(group).bits & ~sub.bits).bit_count()
         slack = 1 << ceil_exponent(
             Fraction(11 * n, 48) + Fraction(a2_outside, 2) + 2, n, 1)
     else:
@@ -457,7 +456,7 @@ def bounds_suite(group: AbelianGroup, sub: Subgroup) -> list[BoundReport]:
     undirected = group.exponent > 2 and not ctx.exceptional
     outside = sub.complement_bits()
     most = {}  # family -> (orbits on A \ B, first alpha with that many)
-    for alpha in stabilizing_automorphisms(group, sub):
+    for alpha in enumerate_automorphisms(group, (sub.bits,)):
         if alpha.is_identity:
             continue
         families = {"alpha-invariant": [alpha.image]}
@@ -506,7 +505,7 @@ def prelim_facts_check(group: AbelianGroup) -> list[BoundReport]:
     n = group.size
     reports = []
 
-    aut_order = count_automorphisms(group)
+    aut_order = automorphism_generators(group)[1]
     aut_bound = Bound(1, n, int(math.floor(math.log2(n))), Fraction(0))
     reports.append(BoundReport(
         "aut-order", aut_order, aut_bound, aut_bound.admits(aut_order),
@@ -526,7 +525,7 @@ def prelim_facts_check(group: AbelianGroup) -> list[BoundReport]:
         if z.order == n:
             continue
         for y in index2_subgroups(group):
-            worst = max(worst, popcount(z.bits & ~y.bits))
+            worst = max(worst, (z.bits & ~y.bits).bit_count())
     quarter = Bound(1, n, 1, Fraction(-2))
     reports.append(BoundReport(
         "z-minus-y", worst, quarter, quarter.admits(worst),

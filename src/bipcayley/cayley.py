@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from ._search import CanonicalSearch
 from .errors import SetOutOfRange
-from .groups import AbelianGroup, Subgroup, bits_of, popcount
+from .groups import AbelianGroup, Subgroup, bits_of
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class ConnectionSet:
 
     @property
     def size(self) -> int:
-        return popcount(self.bits)
+        return self.bits.bit_count()
 
     def elements(self):
         return bits_of(self.bits)
@@ -117,11 +117,6 @@ def root_component(digraph: CayleyDigraph) -> int:
     return comp
 
 
-def is_connected(digraph: CayleyDigraph) -> bool:
-    """Weak connectivity, i.e. <S> = A."""
-    return root_component(digraph).bit_count() == digraph.n
-
-
 def bipartition_respected(digraph: CayleyDigraph, sub: Subgroup) -> bool:
     """True iff every arc crosses the parts {B, A \\ B}, i.e. S avoids B."""
     return digraph.conn.bits & sub.bits == 0
@@ -140,7 +135,7 @@ def canonical_form(digraph: CayleyDigraph) -> bytes:
 
 def edge_list_text(digraph: CayleyDigraph) -> str:
     """DIMACS-like arc list: one ``a <u> <v>`` line per arc."""
-    lines = [f"p digraph {digraph.n} {sum(popcount(m) for m in digraph.out_neighbors)}"]
+    lines = [f"p digraph {digraph.n} {sum(m.bit_count() for m in digraph.out_neighbors)}"]
     for g, h in digraph.arcs():
         lines.append(f"a {g} {h}")
     return "\n".join(lines) + "\n"

@@ -61,11 +61,7 @@ from .groups import (
     involution_subgroup,
     parse_group_spec,
 )
-from .stabilizer import (
-    cayley_index,
-    minimal_graph_index_target,
-    vertex_stabilizer,
-)
+from .stabilizer import minimal_graph_index_target, vertex_stabilizer
 from .survey import (
     DEFAULT_EXHAUSTIVE_BUDGET,
     DEFAULT_SAMPLES,
@@ -227,7 +223,6 @@ def emit(payload: dict, fmt: str, out) -> None:
         for key, val in config.items():
             out.write(f"# {key}={_flatten(val)}\n")
         rows = result if isinstance(result, list) else [result]
-        rows = [r if isinstance(r, dict) else {"value": r} for r in rows]
         headers: list[str] = []
         for r in rows:
             for k in r:
@@ -242,11 +237,8 @@ def emit(payload: dict, fmt: str, out) -> None:
     out.write("--\n")
     rows = result if isinstance(result, list) else [result]
     for r in rows:
-        if isinstance(r, dict):
-            for k, v in r.items():
-                out.write(f"{k}: {_flatten(v)}\n")
-        else:
-            out.write(f"{r}\n")
+        for k, v in r.items():
+            out.write(f"{k}: {_flatten(v)}\n")
         out.write("\n")
 
 
@@ -357,7 +349,7 @@ def _cmd_classify(args, caps, group) -> tuple[object, int]:
     code = EXIT_OK if out["witness_verified"] else EXIT_FALSIFIED
     if args.cross_check:
         # GOOD must mean the minimal index; other verdicts make no claim
-        index = cayley_index(group, bits)
+        index = vertex_stabilizer(build_cayley(group, bits)).cayley_index
         target = (1 if args.mode == "directed"
                   else minimal_graph_index_target(group))
         consistent = result.verdict != VERDICT_GOOD or index == target

@@ -40,10 +40,6 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 class AbelianGroup:
     """C_{n_1} x ... x C_{n_k} with mixed-radix element indexing."""
 
@@ -114,9 +110,6 @@ class AbelianGroup:
         if self._neg is not None:
             return self._neg[a]
         return self._neg_slow(a)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def scalar_mul(self, m: int, a: int) -> int:
         idx = 0
@@ -323,7 +316,7 @@ def generated_subgroup(group: AbelianGroup, gens: Iterable[int]) -> Subgroup:
         if not 0 <= g < group.size:
             raise BadSubgroup(f"element index {g} outside group")
     bits = _closure(group, gens)
-    return Subgroup(group, bits, popcount(bits), _greedy_generators(group, bits))
+    return Subgroup(group, bits, bits.bit_count(), _greedy_generators(group, bits))
 
 
 def subgroup_from_bits(group: AbelianGroup, bits: int) -> Subgroup:
@@ -333,11 +326,7 @@ def subgroup_from_bits(group: AbelianGroup, bits: int) -> Subgroup:
     gens = _greedy_generators(group, bits)
     if _closure(group, gens) != bits:
         raise BadSubgroup("bitset is not closed under the group operation")
-    return Subgroup(group, bits, popcount(bits), gens)
-
-
-def trivial_subgroup(group: AbelianGroup) -> Subgroup:
-    return Subgroup(group, 1, 1, ())
+    return Subgroup(group, bits, bits.bit_count(), gens)
 
 
 def involution_subgroup(group: AbelianGroup) -> Subgroup:
@@ -346,7 +335,7 @@ def involution_subgroup(group: AbelianGroup) -> Subgroup:
     for a in group.elements():
         if group.add(a, a) == 0:
             bits |= 1 << a
-    return Subgroup(group, bits, popcount(bits),
+    return Subgroup(group, bits, bits.bit_count(),
                     _greedy_generators(group, bits))
 
 
@@ -355,7 +344,7 @@ def all_subgroups(group: AbelianGroup,
     """Every subgroup (every subgroup of ``inside``, when given), by
     breadth-first closure over added generators."""
     pool = (1 << group.size) - 1 if inside is None else inside.bits
-    found = {1: trivial_subgroup(group)}
+    found = {1: Subgroup(group, 1, 1, ())}
     frontier = [found[1]]
     while frontier:
         nxt = []
@@ -475,9 +464,6 @@ def factor_multisets(n: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
 
     def rec(remaining: int, minimum: int, acc: list[int]) -> None:
-        if remaining == 1:
-            out.append(tuple(acc))
-            return
         d = minimum
         while d * d <= remaining:
             if remaining % d == 0:

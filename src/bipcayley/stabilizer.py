@@ -13,8 +13,8 @@ from itertools import permutations
 
 from ._search import AutomorphismSearch, Perm, perm_on_set
 from .autos import inversion_automorphism
-from .cayley import CayleyDigraph, build_cayley, root_component
-from .errors import FalsificationError, NotInverseClosed
+from .cayley import CayleyDigraph, root_component
+from .errors import FalsificationError
 from .groups import AbelianGroup, bits_of
 
 
@@ -187,27 +187,10 @@ def stabilizer_order_bounded(digraph: CayleyDigraph,
     return quotient.lift(search.order()), not search.aborted
 
 
-def cayley_index(group: AbelianGroup, conn) -> int:
-    """|Aut(Cay(A,S)) : A|, computed at the identity vertex."""
-    return vertex_stabilizer(build_cayley(group, conn)).cayley_index
-
-
-def is_drr(group: AbelianGroup, conn) -> bool:
-    return cayley_index(group, conn) == 1
-
-
 def minimal_graph_index_target(group: AbelianGroup) -> int:
     """The smallest possible Cayley index of a Cayley graph over the group:
     1 for exponent 2, else 2 (inversion is always a graph automorphism)."""
     return 1 if group.exponent == 2 else 2
-
-
-def is_minimal_graph_index(group: AbelianGroup, conn) -> bool:
-    digraph = build_cayley(group, conn)
-    if not digraph.is_graph:
-        raise NotInverseClosed("minimal graph index requires S = -S")
-    idx = vertex_stabilizer(digraph).cayley_index
-    return idx == minimal_graph_index_target(group)
 
 
 def brute_force_stabilizer_order(digraph: CayleyDigraph) -> int:

@@ -62,7 +62,6 @@ from .groups import (
     format_group_spec,
     invariant_factors_of_orders,
     parse_group_spec,
-    popcount,
 )
 from .stabilizer import (
     closed_form_order,
@@ -233,7 +232,7 @@ class IndexSurveyResult:
 def _generic_first(masks: Iterable[int], half: float) -> list[int]:
     """Mid-sized sets first: their stabilizers are usually trivial, which
     establishes a tight abort threshold immediately."""
-    return sorted(masks, key=lambda m: (abs(popcount(m) - half), m))
+    return sorted(masks, key=lambda m: (abs(m.bit_count() - half), m))
 
 
 def sweep(group: AbelianGroup, masks: Sequence[int],

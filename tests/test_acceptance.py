@@ -204,7 +204,7 @@ def test_criterion_06_exceptional_families():
     for ell in (1, 2, 3):
         group, sub, alpha = example1_automorphism(ell)
         iota = inversion_automorphism(group)
-        assert alpha.compose(alpha).is_identity
+        assert all(alpha(alpha(a)) == a for a in group.elements())
         assert not alpha.is_identity and alpha.image != iota.image
         assert alpha.stabilizes(sub)
         for a in bits_of(sub.complement_bits()):
@@ -213,7 +213,7 @@ def test_criterion_06_exceptional_families():
     for ell in (0, 1, 2):
         group, sub, alpha = example2_automorphism(ell)
         iota = inversion_automorphism(group)
-        assert alpha.compose(alpha).is_identity
+        assert all(alpha(alpha(a)) == a for a in group.elements())
         assert not alpha.is_identity and alpha.image != iota.image
         assert alpha.stabilizes(sub)
         for a in bits_of(sub.complement_bits()):
@@ -254,12 +254,12 @@ def test_criterion_08_monte_carlo_trend():
 
 
 def test_criterion_09_unlabeled_consistency():
-    from bipcayley.autos import count_automorphisms
+    from bipcayley.autos import automorphism_generators
     checked = 0
     for n in (2, 4, 6, 8):
         for invfac in abelian_isomorphism_classes(n):
             group = build_group(list(invfac))
-            aut = count_automorphisms(group)
+            aut = automorphism_generators(group)[1]
             for sub in index2_subgroups(group):
                 for mode in ("directed", "undirected"):
                     rep = unlabeled_count(group, sub, mode)

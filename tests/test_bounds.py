@@ -6,13 +6,13 @@ import pytest
 
 from bipcayley.autos import (
     Automorphism,
+    enumerate_automorphisms,
     index2_subgroup,
     index2_subgroups,
     inversion_automorphism,
     is_exceptional_pair,
     prime_index_subgroups,
     prime_order_subgroups,
-    stabilizing_automorphisms,
 )
 from bipcayley import bounds
 from bipcayley.bounds import (
@@ -194,7 +194,7 @@ def test_triples_count_matches_a4_witness_oracle():
 def test_alpha_invariant_count_matches_fixed_subset_oracle():
     autos_checked = 0
     for g, b in _index2_pairs(12):
-        for alpha in stabilizing_automorphisms(g, b):
+        for alpha in enumerate_automorphisms(g, (b.bits,)):
             if alpha.is_identity:
                 continue
             autos_checked += 1
@@ -431,7 +431,7 @@ def _alpha_worst_reference(group, sub):
     iota = inversion_automorphism(group)
     undirected = group.exponent > 2 and not is_exceptional_pair(group, sub)
     families = {"alpha-invariant": [], "alpha-undirected": []}
-    for alpha in stabilizing_automorphisms(group, sub):
+    for alpha in enumerate_automorphisms(group, (sub.bits,)):
         if alpha.is_identity:
             continue
         families["alpha-invariant"].append(

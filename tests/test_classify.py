@@ -10,6 +10,7 @@ from bipcayley.autos import (
     is_exceptional_pair,
     prime_index_subgroups,
 )
+from bipcayley.cayley import build_cayley, root_component
 from bipcayley.classify import (
     VERDICT_A1,
     VERDICT_A2,
@@ -36,7 +37,7 @@ from bipcayley.groups import (
     generated_subgroup,
     involution_subgroup,
 )
-from bipcayley.stabilizer import cayley_index
+from bipcayley.stabilizer import vertex_stabilizer
 from bipcayley.survey import iter_admissible_sets
 
 
@@ -68,7 +69,7 @@ def test_singleton_is_good_and_drr(c6):
     g, b = c6
     res = classify_directed(g, b, 1 << 1)
     assert res.verdict == VERDICT_GOOD
-    assert cayley_index(g, 1 << 1) == 1
+    assert vertex_stabilizer(build_cayley(g, 1 << 1)).cayley_index == 1
 
 
 def test_full_outside_is_a3_undirected(c6):
@@ -79,7 +80,8 @@ def test_full_outside_is_a3_undirected(c6):
     small, big = res.witness
     assert small.order == 3 and big.order == 3
     assert verify_witness(g, b, s, res, "undirected")
-    assert cayley_index(g, s) == 12  # not the minimal value 2
+    # not the minimal value 2
+    assert vertex_stabilizer(build_cayley(g, s)).cayley_index == 12
 
 
 def test_set_not_avoiding_b(c6):
@@ -107,7 +109,7 @@ def test_undirected_classification_cross_checked():
     s = (1 << g.encode((0, 1))) | (1 << g.encode((2, 1)))
     res = classify_undirected(g, b, s)
     assert verify_witness(g, b, s, res, "undirected")
-    idx = cayley_index(g, s)
+    idx = vertex_stabilizer(build_cayley(g, s)).cayley_index
     if res.verdict == VERDICT_GOOD:
         assert idx == 2
 
@@ -149,10 +151,9 @@ def test_a4_witness_verifies():
 
 def test_a1_iff_disconnected(c6):
     g, b = c6
-    from bipcayley.cayley import build_cayley, connection_set, is_connected
     for s in iter_admissible_sets(g, b, "directed"):
         res = classify_directed(g, b, s)
-        disconnected = not is_connected(build_cayley(g, connection_set(g, s)))
+        disconnected = root_component(build_cayley(g, s)).bit_count() < g.size
         assert (res.verdict == VERDICT_A1) == disconnected
 
 
@@ -175,7 +176,8 @@ def test_mini_soundness_sweep_directed():
                 res = classify_directed(g, b, s)
                 assert verify_witness(g, b, s, res, "directed")
                 if res.verdict == VERDICT_GOOD:
-                    assert cayley_index(g, s) == 1
+                    assert vertex_stabilizer(
+                        build_cayley(g, s)).cayley_index == 1
 
 
 def test_classification_report_shape():

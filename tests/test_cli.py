@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -6,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+from bipcayley import cli, survey
 from bipcayley.autos import index2_subgroups
 from bipcayley.cli import main, parse_set_spec, parse_subgroup_spec
 from bipcayley.groups import build_group
+from bipcayley.stabilizer import AutReport
 
 
 def run_cli(argv):
@@ -337,10 +341,48 @@ def test_usage_errors(capsys):
                  # (these two ran out of memory or overflowed a list size)
                  ["group-info", "--group", "C2^4000000000"],
                  ["group-info", "--group", "C2^99999999999999999999"],
-                 ["group-info", "--group", "C2^40xC2^40"]):  # > 64 factors
+                 ["group-info", "--group", "C2^40xC2^40"],  # > 64 factors
+                 ["group-info", "--group", "C2^0"],
+                 ["index", "--group", "C2xC4", "--set", "1,0,0"],  # 3 coords
+                 ["index", "--group", "C6", "--set", "all-minus-B"],
+                 ["index", "--group", "C6", "--set", "1", "--mode",
+                  "undirected"]):  # S != -S
         assert run_cli(argv) == (2, ""), argv
         err = capsys.readouterr().err
-        assert "error:" in err and "Traceback" not in err, argv
+        assert err.count("error:") == 1 and "Traceback" not in err, argv
+
+
+def test_failed_checks_exit_4(monkeypatch):
+    """Each check that the CLI turns into exit 4, made to fail."""
+    monkeypatch.setattr(survey, "TABLE1_ROWS",
+                        (survey.TableRow("C2^2", "C2", 3),))
+    code, payload = run_json(["table", "--which", "1", "--threads", "1",
+                              "--no-timing"])
+    assert code == 4
+    assert [row["matches"] for row in payload["result"]] == [False]
+
+    def failing(fn):
+        def wrapped(*args):
+            first, *rest = fn(*args)
+            return [dataclasses.replace(first, holds=False), *rest]
+        return wrapped
+
+    for name, argv in (("bounds_suite", ["--subgroup", "index:0"]),
+                       ("prelim_facts_check", [])):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, failing(getattr(cli, name)))
+            code, payload = run_json(["bounds", "--group", "C4xC2"] + argv)
+        assert code == 4, name
+        assert False in [row["holds"] for row in payload["result"]], name
+
+    # a GOOD directed set must be a DRR: a stabilizer of order 2 refutes it
+    monkeypatch.setattr(cli, "vertex_stabilizer",
+                        lambda digraph: AutReport(cayley_index=2))
+    code, payload = run_json(["classify", "--group", "C6", "--subgroup",
+                              "index:0", "--set", "1", "--cross-check"])
+    assert code == 4
+    assert payload["result"]["cross_check"] == {"cayley_index": 2,
+                                                "consistent": False}
 
 
 def test_survey_all_subgroups_refuses_subgroup(capsys):
@@ -560,6 +602,19 @@ def test_readme_command_examples_run():
     assert len(lines) == 12
     for line in lines:
         assert run_cli(shlex.split(line)[1:])[0] == 0, line
+
+
+def test_readme_library_sketch_runs():
+    """README's "Library sketch" block runs and prints what it documents."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library sketch", 1)[1].split("```")[1]
+    assert block.startswith("python\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block[len("python\n"):], {})
+    index, minimum = out.getvalue().splitlines()
+    assert index == "512"
+    assert minimum.split()[0] == "4"
 
 
 def test_parse_specs():
@@ -813,3 +868,29 @@ def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+def test_listing_into_a_closed_pipe_exits_0_quietly():
+    """``auts --list`` into ``head -c 1``: the write fails once head exits,
+    and the CLI still exits 0 with nothing on stderr."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bipcayley", "auts", "--group", "C2^4",
+         "--list", "--limit", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = subprocess.Popen(["head", "-c", "1"], stdin=proc.stdout,
+                            stdout=subprocess.PIPE)
+    proc.stdout.close()
+    assert head.communicate(timeout=120)[0] == b"{"
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
+def test_c26_progress_goes_to_stderr(capsys):
+    code, payload = run_json(["c26", "--budget", "100", "--threads", "1",
+                              "--progress", "--no-timing"])
+    assert code == 0 and payload["result"]["searched"] == 100
+    assert "progress: 100/100" in capsys.readouterr().err.splitlines()

@@ -25,7 +25,6 @@ from bipcayley.groups import (
     parse_group_spec,
     subgroup_from_bits,
     subgroup_invariant_factors,
-    trivial_subgroup,
 )
 
 orders_strategy = st.lists(st.integers(2, 9), min_size=1, max_size=4).filter(
@@ -156,7 +155,7 @@ def test_coset_decompose_examples():
     assert coset_decompose(g, h, 0)
     assert coset_decompose(g, h, (1 << 1) | (1 << 3) | (1 << 5))
     assert not coset_decompose(g, h, 1 << 1)
-    assert coset_decompose(g, trivial_subgroup(g), (1 << 1) | (1 << 4))
+    assert coset_decompose(g, generated_subgroup(g, []), (1 << 1) | (1 << 4))
 
 
 def test_parse_group_spec():
