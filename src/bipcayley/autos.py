@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ._search import _orbit, perm_on_set
 from .errors import BadParameter
@@ -32,8 +31,7 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Automorphism:
+class Automorphism(NamedTuple):
     """A group automorphism as a permutation of element indices."""
 
     group: AbelianGroup

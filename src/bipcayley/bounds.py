@@ -16,8 +16,9 @@ are built by ``classify._product_set``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from ._search import _orbit
 from .autos import (
@@ -113,8 +114,7 @@ def _int_leq_rational_pow(count: int, multiplier: int, n: int, n_exp: int,
     return lhs <= rhs
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(NamedTuple):
     """multiplier * n^n_exp * 2^(dyadic + logsq_coeff*(log2 n)^2)."""
 
     multiplier: int
@@ -142,13 +142,12 @@ class Bound:
             outward(self.dyadic + self.logsq_coeff * x * x)))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     name: str
     exact: int | None
     bound: Bound
     holds: bool | None
-    details: dict = field(default_factory=dict)
+    details: Mapping = MappingProxyType({})
 
     def row(self) -> dict:
         return {
@@ -394,8 +393,7 @@ def theorem_lower_bound(which: str, group: AbelianGroup, sub: Subgroup) -> int:
 # -- corollary-proof threshold scans -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     mode: str
     paper_value: int
     computed_value: int

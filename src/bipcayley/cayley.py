@@ -10,16 +10,14 @@ by rotating bitsets (``AbelianGroup.translates``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ._search import CanonicalSearch
 from .errors import SetOutOfRange
 from .groups import AbelianGroup, Subgroup, bits_of
 
 
-@dataclass(frozen=True)
-class ConnectionSet:
+class ConnectionSet(NamedTuple):
     """Subset S of the group as a bitset, with -S computed once."""
 
     group: AbelianGroup

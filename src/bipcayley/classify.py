@@ -34,7 +34,7 @@ search, its witness check and ``bounds.count_product_triples`` use it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .autos import (
     Automorphism,
@@ -69,41 +69,39 @@ VERDICT_A3 = "A3"
 VERDICT_A4 = "A4"
 VERDICT_GOOD = "GOOD"
 
-@dataclass(frozen=True)
-class A4Witness:
+class A4Witness(NamedTuple):
     cyclic: Subgroup
     complement: Subgroup
     s_prime: int   # bitset over the cyclic part
     s_dprime: int  # bitset over the complement part
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: str
     witness: object | None
 
     def witness_json(self, group: AbelianGroup) -> object:
+        """The witness in JSON form, chosen by verdict: every witness is a
+        tuple, so a tuple test cannot pick out the (H, K) pair."""
         w = self.witness
-        if w is None:
-            return None
-        if isinstance(w, Subgroup):
+        if self.verdict == VERDICT_A1:
             return {"subgroup_generators":
                     [list(group.decode(g)) for g in w.generators]}
-        if isinstance(w, Automorphism):
+        if self.verdict == VERDICT_A2:
             return {"automorphism_generator_images":
                     [list(group.decode(w(g))) for g in group.generators()]}
-        if isinstance(w, tuple):  # (H, K)
+        if self.verdict == VERDICT_A3:
             h, k = w
             return {"H_generators": [list(group.decode(g)) for g in h.generators],
                     "K_generators": [list(group.decode(g)) for g in k.generators]}
-        if isinstance(w, A4Witness):
+        if self.verdict == VERDICT_A4:
             return {"C_generators":
                     [list(group.decode(g)) for g in w.cyclic.generators],
                     "Z_generators":
                     [list(group.decode(g)) for g in w.complement.generators],
                     "S_prime": [list(group.decode(a)) for a in bits_of(w.s_prime)],
                     "S_dprime": [list(group.decode(a)) for a in bits_of(w.s_dprime)]}
-        return repr(w)
+        return None
 
 
 # -- per-group candidates and per-(A, B) contexts ------------------------------

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadSubgroup,
@@ -251,8 +250,7 @@ def format_group_spec(orders: Sequence[int]) -> str:
 # -- subgroups ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     """Subgroup as a membership bitset plus a small generating set."""
 
     group: AbelianGroup

@@ -8,8 +8,8 @@ regularly, so |Aut(Cay(A,S))| = |A| * |Aut(Cay(A,S))_0| and the Cayley index
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import permutations
+from typing import NamedTuple
 
 from ._search import AutomorphismSearch, Perm, perm_on_set
 from .autos import inversion_automorphism
@@ -18,13 +18,12 @@ from .errors import FalsificationError
 from .groups import AbelianGroup, bits_of
 
 
-@dataclass(frozen=True)
-class AutReport:
+class AutReport(NamedTuple):
     """Result of a vertex-stabilizer search.  ``cayley_index`` is the order
     of the stabilizer of vertex 0 (see the module docstring)."""
 
     cayley_index: int
-    stabilizer_generators: tuple[Perm, ...] = field(default=())
+    stabilizer_generators: tuple[Perm, ...] = ()
 
 
 def closed_form_order(s_q: int, k: int, m: int, t: int = 1) -> int:

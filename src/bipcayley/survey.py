@@ -27,9 +27,9 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._search import _orbit, perm_on_set
 from .autos import (
@@ -195,8 +195,7 @@ def _pair_orbits(group: AbelianGroup, sub: Subgroup, mode: str,
 # -- exhaustive / random index minimization ---------------------------------------
 
 
-@dataclass
-class IndexSurveyResult:
+class IndexSurveyResult(NamedTuple):
     """The minimum index over the connection sets a campaign sweeps.
 
     ``argmin_set`` is the first set in sweep order whose exact index equals
@@ -213,7 +212,7 @@ class IndexSurveyResult:
     sets_examined: int
     reps_searched: int
     method: str
-    details: dict = field(default_factory=dict)
+    details: Mapping = MappingProxyType({})
 
     def to_json(self) -> dict:
         return {
@@ -410,8 +409,7 @@ def global_index(group: AbelianGroup, mode: str, **kwargs) -> dict:
 # -- tables 1 and 2 --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     group_spec: str
     subgroup_spec: str
     expected: int
@@ -468,8 +466,7 @@ TABLE2_FAMILIES = (
 )
 
 
-@dataclass
-class TableRowResult:
+class TableRowResult(NamedTuple):
     table: int
     group: str
     subgroup: str
@@ -481,7 +478,7 @@ class TableRowResult:
     sets: int
 
     def to_json(self) -> dict:
-        return self.__dict__.copy()
+        return self._asdict()
 
 
 def subgroup_of_type(group: AbelianGroup, iso_spec: str) -> Subgroup:
@@ -539,8 +536,7 @@ def verify_table(which: int, budget: int = DEFAULT_TABLE_BUDGET,
 # -- Monte-Carlo proportions --------------------------------------------------------
 
 
-@dataclass
-class ProportionEstimate:
+class ProportionEstimate(NamedTuple):
     samples: int
     hits: int
     estimate: Fraction
@@ -609,8 +605,7 @@ def monte_carlo_proportion(group: AbelianGroup, sub: Subgroup, mode: str,
 # -- unlabeled counting ---------------------------------------------------------------
 
 
-@dataclass
-class UnlabeledReport:
+class UnlabeledReport(NamedTuple):
     total_sets: int
     total_classes: int
     target_classes: int
@@ -618,7 +613,7 @@ class UnlabeledReport:
     class_sizes: list[int]
 
     def to_json(self) -> dict:
-        return self.__dict__.copy()
+        return self._asdict()
 
 
 def unlabeled_count(group: AbelianGroup, sub: Subgroup,
@@ -654,8 +649,7 @@ def unlabeled_count(group: AbelianGroup, sub: Subgroup,
 # -- the C2^6 reduced search -----------------------------------------------------------
 
 
-@dataclass
-class C26Report:
+class C26Report(NamedTuple):
     """Sub-claims of the C2^6 reduction and the outcome of its search.
 
     ``best_set`` is the first candidate in stream order whose exact index
@@ -676,7 +670,7 @@ class C26Report:
     completed: bool = False
 
     def to_json(self) -> dict:
-        return self.__dict__.copy()
+        return self._asdict()
 
 
 def _c26_group_and_parts():
@@ -849,10 +843,8 @@ def c26_reduced_search(budget: int | None = None,
             progress(searched, limit)
     if best_mask is not None:
         _recheck(group, best, best_mask)
-    report.searched = searched
-    report.reps_searched = reps_searched
-    report.best_index = best
-    report.best_set = (_decode_set(group, best_mask)
-                       if best_mask is not None else None)
-    report.completed = searched >= report.candidate_count
-    return report
+    return report._replace(
+        searched=searched, reps_searched=reps_searched, best_index=best,
+        best_set=(_decode_set(group, best_mask)
+                  if best_mask is not None else None),
+        completed=searched >= report.candidate_count)

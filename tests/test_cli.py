@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -364,7 +363,7 @@ def test_failed_checks_exit_4(monkeypatch):
     def failing(fn):
         def wrapped(*args):
             first, *rest = fn(*args)
-            return [dataclasses.replace(first, holds=False), *rest]
+            return [first._replace(holds=False), *rest]
         return wrapped
 
     for name, argv in (("bounds_suite", ["--subgroup", "index:0"]),
@@ -852,6 +851,22 @@ def test_module_entry_point_runs_the_cli():
                           "--no-such-option"], capture_output=True, env=env,
                          timeout=120)
     assert bad.returncode == 2
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Every CLI call and benchmark repetition is a fresh interpreter, so
+    the package's import stays off ``dataclasses`` and ``inspect`` (with
+    ``ast`` and ``dis``, which they pull in).  ``-S`` keeps the host's
+    ``site`` hooks out of the result."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import bipcayley, sys; print(*sorted("
+         "{'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "dataclasses" not in loaded and "inspect" not in loaded, loaded
 
 
 def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr():
